@@ -7,13 +7,10 @@ conjugated channel sum, and the cluster update is recovered by dividing
 out the nominal combining gain p_t * M * sigma_h2 * beta_bar.
 """
 
-import struct
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from . import _kernels
 from .rng import as_generator
 
 
@@ -42,22 +39,10 @@ class ChannelTensor:
     """
 
     coefficients: np.ndarray         # (M, K, N) complex128
-    small_scale_variance: float
-    betas: np.ndarray                # (M,)
 
     @property
     def shape(self):
         return self.coefficients.shape
-
-
-@dataclass
-class ReceivedSignal:
-    """Per-antenna symbols at the IS, plus the draw parameters."""
-
-    symbols: np.ndarray              # (K, N) complex128
-    noise_variance: float
-    transmit_power: float
-    noise: Optional[np.ndarray] = None  # (K, N), recorded when requested
 
 
 def draw_channels_from_betas(betas, K, N, sigma_h2, rng,
@@ -78,14 +63,7 @@ def draw_channels_from_betas(betas, K, N, sigma_h2, rng,
         raw = gen.standard_normal((M, K, N, 2)) * np.sqrt(sigma_h2 / 2.0)
         g = raw.view(np.complex128)[..., 0]
     coeff = np.sqrt(betas)[:, None, None] * g
-    return ChannelTensor(coeff, float(sigma_h2), betas)
-
-
-def draw_channels(topo, cluster: int, num_symbols: int, sigma_h2, rng,
-                  unit: bool = False) -> ChannelTensor:
-    """Fading tensor for one cluster of a SystemTopology."""
-    return draw_channels_from_betas(topo.beta[cluster], topo.antennas_per_is,
-                                    num_symbols, sigma_h2, rng, unit=unit)
+    return ChannelTensor(coeff)
 
 
 def draw_noise(K, N, sigma_z2, rng) -> np.ndarray:
@@ -99,54 +77,58 @@ def draw_noise(K, N, sigma_z2, rng) -> np.ndarray:
     return raw.view(np.complex128)[..., 0]
 
 
-def ota_uplink(symbols, ch: ChannelTensor, p_t, sigma_z2, rng,
-               record_noise: bool = False) -> ReceivedSignal:
-    """Superpose all users' symbols through the channel and add noise.
-
-    y[k, n] = p_t * sum_m h[m,k,n] * x[m,n] + z[k,n].
-    """
+def _check_shapes(symbols, ch: ChannelTensor, z):
+    """(M, N) complex symbols and (K, N) noise matching the channel."""
     symbols = np.asarray(symbols, dtype=np.complex128)
     M, K, N = ch.shape
     if symbols.shape != (M, N):
-        raise ValueError(f"need (M, N) = ({M}, {N}) symbols, got {symbols.shape}")
-    if p_t <= 0:
-        raise ValueError("transmit power must be positive")
-    z = draw_noise(K, N, sigma_z2, rng)
-    y = p_t * np.einsum("mkn,mn->kn", ch.coefficients, symbols) + z
-    return ReceivedSignal(y, float(sigma_z2), float(p_t),
-                          z if record_noise else None)
-
-
-def mrc_combine(rx: ReceivedSignal, ch: ChannelTensor) -> np.ndarray:
-    """Per symbol: (1/K) * sum_k conj(sum_m h[m,k,n]) * y[k,n]."""
-    M, K, N = ch.shape
-    if rx.symbols.shape != (K, N):
-        raise ValueError("received signal does not match channel dimensions")
-    hs = ch.coefficients.sum(axis=0)
-    return (np.conj(hs) * rx.symbols).sum(axis=0) / K
+        raise ValueError(f"need (M, N) = ({M}, {N}) symbols, "
+                         f"got {symbols.shape}")
+    if np.shape(z) != (K, N):
+        raise ValueError(f"need (K, N) = ({K}, {N}) noise draws, "
+                         f"got {np.shape(z)}")
+    return symbols
 
 
 def uplink_and_combine(symbols, ch: ChannelTensor, p_t, z):
-    """Fused hot path: uplink superposition + MRC combine with given noise."""
-    return _kernels.uplink_combine(ch.coefficients,
-                                   np.asarray(symbols, dtype=np.complex128),
-                                   p_t, z)
+    """Superpose all users' symbols over the channel and MRC-combine.
+
+    symbols: (M, N) transmit symbols, z: (K, N) receiver noise from
+    draw_noise.  The IS receives y[k, n] = p_t * sum_m h[m,k,n] * x[m,n]
+    + z[k,n] and returns, per symbol, (1/K) * sum_k conj(sum_m h[m,k,n])
+    * y[k,n].
+    """
+    x = _check_shapes(symbols, ch, z)
+    if p_t <= 0:
+        raise ValueError("transmit power must be positive")
+    h = ch.coefficients
+    y = p_t * np.einsum("mkn,mn->kn", h, x) + z
+    hs = h.sum(axis=0)
+    return (np.conj(hs) * y).sum(axis=0) / h.shape[1]
 
 
 def decompose_terms(symbols, ch: ChannelTensor, p_t, noise):
     """Signal, interference, and noise summands of the combined output.
 
-    Requires the recorded noise draws so the decomposition is exact:
-    signal + interference + noise equals mrc_combine(ota_uplink(...)).
+    Given the same noise draws, signal + interference + noise equals
+    uplink_and_combine(symbols, ch, p_t, noise).
     """
-    symbols = np.asarray(symbols, dtype=np.complex128)
-    M, K, N = ch.shape
-    if symbols.shape != (M, N):
-        raise ValueError("symbols do not match channel dimensions")
-    if noise is None:
-        raise ValueError("decompose_terms needs the recorded noise draws")
-    return _kernels.decompose(ch.coefficients, symbols, float(p_t),
-                              np.asarray(noise, dtype=np.complex128))
+    x = _check_shapes(symbols, ch, noise)
+    p_t = float(p_t)
+    z = np.asarray(noise, dtype=np.complex128)
+    h = ch.coefficients
+    K = h.shape[1]
+    gain = (h.real ** 2 + h.imag ** 2).sum(axis=1) / K   # (M, N)
+    sig = p_t * (gain * x).sum(axis=0)
+    hs = h.sum(axis=0)
+    sx = np.einsum("mkn,mn->kn", h, x)
+    if h.shape[0] == 1:          # single user: no cross terms at all
+        itf = np.zeros(h.shape[2], dtype=np.complex128)
+    else:
+        itf = p_t * ((np.conj(hs) * sx).sum(axis=0) / K
+                     - (gain * x).sum(axis=0))
+    noi = (np.conj(hs) * z).sum(axis=0) / K
+    return sig, itf, noi
 
 
 def recover_cluster_update(combined, p_t, M, sigma_h2, beta_bar) -> np.ndarray:
@@ -155,25 +137,3 @@ def recover_cluster_update(combined, p_t, M, sigma_h2, beta_bar) -> np.ndarray:
     if denom <= 0:
         raise ValueError("recovery denominator must be positive")
     return unpack_complex(np.asarray(combined, dtype=np.complex128)) / denom
-
-
-# ---------------------------------------------------------------------------
-# debug dump: little-endian binary, 16-byte header (M, K, N, reserved)
-
-def dump_channel_tensor(ch: ChannelTensor, path):
-    M, K, N = ch.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4I", M, K, N, 0))
-        inter = np.empty((M, K, N, 2), dtype="<f8")
-        inter[..., 0] = ch.coefficients.real
-        inter[..., 1] = ch.coefficients.imag
-        fh.write(inter.tobytes())
-
-
-def load_channel_tensor(path, sigma_h2, betas) -> ChannelTensor:
-    with open(path, "rb") as fh:
-        M, K, N, _ = struct.unpack("<4I", fh.read(16))
-        inter = np.frombuffer(fh.read(M * K * N * 16), dtype="<f8")
-    inter = inter.reshape(M, K, N, 2)
-    coeff = inter[..., 0] + 1j * inter[..., 1]
-    return ChannelTensor(coeff, float(sigma_h2), np.asarray(betas, dtype=np.float64))

@@ -12,11 +12,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields, replace
+import typing
+from dataclasses import replace
 
 import numpy as np
 
-from . import __version__, bounds, protocol
+from . import __version__, bounds, protocol, topology
 
 SCENARIO_ALIASES = {
     "ideal": "ideal_hier", "ideal_hier": "ideal_hier",
@@ -24,11 +25,15 @@ SCENARIO_ALIASES = {
     "flat": "flat_ota", "flat_ota": "flat_ota",
 }
 
-_SCENARIO_FIELDS = {f.name: f.type for f in fields(protocol.ScenarioConfig)}
-_STR_FIELDS = {"scenario", "dataset", "partition", "channel_mode", "optimizer"}
-_INT_FIELDS = {"C", "M", "K", "tau", "I", "T", "batch_size", "seed",
-               "train_samples", "test_samples", "feature_dim", "num_classes",
-               "eval_train_samples", "max_place_retries"}
+
+def _field_type(hint):
+    """str, int or float of a ScenarioConfig annotation, Optional unwrapped."""
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    return args[0] if typing.get_origin(hint) is typing.Union else hint
+
+
+_SCENARIO_FIELDS = {name: _field_type(hint) for name, hint in
+                    typing.get_type_hints(protocol.ScenarioConfig).items()}
 
 _BOUND_REQUIRED = ("L", "mu", "G2", "Gamma", "init_dist", "N", "tau", "I",
                    "T", "M", "C", "K", "sigma_z2", "sigma_h2", "beta",
@@ -70,13 +75,12 @@ def _scenario_from_dict(kv, path="<config>"):
         if val is None:                # optional field from a manifest
             args[key] = None
             continue
+        kind = _SCENARIO_FIELDS[key]
         try:
-            if key in _STR_FIELDS:
-                args[key] = str(val)
-            elif key in _INT_FIELDS:
-                args[key] = int(val)
-            else:
-                args[key] = float(val)
+            if kind is int and isinstance(val, float) \
+                    and not val.is_integer():
+                raise ValueError(val)     # int() would truncate it
+            args[key] = kind(val)
         except (TypeError, ValueError):
             raise ConfigError(f"{where}: bad value for {key!r}: {val!r}")
     if "scenario" in args:
@@ -313,7 +317,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, FileNotFoundError, ValueError,
+            topology.PlacementError) as exc:
         print(f"airfed: error: {exc}", file=sys.stderr)
         return 1
 

@@ -277,7 +277,7 @@ def _run_engine(cfg, scenario, shards, user_keys, betas, beta_bars,
                     z = channel.draw_noise(
                         cfg.K, n_sym, cfg.sigma_z2,
                         rng.substream(cfg.seed, rng.NOISE, t, i, c))
-                    _, combined = channel.uplink_and_combine(x, ch, p_t, z)
+                    combined = channel.uplink_and_combine(x, ch, p_t, z)
                     update = channel.recover_cluster_update(
                         combined, p_t, M_eff, cfg.sigma_h2, beta_bars[c])
                     tx_energy += p_t * p_t * float(

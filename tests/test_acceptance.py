@@ -49,10 +49,9 @@ def test_criterion_1_equation_suite():
     betas = gen.uniform(0.5, 8.0, 3)
     ch = channel.draw_channels_from_betas(betas, 5, 8, 1.3, gen)
     x = gen.standard_normal((3, 8, 2)).view(np.complex128)[..., 0]
-    rx = channel.ota_uplink(x, ch, 1.7, 2.0, rng.substream(1, 4),
-                            record_noise=True)
-    combined = channel.mrc_combine(rx, ch)
-    sig, itf, noi = channel.decompose_terms(x, ch, 1.7, rx.noise)
+    z = channel.draw_noise(5, 8, 2.0, rng.substream(1, 4))
+    combined = channel.uplink_and_combine(x, ch, 1.7, z)
+    sig, itf, noi = channel.decompose_terms(x, ch, 1.7, z)
     ok &= np.max(np.abs(sig + itf + noi - combined)) <= 1e-12
 
     # cross-user weight: factored vs expanded (<= 1e-14)

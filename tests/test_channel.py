@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from airfed import _kernels, channel, rng, topology
+from airfed import channel, rng
 
 
 def test_pack_complex_example():
@@ -45,31 +45,28 @@ def test_draw_channels_deterministic_and_unit():
                           np.sqrt(betas)[:, None, None] * np.ones((2, 3, 5)))
 
 
-def test_draw_channels_from_topology():
-    topo = topology.SystemTopology(2, 2, 6, [[1.0, 0.5], [0.8, 0.9]],
-                                   np.full(4, 2.0), 4.0)
-    ch = channel.draw_channels(topo, 1, 10, 1.0, rng.substream(0, 3, 0, 0, 1))
-    assert ch.shape == (2, 6, 10)
-    assert np.array_equal(ch.betas, topo.beta[1])
+def _const_channel(M, K, N, c=1.0):
+    return channel.ChannelTensor(np.full((M, K, N), c, dtype=np.complex128))
 
 
 def test_ota_uplink_identity_channel():
+    # M=1, K=1, h=1, no noise: the combined output is the transmitted symbol
     x = np.array([[1 + 2j, 3 - 1j]])
-    ch = channel.ChannelTensor(np.ones((1, 1, 2), dtype=np.complex128), 1.0,
-                               np.ones(1))
-    rx = channel.ota_uplink(x, ch, 1.0, 0.0, None)
-    assert np.array_equal(rx.symbols[0], x[0])
+    ch = _const_channel(1, 1, 2)
+    z = channel.draw_noise(1, 2, 0.0, None)
+    assert np.array_equal(channel.uplink_and_combine(x, ch, 1.0, z), x[0])
 
 
 def test_ota_uplink_zero_signal_and_errors():
-    ch = channel.ChannelTensor(np.ones((2, 3, 4), dtype=np.complex128), 1.0,
-                               np.ones(2))
-    rx = channel.ota_uplink(np.zeros((2, 4), dtype=complex), ch, 2.0, 0.0, None)
-    assert not rx.symbols.any()
-    with pytest.raises(ValueError):
-        channel.ota_uplink(np.zeros((2, 5), dtype=complex), ch, 1.0, 0.0, None)
-    with pytest.raises(ValueError):
-        channel.ota_uplink(np.zeros((2, 4), dtype=complex), ch, 0.0, 0.0, None)
+    ch = _const_channel(2, 3, 4)
+    z = channel.draw_noise(3, 4, 0.0, None)
+    out = channel.uplink_and_combine(np.zeros((2, 4), dtype=complex), ch,
+                                     2.0, z)
+    assert out.shape == (4,) and not out.any()
+    with pytest.raises(ValueError, match="symbols"):
+        channel.uplink_and_combine(np.zeros((2, 5), dtype=complex), ch, 1.0, z)
+    with pytest.raises(ValueError, match="power"):
+        channel.uplink_and_combine(np.zeros((2, 4), dtype=complex), ch, 0.0, z)
 
 
 def test_noise_variance_oracle():
@@ -81,27 +78,35 @@ def test_noise_variance_oracle():
 
 
 def test_mrc_combine_identity_and_constant():
-    # K=1, M=1, h=1, y=v -> v
+    # K=1, M=1, h=1, zero signal: the combined output is the noise v
     v = np.array([1 + 1j, 2 - 3j])
-    ch = channel.ChannelTensor(np.ones((1, 1, 2), dtype=np.complex128), 1.0,
-                               np.ones(1))
-    rx = channel.ReceivedSignal(v.reshape(1, 2), 0.0, 1.0)
-    assert np.allclose(channel.mrc_combine(rx, ch), v)
-    # h = c real constant, M users -> M*c*w
+    ch = _const_channel(1, 1, 2)
+    out = channel.uplink_and_combine(np.zeros((1, 2), dtype=complex), ch, 1.0,
+                                     v.reshape(1, 2))
+    assert np.allclose(out, v)
+    # h = c real constant, M users, zero signal, noise w on every antenna
+    # -> M*c*w
     c, M, K = 1.5, 3, 4
     w = np.array([2 + 1j, -1 + 0.5j])
-    ch = channel.ChannelTensor(np.full((M, K, 2), c, dtype=np.complex128),
-                               1.0, np.ones(M))
-    rx = channel.ReceivedSignal(np.tile(w, (K, 1)), 0.0, 1.0)
-    assert np.allclose(channel.mrc_combine(rx, ch), M * c * w)
+    ch = _const_channel(M, K, 2, c)
+    out = channel.uplink_and_combine(np.zeros((M, 2), dtype=complex), ch, 1.0,
+                                     np.tile(w, (K, 1)))
+    assert np.allclose(out, M * c * w)
+    # the same channel with symbols s from every user and no noise
+    # -> p * M^2 * c^2 * s
+    s = np.array([0.5 - 1j, 3 + 2j])
+    out = channel.uplink_and_combine(np.tile(s, (M, 1)), ch, 2.0,
+                                     np.zeros((K, 2), dtype=complex))
+    assert np.allclose(out, 2.0 * M * M * c * c * s)
 
 
 def test_mrc_combine_dimension_mismatch():
-    ch = channel.ChannelTensor(np.ones((1, 2, 3), dtype=np.complex128), 1.0,
-                               np.ones(1))
-    rx = channel.ReceivedSignal(np.ones((3, 3), dtype=complex), 0.0, 1.0)
-    with pytest.raises(ValueError):
-        channel.mrc_combine(rx, ch)
+    ch = _const_channel(1, 2, 3)
+    x = np.ones((1, 3), dtype=complex)
+    with pytest.raises(ValueError, match="noise"):
+        channel.uplink_and_combine(x, ch, 1.0, np.ones((3, 3), dtype=complex))
+    with pytest.raises(ValueError, match="noise"):
+        channel.decompose_terms(x, ch, 1.0, np.ones((2, 4), dtype=complex))
 
 
 def _random_setup(M=3, K=5, N=8, seed=0):
@@ -114,10 +119,9 @@ def _random_setup(M=3, K=5, N=8, seed=0):
 
 def test_decompose_exact_against_combined():
     ch, x = _random_setup()
-    rx = channel.ota_uplink(x, ch, 1.7, 2.0, rng.substream(1, rng.NOISE),
-                            record_noise=True)
-    combined = channel.mrc_combine(rx, ch)
-    sig, itf, noi = channel.decompose_terms(x, ch, 1.7, rx.noise)
+    z = channel.draw_noise(5, 8, 2.0, rng.substream(1, rng.NOISE))
+    combined = channel.uplink_and_combine(x, ch, 1.7, z)
+    sig, itf, noi = channel.decompose_terms(x, ch, 1.7, z)
     assert np.max(np.abs(sig + itf + noi - combined)) < 1e-12
 
 
@@ -135,32 +139,19 @@ def test_decompose_requires_recorded_noise():
         channel.decompose_terms(x, ch, 1.0, None)
 
 
-def test_kernel_backends_agree():
-    ch, x = _random_setup(M=4, K=7, N=16, seed=3)
-    z = channel.draw_noise(7, 16, 1.0, rng.substream(2, rng.NOISE))
-    h = ch.coefficients
-    y_np, c_np = _kernels._uplink_combine_np(h, x, 1.3, z)
-    d_np = _kernels._decompose_np(h, x, 1.3, z)
-    if _kernels.USE_NUMBA:
-        y_nb, c_nb = _kernels._uplink_combine_nb(
-            np.ascontiguousarray(h), np.ascontiguousarray(x), 1.3,
-            np.ascontiguousarray(z))
-        d_nb = _kernels._decompose_nb(
-            np.ascontiguousarray(h), np.ascontiguousarray(x), 1.3,
-            np.ascontiguousarray(z))
-        assert np.max(np.abs(y_np - y_nb)) < 1e-12
-        assert np.max(np.abs(c_np - c_nb)) < 1e-10
-        for a, b in zip(d_np, d_nb):
-            assert np.max(np.abs(a - b)) < 1e-10
-
-
 def test_fused_uplink_matches_reference_path():
     ch, x = _random_setup(M=2, K=6, N=10, seed=5)
     z = channel.draw_noise(6, 10, 0.5, rng.substream(8, rng.NOISE))
-    y, combined = channel.uplink_and_combine(x, ch, 1.2, z)
-    rx = channel.ReceivedSignal(
-        1.2 * np.einsum("mkn,mn->kn", ch.coefficients, x) + z, 0.5, 1.2)
-    assert np.max(np.abs(combined - channel.mrc_combine(rx, ch))) < 1e-10
+    combined = channel.uplink_and_combine(x, ch, 1.2, z)
+    # per-antenna reference: receive on antenna k, weight by the conjugated
+    # channel sum of antenna k, average over antennas
+    h = ch.coefficients
+    ref = np.zeros(10, dtype=complex)
+    for k in range(6):
+        y_k = 1.2 * (h[:, k, :] * x).sum(axis=0) + z[k]
+        ref += np.conj(h[:, k, :].sum(axis=0)) * y_k
+    ref /= 6
+    assert np.max(np.abs(combined - ref)) < 1e-10
 
 
 def test_recover_scaling_inverse():
@@ -178,8 +169,8 @@ def test_recover_hand_example_unit_channels():
     x = np.array([channel.pack_complex(d) for d in diffs])
     ch = channel.draw_channels_from_betas(np.ones(2), 3, 1, 1.0, None,
                                           unit=True)
-    rx = channel.ota_uplink(x, ch, 1.5, 0.0, None)
-    combined = channel.mrc_combine(rx, ch)
+    z = channel.draw_noise(3, 1, 0.0, None)
+    combined = channel.uplink_and_combine(x, ch, 1.5, z)
     out = channel.recover_cluster_update(combined, 1.5, 2, 1.0, 2.0)
     assert np.allclose(out, [3.0, 0.0])
 
@@ -197,20 +188,10 @@ def test_recovery_error_decreases_with_K():
             ch = channel.draw_channels_from_betas(
                 betas, K, 4, 1.0, rng.substream(77, 1, K, rep))
             z = channel.draw_noise(K, 4, 1.0, rng.substream(77, 2, K, rep))
-            _, combined = channel.uplink_and_combine(x, ch, 1.0, z)
+            combined = channel.uplink_and_combine(x, ch, 1.0, z)
             rec = channel.recover_cluster_update(combined, 1.0, 3, 1.0,
                                                  betas.sum())
             sq += float(((rec - target) ** 2).sum())
         errs.append(sq / 200)
     assert errs[0] > errs[1] > errs[2]
 
-
-def test_channel_tensor_dump_round_trip(tmp_path):
-    ch, _ = _random_setup(M=2, K=3, N=4, seed=1)
-    path = tmp_path / "ch.bin"
-    channel.dump_channel_tensor(ch, str(path))
-    assert path.stat().st_size == 16 + 2 * 3 * 4 * 16
-    back = channel.load_channel_tensor(str(path), ch.small_scale_variance,
-                                       ch.betas)
-    assert np.array_equal(back.coefficients, ch.coefficients)
-    assert back.shape == ch.shape

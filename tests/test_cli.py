@@ -47,6 +47,16 @@ def test_parse_rejects_unknown_key_with_line(tmp_path):
         cli.parse_config(path)
 
 
+def test_parse_field_types_follow_scenario_config(tmp_path):
+    cfg = cli.parse_config(_write(tmp_path, "scenario = hotafl\n"
+                                  "data_seed = 3\nsigma_z2 = 2\n"))
+    assert cfg.data_seed == 3 and type(cfg.data_seed) is int
+    assert cfg.sigma_z2 == 2.0 and type(cfg.sigma_z2) is float
+    path = _write(tmp_path, "scenario = hotafl\ndata_seed = 3.5\n")
+    with pytest.raises(cli.ConfigError, match=r"cfg.txt:2.*data_seed"):
+        cli.parse_config(path)
+
+
 def test_parse_rejects_malformed_and_duplicate_lines(tmp_path):
     with pytest.raises(cli.ConfigError, match="key = value"):
         cli.parse_config(_write(tmp_path, "scenario hotafl\n"))
@@ -186,3 +196,13 @@ def test_unknown_scenario_name_errors(tmp_path):
     cfg = _write(tmp_path, SMOKE)
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--scenarios", "bogus"]) == 1
+
+
+def test_run_placement_failure_is_one_line_error(tmp_path, capsys):
+    cfg = _write(tmp_path, SMOKE + "target_alpha = 0.1\n"
+                 "max_place_retries = 3\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--scenarios", "hotafl"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("airfed: error: no placement")
+    assert err.count("\n") == 1
