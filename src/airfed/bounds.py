@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import learner
+from . import learner, protocol
 
 Y_TERMS = ("signal_distortion", "interference", "noise",
            "drift_curvature", "drift_variance", "drift_heterogeneity")
@@ -69,13 +69,10 @@ class BoundParams:
         return self.betas.sum(axis=1)
 
     def eta(self, a: int) -> float:
-        return max(self.lr_base - self.lr_slope * a, 0.0)
+        return protocol.lr_schedule(a, self.lr_base, self.lr_slope)
 
     def power(self, a: int) -> float:
-        p = self.power_base + self.power_slope * a
-        if p <= 0:
-            raise ValueError(f"power schedule non-positive at a={a}")
-        return p
+        return protocol.power_schedule(a, self.power_base, self.power_slope)
 
 
 def a1_term(beta_1, beta_bar_1, beta_2, beta_bar_2) -> float:

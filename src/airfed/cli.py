@@ -2,9 +2,11 @@
 
 Config files are flat ``key = value`` text with ``#`` comments.  A file with
 a ``scenario`` key describes a simulation run; otherwise it describes a
-bound sweep.  Unknown keys are hard errors.  Every ``run``/``bound``
-invocation writes a manifest.json next to its outputs; passing that
-manifest back as --config reproduces the outputs byte for byte.
+bound sweep.  The keys, their types and which of them are required come
+from the ``ScenarioConfig`` and ``BoundParams`` dataclasses; unknown keys
+are hard errors.  Every ``run``/``bound`` invocation writes a manifest.json
+next to its outputs; passing that manifest back as --config reproduces the
+outputs byte for byte.
 """
 
 import argparse
@@ -13,7 +15,7 @@ import os
 import sys
 import time
 import typing
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
@@ -24,22 +26,6 @@ SCENARIO_ALIASES = {
     "hotafl": "hotafl",
     "flat": "flat_ota", "flat_ota": "flat_ota",
 }
-
-
-def _field_type(hint):
-    """str, int or float of a ScenarioConfig annotation, Optional unwrapped."""
-    args = [a for a in typing.get_args(hint) if a is not type(None)]
-    return args[0] if typing.get_origin(hint) is typing.Union else hint
-
-
-_SCENARIO_FIELDS = {name: _field_type(hint) for name, hint in
-                    typing.get_type_hints(protocol.ScenarioConfig).items()}
-
-_BOUND_REQUIRED = ("L", "mu", "G2", "Gamma", "init_dist", "N", "tau", "I",
-                   "T", "M", "C", "K", "sigma_z2", "sigma_h2", "beta",
-                   "lr_base")
-_BOUND_OPTIONAL = ("lr_slope", "power_base", "power_slope", "label")
-_BOUND_INT = {"N", "tau", "I", "T", "M", "C", "K"}
 
 
 class ConfigError(ValueError):
@@ -65,73 +51,84 @@ def _read_kv(path):
     return out
 
 
-def _scenario_from_dict(kv, path="<config>"):
-    args = {}
-    for key, item in kv.items():
-        val, lineno = item if isinstance(item, tuple) else (item, 0)
-        where = f"{path}:{lineno}"
-        if key not in _SCENARIO_FIELDS:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-        if val is None:                # optional field from a manifest
-            args[key] = None
-            continue
-        kind = _SCENARIO_FIELDS[key]
-        try:
-            if kind is int and isinstance(val, float) \
-                    and not val.is_integer():
-                raise ValueError(val)     # int() would truncate it
-            args[key] = kind(val)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: bad value for {key!r}: {val!r}")
-    if "scenario" in args:
-        args["scenario"] = SCENARIO_ALIASES.get(args["scenario"],
-                                                args["scenario"])
+def _typed(hint, key, item, path):
+    """A (value, line) item as the type of its dataclass annotation.
+
+    Optional is unwrapped (None stays None), np.ndarray means a 2-D float64
+    array, and an int takes only integral values (int() would truncate).
+    """
+    val, lineno = item
+    if typing.get_origin(hint) is typing.Union:
+        if val is None:
+            return None
+        hint = next(a for a in typing.get_args(hint) if a is not type(None))
     try:
-        return protocol.ScenarioConfig(**args).validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}")
+        if hint is np.ndarray:
+            arr = np.asarray(val, dtype=np.float64)
+            if arr.ndim == 2:
+                return arr
+        elif val is not None and not (hint is int and isinstance(val, float)
+                                      and not val.is_integer()):
+            return hint(val)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {val!r}")
 
 
-def _bound_from_dict(kv, path="<config>"):
+def _from_fields(cls, kv, path):
+    """A cls instance from {key: (value, line)}, keyed by cls's init fields."""
+    hints = typing.get_type_hints(cls)
+    init = {f.name: f for f in fields(cls) if f.init}
     args = {}
     for key, item in kv.items():
-        val, lineno = item if isinstance(item, tuple) else (item, 0)
-        where = f"{path}:{lineno}"
-        if key == "betas":           # manifest round trip: explicit matrix
-            args["betas"] = np.asarray(val, dtype=np.float64)
-            continue
-        if key not in _BOUND_REQUIRED and key not in _BOUND_OPTIONAL:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-        try:
-            if key == "label":
-                args[key] = str(val)
-            elif key in _BOUND_INT:
-                args[key] = int(val)
-            else:
-                args[key] = float(val)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: bad value for {key!r}: {val!r}")
-    missing = [k for k in _BOUND_REQUIRED if k not in args
-               and not (k in ("beta", "M", "C") and "betas" in args)]
+        if key not in init:
+            raise ConfigError(f"{path}:{item[1]}: unknown key {key!r}")
+        args[key] = _typed(hints[key], key, item, path)
+    missing = [name for name, f in init.items() if name not in args
+               and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigError(f"{path}: missing required keys {missing}")
-    if "betas" not in args:
-        beta = args.pop("beta")
-        if beta <= 0:
-            raise ConfigError(f"{path}: beta must be positive")
-        args["betas"] = np.full((args["C"], args["M"]), beta)
-    else:
-        args.pop("beta", None)
-    args.pop("M", None)
-    args.pop("C", None)
     try:
-        return bounds.BoundParams(**args)
+        return cls(**args)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}")
+
+
+def _scenario_from_dict(kv, path):
+    if "scenario" in kv:
+        name, lineno = kv["scenario"]
+        kv = {**kv, "scenario": (SCENARIO_ALIASES.get(str(name), name),
+                                 lineno)}
+    cfg = _from_fields(protocol.ScenarioConfig, kv, path)
+    try:
+        return cfg.validate()
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}")
+
+
+def _bound_from_dict(kv, path):
+    """BoundParams; beta, C and M together stand for a C x M betas of beta."""
+    short = [k for k in ("beta", "C", "M") if k in kv]
+    if short:
+        if "betas" in kv:
+            raise ConfigError(f"{path}:{kv['betas'][1]}: betas cannot be "
+                              f"combined with {short}")
+        missing = [k for k in ("beta", "C", "M") if k not in kv]
+        if missing:
+            raise ConfigError(f"{path}: missing required keys {missing}")
+        beta = _typed(float, "beta", kv["beta"], path)
+        C = _typed(int, "C", kv["C"], path)
+        M = _typed(int, "M", kv["M"], path)
+        if beta <= 0 or C < 1 or M < 1:
+            raise ConfigError(f"{path}: beta, C and M must be positive")
+        betas = (np.full((C, M), beta), kv["beta"][1])
+        kv = {k: v for k, v in kv.items() if k not in short}
+        kv["betas"] = betas
+    return _from_fields(bounds.BoundParams, kv, path)
 
 
 def parse_config(path):
-    """ScenarioConfig or BoundParams from a key=value file or a manifest."""
+    """ScenarioConfig or BoundParams from a key=value file."""
     if path.endswith(".json"):
         raise ConfigError(f"{path}: manifests are handled by the run/bound "
                           "commands directly")
@@ -141,14 +138,38 @@ def parse_config(path):
     return _bound_from_dict(kv, path)
 
 
-def _bound_params_dict(p: bounds.BoundParams):
-    return {"L": p.L, "mu": p.mu, "G2": p.G2, "Gamma": p.Gamma,
-            "init_dist": p.init_dist, "N": p.N, "tau": p.tau, "I": p.I,
-            "T": p.T, "K": p.K, "sigma_z2": p.sigma_z2,
-            "sigma_h2": p.sigma_h2, "betas": p.betas.tolist(),
-            "lr_base": p.lr_base, "lr_slope": p.lr_slope,
-            "power_base": p.power_base, "power_slope": p.power_slope,
-            "label": p.label}
+_COMMANDS = {"run": (protocol.ScenarioConfig, _scenario_from_dict),
+             "bound": (bounds.BoundParams, _bound_from_dict)}
+
+
+def _load_config(path, command):
+    """(config, manifest or None) for the run or bound command.
+
+    path is a key=value file or a manifest.json written by that command.
+    """
+    cls, from_dict = _COMMANDS[command]
+    if not path.endswith(".json"):
+        cfg = parse_config(path)
+        if not isinstance(cfg, cls):
+            raise ConfigError(f"{path}: not a {command} config")
+        return cfg, None
+    with open(path, encoding="utf-8") as fh:
+        man = json.load(fh)
+    if not (isinstance(man, dict) and man.get("kind") == command
+            and isinstance(man.get("config"), dict)):
+        raise ConfigError(f"{path}: not a {command} manifest")
+    kv = {key: (val, 0) for key, val in man["config"].items()}
+    return from_dict(kv, path), man
+
+
+def _manifest_config(cfg):
+    """The init fields of a config dataclass, arrays as nested lists."""
+    out = {}
+    for f in fields(cfg):
+        if f.init:
+            val = getattr(cfg, f.name)
+            out[f.name] = val.tolist() if isinstance(val, np.ndarray) else val
+    return out
 
 
 def _write_manifest(out_dir, payload):
@@ -157,11 +178,6 @@ def _write_manifest(out_dir, payload):
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
-
-
-def _load_manifest(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def summarize(csv_paths, out_path):
@@ -186,14 +202,13 @@ def summarize(csv_paths, out_path):
             finals.setdefault(last[si], []).append(float(last[ai]))
 
     means = {s: float(np.mean(v)) for s, v in finals.items()}
-    chain = [s for s in ("ideal_hier", "hotafl", "flat_ota") if s in means]
+    chain = [s for s in protocol.SCENARIOS if s in means]
     ordering_ok = all(means[chain[i]] >= means[chain[i + 1]]
                       for i in range(len(chain) - 1))
-    order = {"ideal_hier": 0, "hotafl": 1, "flat_ota": 2}
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("scenario,n_seeds,mean_final_acc,min_final_acc,"
                  "max_final_acc,ordering_ok\n")
-        for s in sorted(finals, key=lambda x: (order.get(x, 99), x)):
+        for s in chain + sorted(set(finals) - set(chain)):
             v = finals[s]
             fh.write("%s,%d,%.10g,%.10g,%.10g,%s\n" % (
                 s, len(v), means[s], min(v), max(v),
@@ -203,22 +218,12 @@ def summarize(csv_paths, out_path):
 def _cmd_run(args):
     start = time.time()
     os.makedirs(args.out, exist_ok=True)
-    if args.config.endswith(".json"):
-        man = _load_manifest(args.config)
-        if man.get("kind") != "run":
-            raise ConfigError(f"{args.config}: not a run manifest")
-        cfg = _scenario_from_dict(man["config"], args.config)
-        seeds = man["seeds"] if args.seeds is None else \
-            [cfg.seed + k for k in range(args.seeds)]
-        scenarios = man["scenarios"] if args.scenarios is None else \
-            _parse_scenarios(args.scenarios)
-    else:
-        cfg = parse_config(args.config)
-        if not isinstance(cfg, protocol.ScenarioConfig):
-            raise ConfigError(f"{args.config}: not a scenario config "
-                              "(use the bound command)")
-        seeds = [cfg.seed + k for k in range(args.seeds or 1)]
-        scenarios = _parse_scenarios(args.scenarios or "ideal,hotafl,flat")
+    cfg, man = _load_config(args.config, "run")
+    man = man or {}
+    seeds = [cfg.seed + k for k in range(args.seeds)] if args.seeds \
+        else man.get("seeds", [cfg.seed])
+    scenarios = _parse_scenarios(
+        args.scenarios or man.get("scenarios", protocol.SCENARIOS))
 
     outputs = []
     run_csvs = []
@@ -236,29 +241,21 @@ def _cmd_run(args):
 
     _write_manifest(args.out, {
         "kind": "run", "tool_version": __version__, "seed": seeds[0],
-        "seeds": seeds, "scenarios": scenarios, "config": cfg.as_dict(),
-        "outputs": outputs, "runtime_seconds": round(time.time() - start, 3)})
+        "seeds": seeds, "scenarios": scenarios,
+        "config": _manifest_config(cfg), "outputs": outputs,
+        "runtime_seconds": round(time.time() - start, 3)})
     return 0
 
 
 def _cmd_bound(args):
     start = time.time()
     os.makedirs(args.out, exist_ok=True)
-    if args.config.endswith(".json"):
-        man = _load_manifest(args.config)
-        if man.get("kind") != "bound":
-            raise ConfigError(f"{args.config}: not a bound manifest")
-        params = _bound_from_dict(man["config"], args.config)
-    else:
-        params = parse_config(args.config)
-        if not isinstance(params, bounds.BoundParams):
-            raise ConfigError(f"{args.config}: not a bound config "
-                              "(use the run command)")
+    params, _ = _load_config(args.config, "bound")
     name = f"{params.label or 'bound'}.csv"
     bounds.bound_to_csv(params, os.path.join(args.out, name))
     _write_manifest(args.out, {
         "kind": "bound", "tool_version": __version__, "seed": 0,
-        "config": _bound_params_dict(params), "outputs": [name],
+        "config": _manifest_config(params), "outputs": [name],
         "runtime_seconds": round(time.time() - start, 3)})
     return 0
 

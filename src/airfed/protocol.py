@@ -212,6 +212,9 @@ def build_topology(cfg: ScenarioConfig) -> topology.SystemTopology:
 # ---------------------------------------------------------------------------
 # engine
 
+# Overflow and log(0) are reported by the finiteness checks below, which
+# name the iteration and cluster, not as numpy warnings.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _run_engine(cfg, scenario, shards, user_keys, betas, beta_bars,
                 power_base, power_slope, train, test, ota,
                 record_models=False, collect_diffs=False, cluster_order=None):
@@ -287,16 +290,17 @@ def _run_engine(cfg, scenario, shards, user_keys, betas, beta_bars,
                     update = diffs.sum(axis=0) / M_eff
                 theta_is = theta_is + update
             delta_c = theta_is - theta_ps
-            if ota:
-                # IS -> PS forwarding packs/unpacks the update (identity
-                # round trip over the error-free link)
-                delta_c = channel.unpack_complex(channel.pack_complex(delta_c))
+            if not np.isfinite(delta_c).all():
+                raise ValueError(f"cluster {c} update is not finite at "
+                                 f"t={t + 1}")
             cluster_delta[c] = delta_c
 
         theta_ps = theta_ps + cluster_delta.sum(axis=0) / C_eff
 
         loss, _ = learner.loss_and_gradient(theta_ps, eval_feats, eval_labels,
                                             cfg.num_classes, cfg.l2_reg)
+        if not np.isfinite(loss):
+            raise ValueError(f"train loss is not finite at t={t + 1}")
         out["train_loss"][t] = loss
         out["test_acc"][t] = learner.evaluate(theta_ps, test)
         out["avg_tx_power"][t] = tx_energy / tx_count if tx_count else 0.0

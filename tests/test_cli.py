@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -20,6 +21,27 @@ train_samples = 300
 test_samples = 60
 batch_size = 20
 seed = 5
+"""
+
+
+BOUND = """\
+L = 10
+mu = 1
+G2 = 1
+Gamma = 1
+init_dist = 1000
+N = 3925
+tau = 1
+I = 1
+T = 20
+M = 5
+C = 4
+K = 100
+beta = 3
+sigma_z2 = 10
+sigma_h2 = 1
+lr_base = 0.05
+label = b
 """
 
 
@@ -89,6 +111,35 @@ def test_parse_bound_config():
 def test_parse_bound_missing_key(tmp_path):
     with pytest.raises(cli.ConfigError, match="missing required"):
         cli.parse_config(_write(tmp_path, "L = 1\nmu = 0.5\n"))
+    with pytest.raises(cli.ConfigError, match=r"missing required keys \['M'\]"):
+        cli.parse_config(_write(tmp_path, BOUND.replace("M = 5\n", "")))
+
+
+def test_parse_bound_rejects_bad_values(tmp_path):
+    # betas cannot be written in a text file, nor mixed with beta/C/M
+    text = BOUND.replace("beta = 3", "betas = 3")
+    with pytest.raises(cli.ConfigError, match=r"cfg.txt:13: .*betas"):
+        cli.parse_config(_write(tmp_path, text))
+    text = text.replace("M = 5\nC = 4\n", "")
+    with pytest.raises(cli.ConfigError, match=r"cfg.txt:11: bad value.*betas"):
+        cli.parse_config(_write(tmp_path, text))
+    with pytest.raises(cli.ConfigError, match=r"cfg.txt:6: bad value.*'N'"):
+        cli.parse_config(_write(tmp_path, BOUND.replace("N = 3925",
+                                                        "N = 3925.7")))
+    # a manifest float is not truncated into an int field
+    out = str(tmp_path / "a")
+    assert cli.main(["bound", "--config", _write(tmp_path, BOUND),
+                     "--out", out]) == 0
+    man_path = os.path.join(out, "manifest.json")
+    man = json.load(open(man_path))
+    man["config"]["N"] = 3925.7
+    json.dump(man, open(man_path, "w"))
+    with pytest.raises(cli.ConfigError, match=r"manifest.json:0: .*'N'"):
+        cli._load_config(man_path, "bound")
+    for bad in ([1], {"kind": "bound", "config": [1]}, {"kind": "run"}):
+        json.dump(bad, open(man_path, "w"))
+        with pytest.raises(cli.ConfigError, match="not a bound manifest"):
+            cli._load_config(man_path, "bound")
 
 
 def test_run_command_three_scenarios(tmp_path):
@@ -146,6 +197,9 @@ def test_bound_command_and_rerun(tmp_path):
     assert header == "t,bound_value,config_label"
     assert len(rows) == 200
     assert rows[0].split(",")[2] == "hotafl_bound"
+    man = json.load(open(os.path.join(out1, "manifest.json")))
+    assert sorted(man["config"]) == sorted(
+        f.name for f in dataclasses.fields(bounds.BoundParams) if f.init)
     assert cli.main(["bound", "--config", os.path.join(out1, "manifest.json"),
                      "--out", out2]) == 0
     assert open(csv_path, "rb").read() == \
@@ -206,3 +260,16 @@ def test_run_placement_failure_is_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("airfed: error: no placement")
     assert err.count("\n") == 1
+
+
+def test_run_non_finite_is_one_line_error(tmp_path, capsys):
+    # P_t = 1e-6 against sigma_z2 = 100: the recovered update swamps the
+    # model and the loss overflows; 1e-310 overflows the update itself
+    for power, msg in (("1e-6", "train loss is not finite at t=1"),
+                       ("1e-310", "cluster 0 update is not finite at t=1")):
+        cfg = _write(tmp_path, SMOKE.replace("sigma_z2 = 1\n",
+                                             "sigma_z2 = 100\n")
+                     + f"power_base = {power}\npower_slope = 0\n")
+        assert cli.main(["run", "--config", cfg, "--out",
+                         str(tmp_path / "o"), "--scenarios", "hotafl"]) == 1
+        assert capsys.readouterr().err == f"airfed: error: {msg}\n"
