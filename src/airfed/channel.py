@@ -7,11 +7,7 @@ conjugated channel sum, and the cluster update is recovered by dividing
 out the nominal combining gain p_t * M * sigma_h2 * beta_bar.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .rng import as_generator
 
 
 def pack_complex(delta: np.ndarray) -> np.ndarray:
@@ -30,26 +26,12 @@ def unpack_complex(symbols: np.ndarray) -> np.ndarray:
     return np.concatenate([symbols.real, symbols.imag])
 
 
-@dataclass
-class ChannelTensor:
-    """Fading draws for one cluster and one local iteration.
-
-    coefficients[m, k, n] = sqrt(beta_m) * g with g ~ CN(0, sigma_h2),
-    redrawn per user, antenna, and symbol.
-    """
-
-    coefficients: np.ndarray         # (M, K, N) complex128
-
-    @property
-    def shape(self):
-        return self.coefficients.shape
-
-
 def draw_channels_from_betas(betas, K, N, sigma_h2, rng,
-                             unit: bool = False) -> ChannelTensor:
-    """Draw an (M, K, N) fading tensor for per-user large-scale gains betas.
+                             unit: bool = False) -> np.ndarray:
+    """Draw an (M, K, N) complex fading tensor for per-user gains betas.
 
-    unit=True forces every small-scale coefficient g to the constant 1
+    h[m, k, n] = sqrt(beta_m) * g with g ~ CN(0, sigma_h2), redrawn per
+    user, antenna and symbol.  unit=True forces every g to the constant 1
     (degenerate coherent channel used by equivalence tests).
     """
     betas = np.asarray(betas, dtype=np.float64)
@@ -59,11 +41,9 @@ def draw_channels_from_betas(betas, K, N, sigma_h2, rng,
     if unit:
         g = np.ones((M, K, N), dtype=np.complex128)
     else:
-        gen = as_generator(rng)
-        raw = gen.standard_normal((M, K, N, 2)) * np.sqrt(sigma_h2 / 2.0)
+        raw = rng.standard_normal((M, K, N, 2)) * np.sqrt(sigma_h2 / 2.0)
         g = raw.view(np.complex128)[..., 0]
-    coeff = np.sqrt(betas)[:, None, None] * g
-    return ChannelTensor(coeff)
+    return np.sqrt(betas)[:, None, None] * g
 
 
 def draw_noise(K, N, sigma_z2, rng) -> np.ndarray:
@@ -72,15 +52,14 @@ def draw_noise(K, N, sigma_z2, rng) -> np.ndarray:
         raise ValueError("sigma_z2 must be nonnegative")
     if sigma_z2 == 0:
         return np.zeros((K, N), dtype=np.complex128)
-    gen = as_generator(rng)
-    raw = gen.standard_normal((K, N, 2)) * np.sqrt(sigma_z2 / 2.0)
+    raw = rng.standard_normal((K, N, 2)) * np.sqrt(sigma_z2 / 2.0)
     return raw.view(np.complex128)[..., 0]
 
 
-def _check_shapes(symbols, ch: ChannelTensor, z):
-    """(M, N) complex symbols and (K, N) noise matching the channel."""
+def _check_shapes(symbols, h, z):
+    """(M, N) complex symbols and (K, N) noise matching the (M, K, N) h."""
     symbols = np.asarray(symbols, dtype=np.complex128)
-    M, K, N = ch.shape
+    M, K, N = h.shape
     if symbols.shape != (M, N):
         raise ValueError(f"need (M, N) = ({M}, {N}) symbols, "
                          f"got {symbols.shape}")
@@ -90,33 +69,31 @@ def _check_shapes(symbols, ch: ChannelTensor, z):
     return symbols
 
 
-def uplink_and_combine(symbols, ch: ChannelTensor, p_t, z):
+def uplink_and_combine(symbols, h, p_t, z):
     """Superpose all users' symbols over the channel and MRC-combine.
 
-    symbols: (M, N) transmit symbols, z: (K, N) receiver noise from
-    draw_noise.  The IS receives y[k, n] = p_t * sum_m h[m,k,n] * x[m,n]
-    + z[k,n] and returns, per symbol, (1/K) * sum_k conj(sum_m h[m,k,n])
-    * y[k,n].
+    symbols: (M, N) transmit symbols, h: (M, K, N) fading from
+    draw_channels_from_betas, z: (K, N) receiver noise from draw_noise.
+    The IS receives y[k, n] = p_t * sum_m h[m,k,n] * x[m,n] + z[k,n] and
+    returns, per symbol, (1/K) * sum_k conj(sum_m h[m,k,n]) * y[k,n].
     """
-    x = _check_shapes(symbols, ch, z)
+    x = _check_shapes(symbols, h, z)
     if p_t <= 0:
         raise ValueError("transmit power must be positive")
-    h = ch.coefficients
     y = p_t * np.einsum("mkn,mn->kn", h, x) + z
     hs = h.sum(axis=0)
     return (np.conj(hs) * y).sum(axis=0) / h.shape[1]
 
 
-def decompose_terms(symbols, ch: ChannelTensor, p_t, noise):
+def decompose_terms(symbols, h, p_t, noise):
     """Signal, interference, and noise summands of the combined output.
 
     Given the same noise draws, signal + interference + noise equals
-    uplink_and_combine(symbols, ch, p_t, noise).
+    uplink_and_combine(symbols, h, p_t, noise).
     """
-    x = _check_shapes(symbols, ch, noise)
+    x = _check_shapes(symbols, h, noise)
     p_t = float(p_t)
     z = np.asarray(noise, dtype=np.complex128)
-    h = ch.coefficients
     K = h.shape[1]
     gain = (h.real ** 2 + h.imag ** 2).sum(axis=1) / K   # (M, N)
     sig = p_t * (gain * x).sum(axis=0)

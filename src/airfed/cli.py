@@ -217,11 +217,13 @@ def summarize(csv_paths, out_path):
 
 def _cmd_run(args):
     start = time.time()
+    if args.seeds is not None and args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     os.makedirs(args.out, exist_ok=True)
     cfg, man = _load_config(args.config, "run")
     man = man or {}
-    seeds = [cfg.seed + k for k in range(args.seeds)] if args.seeds \
-        else man.get("seeds", [cfg.seed])
+    seeds = [cfg.seed + k for k in range(args.seeds)] \
+        if args.seeds is not None else man.get("seeds", [cfg.seed])
     scenarios = _parse_scenarios(
         args.scenarios or man.get("scenarios", protocol.SCENARIOS))
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import as_generator
-
 
 @dataclass
 class Dataset:
@@ -103,14 +101,6 @@ def evaluate(model, test: Dataset) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == test.labels))
 
 
-def model_difference(end, ref) -> np.ndarray:
-    end = np.asarray(end)
-    ref = np.asarray(ref)
-    if end.shape != ref.shape:
-        raise ValueError("model length mismatch")
-    return end - ref
-
-
 # ---------------------------------------------------------------------------
 # partitioning
 
@@ -124,8 +114,7 @@ def partition_iid(data: Dataset, C: int, M: int, rng):
     n_users = C * M
     if len(data) < n_users:
         raise ValueError(f"{len(data)} samples cannot cover {n_users} users")
-    gen = as_generator(rng)
-    order = gen.permutation(len(data))
+    order = rng.permutation(len(data))
     splits = np.array_split(order, n_users)
     return [[data.subset(np.sort(splits[c * M + m])) for m in range(M)]
             for c in range(C)]
@@ -158,14 +147,13 @@ def partition_noniid(data: Dataset, C: int, M: int, rng, groups_per_user: int = 
     if np.any(alloc > counts):
         raise ValueError("a class has fewer samples than its group count")
 
-    gen = as_generator(rng)
     groups = []
     for label in range(data.num_classes):
         idx = np.flatnonzero(data.labels == label)
-        idx = gen.permutation(idx)
+        idx = rng.permutation(idx)
         groups.extend(np.array_split(idx, alloc[label]))
     assert len(groups) == n_groups
-    deal = gen.permutation(n_groups)
+    deal = rng.permutation(n_groups)
     shards = []
     for c in range(C):
         row = []
@@ -193,7 +181,7 @@ class UserLearnerState:
             raise ValueError(f"batch_size {batch_size} not in [1, {len(shard)}]")
         self.shard = shard
         self.batch_size = batch_size
-        self.rng = as_generator(rng)
+        self.rng = rng
         self._order = self.rng.permutation(len(shard))
         self._cursor = 0
 
@@ -258,11 +246,10 @@ def make_synthetic(num_samples: int, feature_dim: int, num_classes: int,
     """Linearly separable Gaussian blobs with round-robin labels."""
     if num_samples < 1 or feature_dim < 1 or num_classes < 1:
         raise ValueError("sizes must be positive")
-    gen = as_generator(rng)
-    dirs = gen.standard_normal((num_classes, feature_dim))
+    dirs = rng.standard_normal((num_classes, feature_dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     labels = np.arange(num_samples) % num_classes
-    feats = separation * dirs[labels] + gen.standard_normal((num_samples, feature_dim))
+    feats = separation * dirs[labels] + rng.standard_normal((num_samples, feature_dim))
     return Dataset(feats, labels, num_classes)
 
 

@@ -10,7 +10,6 @@ large-scale gains taken from the direct user-to-PS distances.
 
 import hashlib
 import os
-import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -160,19 +159,6 @@ class RunMetrics:
                     self.power[i]))
 
 
-def ideal_local_aggregate(diffs) -> np.ndarray:
-    """Uniform mean of the user model differences in one cluster."""
-    diffs = np.asarray(diffs, dtype=np.float64)
-    if diffs.ndim != 2 or diffs.shape[0] == 0:
-        raise ValueError("need a non-empty (M, dim) stack of differences")
-    return diffs.sum(axis=0) / diffs.shape[0]
-
-
-def ideal_global_aggregate(cluster_diffs) -> np.ndarray:
-    """Uniform mean of per-cluster model updates at the PS."""
-    return ideal_local_aggregate(cluster_diffs)
-
-
 # ---------------------------------------------------------------------------
 # data plumbing
 
@@ -215,26 +201,26 @@ def build_topology(cfg: ScenarioConfig) -> topology.SystemTopology:
 # Overflow and log(0) are reported by the finiteness checks below, which
 # name the iteration and cluster, not as numpy warnings.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _run_engine(cfg, scenario, shards, user_keys, betas, beta_bars,
-                power_base, power_slope, train, test, ota,
-                record_models=False, collect_diffs=False, cluster_order=None):
+def _run_engine(cfg, shards, betas, train, test, record_models,
+                collect_diffs, cluster_order):
     """Shared loop for all scenarios.
 
-    shards: nested (C_eff, M_eff) list of Datasets; user_keys parallel
-    nested list of (c, m) batch-stream keys; betas: (C_eff, M_eff) or None
-    for ideal runs.
+    shards: nested (cfg.C, cfg.M) list of Datasets; user (c, m) draws its
+    batches from substream (seed, BATCH, c, m).  betas: (cfg.C, cfg.M)
+    large-scale gains for over-the-air local aggregation, or None for exact
+    means.
     """
-    C_eff = len(shards)
-    M_eff = len(shards[0])
+    C, M = cfg.C, cfg.M
+    ota = betas is not None
+    beta_bars = betas.sum(axis=1) if ota else None
     dim = learner.model_dim(cfg.feature_dim, cfg.num_classes)
     n_sym = dim // 2 if ota else 0
     unit = cfg.channel_mode == "unit"
 
     states = [[learner.UserLearnerState(
-        shards[c][m], cfg.batch_size,
-        rng.substream(cfg.seed, rng.BATCH, *user_keys[c][m]))
-        for m in range(M_eff)] for c in range(C_eff)]
-    adam_states = [[{} for _ in range(M_eff)] for _ in range(C_eff)]
+        shards[c][m], cfg.batch_size, rng.substream(cfg.seed, rng.BATCH, c, m))
+        for m in range(M)] for c in range(C)]
+    adam_states = [[{} for _ in range(M)] for _ in range(C)]
 
     eval_gen = rng.substream(cfg.effective_data_seed, rng.EVAL)
     n_eval = min(cfg.eval_train_samples, len(train))
@@ -247,47 +233,47 @@ def _run_engine(cfg, scenario, shards, user_keys, betas, beta_bars,
            ("train_loss", "test_acc", "avg_tx_power", "eta", "power")}
     models = [] if record_models else None
     all_diffs = [] if collect_diffs else None
-    order = list(range(C_eff)) if cluster_order is None else list(cluster_order)
+    order = list(range(C)) if cluster_order is None else list(cluster_order)
 
     for t in range(cfg.T):
         eta = lr_schedule(t, cfg.lr_base, cfg.lr_slope)
-        p_t = power_schedule(t, power_base, power_slope)
-        cluster_delta = np.empty((C_eff, dim))
+        p_t = power_schedule(t, cfg.power_base, cfg.power_slope)
+        cluster_delta = np.empty((C, dim))
         tx_energy = 0.0
         tx_count = 0
-        diffs_t = np.empty((C_eff, cfg.I, M_eff, dim)) if collect_diffs else None
+        diffs_t = np.empty((C, cfg.I, M, dim)) if collect_diffs else None
 
         for c in order:
             theta_is = theta_ps.copy()
             for i in range(cfg.I):
-                diffs = np.empty((M_eff, dim))
-                for m in range(M_eff):
+                diffs = np.empty((M, dim))
+                for m in range(M):
                     end = learner.sgd_user_iterations(
                         states[c][m], theta_is, cfg.tau, eta,
                         l2=cfg.l2_reg, optimizer=cfg.optimizer,
                         adam_state=adam_states[c][m])
-                    diffs[m] = learner.model_difference(end, theta_is)
+                    diffs[m] = end - theta_is
                 if collect_diffs:
                     diffs_t[c, i] = diffs
                 if ota:
-                    x = np.empty((M_eff, n_sym), dtype=np.complex128)
-                    for m in range(M_eff):
+                    x = np.empty((M, n_sym), dtype=np.complex128)
+                    for m in range(M):
                         x[m] = channel.pack_complex(diffs[m])
-                    ch = channel.draw_channels_from_betas(
+                    h = channel.draw_channels_from_betas(
                         betas[c], cfg.K, n_sym, cfg.sigma_h2,
                         rng.substream(cfg.seed, rng.CHANNEL, t, i, c),
                         unit=unit)
                     z = channel.draw_noise(
                         cfg.K, n_sym, cfg.sigma_z2,
                         rng.substream(cfg.seed, rng.NOISE, t, i, c))
-                    combined = channel.uplink_and_combine(x, ch, p_t, z)
+                    combined = channel.uplink_and_combine(x, h, p_t, z)
                     update = channel.recover_cluster_update(
-                        combined, p_t, M_eff, cfg.sigma_h2, beta_bars[c])
+                        combined, p_t, M, cfg.sigma_h2, beta_bars[c])
                     tx_energy += p_t * p_t * float(
                         (x.real ** 2 + x.imag ** 2).sum())
                     tx_count += x.size
                 else:
-                    update = diffs.sum(axis=0) / M_eff
+                    update = diffs.sum(axis=0) / M
                 theta_is = theta_is + update
             delta_c = theta_is - theta_ps
             if not np.isfinite(delta_c).all():
@@ -295,7 +281,7 @@ def _run_engine(cfg, scenario, shards, user_keys, betas, beta_bars,
                                  f"t={t + 1}")
             cluster_delta[c] = delta_c
 
-        theta_ps = theta_ps + cluster_delta.sum(axis=0) / C_eff
+        theta_ps = theta_ps + cluster_delta.sum(axis=0) / C
 
         loss, _ = learner.loss_and_gradient(theta_ps, eval_feats, eval_labels,
                                             cfg.num_classes, cfg.l2_reg)
@@ -312,62 +298,34 @@ def _run_engine(cfg, scenario, shards, user_keys, betas, beta_bars,
             all_diffs.append(diffs_t)
 
     checksum = hashlib.sha256(np.ascontiguousarray(theta_ps).tobytes()).hexdigest()
-    return RunMetrics(scenario, np.arange(1, cfg.T + 1), out["train_loss"],
+    return RunMetrics(cfg.scenario, np.arange(1, cfg.T + 1), out["train_loss"],
                       out["test_acc"], out["avg_tx_power"], out["eta"],
                       out["power"], theta_ps, checksum, models, all_diffs)
 
 
-def _hier_keys(C, M):
-    return [[(c, m) for m in range(M)] for c in range(C)]
+def run_scenario(cfg: ScenarioConfig, topo=None, record_models=False,
+                 collect_diffs=False, cluster_order=None) -> RunMetrics:
+    """Run cfg.scenario on the shared engine.
 
-
-def run_ideal_hierarchical(cfg: ScenarioConfig, topo=None, **kw) -> RunMetrics:
-    """Error-free hierarchical FL (exact means at IS and PS)."""
-    cfg = replace(cfg, scenario="ideal_hier").validate()
-    train, test = load_run_data(cfg)
-    shards = partition_for_run(cfg, train)
-    return _run_engine(cfg, "ideal_hier", shards, _hier_keys(cfg.C, cfg.M),
-                       None, None, cfg.power_base, cfg.power_slope,
-                       train, test, ota=False, **kw)
-
-
-def run_hotafl(cfg: ScenarioConfig, topo=None, **kw) -> RunMetrics:
-    """Hierarchical FL with over-the-air local aggregation."""
-    cfg = replace(cfg, scenario="hotafl").validate()
-    if topo is None:
-        topo = build_topology(cfg)
-    train, test = load_run_data(cfg)
-    shards = partition_for_run(cfg, train)
-    return _run_engine(cfg, "hotafl", shards, _hier_keys(cfg.C, cfg.M),
-                       topo.beta, topo.beta_bar, cfg.power_base,
-                       cfg.power_slope, train, test, ota=True, **kw)
-
-
-def run_flat_ota(cfg: ScenarioConfig, topo=None, **kw) -> RunMetrics:
-    """Single-level OTA FL: all C*M users transmit straight to the PS.
-
-    Realized as the C=1, I=1 specialization of the hierarchical engine with
-    large-scale gains from the user-to-PS distances and the conventional-FL
-    power schedule.
+    ideal_hier takes exact means and no topology.  hotafl aggregates over
+    the air with the user-to-IS gains topo.beta.  flat_ota is the one-cluster
+    case: the same C*M shards in one row (flattened row-major), the
+    user-to-PS gains, I=1 and the flat_power_* schedule.  topo is built from
+    cfg when not given.
     """
-    cfg = replace(cfg, scenario="flat_ota").validate()
-    if topo is None:
+    cfg.validate()
+    if topo is None and cfg.scenario != "ideal_hier":
         topo = build_topology(cfg)
     train, test = load_run_data(cfg)
     shards = partition_for_run(cfg, train)
-    flat_shards = [[shards[c][m] for c in range(cfg.C) for m in range(cfg.M)]]
-    flat_keys = _hier_keys(1, cfg.C * cfg.M)
-    betas = topo.ps_beta.reshape(1, -1)
-    flat_cfg = replace(cfg, C=1, M=cfg.C * cfg.M, I=1, K=cfg.K)
-    return _run_engine(flat_cfg, "flat_ota", flat_shards, flat_keys,
-                       betas, betas.sum(axis=1), cfg.flat_power_base,
-                       cfg.flat_power_slope, train, test, ota=True, **kw)
-
-
-_RUNNERS = {"ideal_hier": run_ideal_hierarchical, "hotafl": run_hotafl,
-            "flat_ota": run_flat_ota}
-
-
-def run_scenario(cfg: ScenarioConfig, topo=None, **kw) -> RunMetrics:
-    cfg.validate()
-    return _RUNNERS[cfg.scenario](cfg, topo=topo, **kw)
+    betas = None
+    if cfg.scenario == "hotafl":
+        betas = topo.beta
+    elif cfg.scenario == "flat_ota":
+        shards = [[s for row in shards for s in row]]
+        betas = topo.ps_beta.reshape(1, -1)
+        cfg = replace(cfg, C=1, M=cfg.C * cfg.M, I=1,
+                      power_base=cfg.flat_power_base,
+                      power_slope=cfg.flat_power_slope)
+    return _run_engine(cfg, shards, betas, train, test, record_models,
+                       collect_diffs, cluster_order)

@@ -22,9 +22,3 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
 
-
-def as_generator(rng) -> np.random.Generator:
-    """Accept either a Generator or an integer seed."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(rng))))

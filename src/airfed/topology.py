@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import as_generator
-
 # placement bounds for user-to-IS and user-to-PS distances
 IS_DIST_LO, IS_DIST_HI = 0.5, 1.0
 PS_DIST_LO, PS_DIST_HI = 0.5, 3.0
@@ -89,10 +87,9 @@ def place_users(C, M, K, path_loss_exp, target_alpha, tolerance, rng,
         raise ValueError(f"target_alpha must be in (0, 1), got {target_alpha}")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    gen = as_generator(rng)
     for _ in range(max_retries):
-        d_is = gen.uniform(IS_DIST_LO, IS_DIST_HI, size=(C, M))
-        d_ps = gen.uniform(PS_DIST_LO, PS_DIST_HI, size=C * M)
+        d_is = rng.uniform(IS_DIST_LO, IS_DIST_HI, size=(C, M))
+        d_ps = rng.uniform(PS_DIST_LO, PS_DIST_HI, size=C * M)
         alpha = d_is.sum() / d_ps.sum()
         if abs(alpha - target_alpha) <= tolerance:
             return SystemTopology(C, M, K, d_is, d_ps, path_loss_exp)

@@ -36,8 +36,7 @@ def test_criterion_1_equation_suite():
         scenario="ideal_hier", C=2, M=3, K=4, tau=2, I=2, T=5,
         sigma_z2=1.0, dataset="synthetic", feature_dim=9, num_classes=4,
         train_samples=600, test_samples=100, batch_size=20, seed=3)
-    m = protocol.run_ideal_hierarchical(cfg, record_models=True,
-                                        collect_diffs=True)
+    m = protocol.run_scenario(cfg, record_models=True, collect_diffs=True)
     prev = learner.zero_model(9, 4)
     for t in range(cfg.T):
         flat = m.user_diffs[t].sum(axis=(0, 1, 2)) / (cfg.M * cfg.C)
@@ -163,8 +162,8 @@ def test_criterion_3_degenerate_channel_equivalence():
         num_classes=5, train_samples=400, test_samples=100, batch_size=20,
         seed=3)
     topo = topology.SystemTopology(2, 2, 4, np.ones((2, 2)), np.ones(4), 4.0)
-    a = protocol.run_ideal_hierarchical(cfg)
-    b = protocol.run_hotafl(cfg, topo=topo)
+    a = protocol.run_scenario(replace(cfg, scenario="ideal_hier"))
+    b = protocol.run_scenario(cfg, topo=topo)
     ok = (a.final_checksum == b.final_checksum
           and np.array_equal(a.train_loss, b.train_loss)
           and np.array_equal(a.test_acc, b.test_acc)
@@ -186,12 +185,13 @@ def _ordering_cfg(**kw):
     return protocol.ScenarioConfig(**base)
 
 
-def _final_accs(cfg, seeds, runners):
-    out = {name: [] for name in runners}
+def _final_accs(cfg, seeds, scenarios):
+    out = {name: [] for name in scenarios}
     for seed in seeds:
-        c = replace(cfg, seed=seed)
-        for name, fn in runners.items():
-            out[name].append(float(fn(c).test_acc[-1]))
+        for name, scenario in scenarios.items():
+            m = protocol.run_scenario(replace(cfg, seed=seed,
+                                              scenario=scenario))
+            out[name].append(float(m.test_acc[-1]))
     return {name: float(np.mean(v)) for name, v in out.items()}
 
 
@@ -209,9 +209,8 @@ def _mnist_cfg(**kw):
                     "(set AIRFED_MNIST_DIR)")
 def test_criterion_4_mnist_scenario_ordering():
     accs = _final_accs(_mnist_cfg(), range(1, 6),
-                       {"ideal": protocol.run_ideal_hierarchical,
-                        "hotafl": protocol.run_hotafl,
-                        "flat": protocol.run_flat_ota})
+                       {"ideal": "ideal_hier", "hotafl": "hotafl",
+                        "flat": "flat_ota"})
     ok = (accs["ideal"] >= accs["hotafl"] - 0.005
           and accs["hotafl"] >= accs["flat"] - 0.005
           and accs["ideal"] - accs["hotafl"] <= 0.03)
@@ -221,9 +220,8 @@ def test_criterion_4_mnist_scenario_ordering():
 
 def test_criterion_4_standin_synthetic_ordering():
     accs = _final_accs(_ordering_cfg(), range(1, 6),
-                       {"ideal": protocol.run_ideal_hierarchical,
-                        "hotafl": protocol.run_hotafl,
-                        "flat": protocol.run_flat_ota})
+                       {"ideal": "ideal_hier", "hotafl": "hotafl",
+                        "flat": "flat_ota"})
     ok = (accs["ideal"] >= accs["hotafl"] - 0.005
           and accs["hotafl"] >= accs["flat"] - 0.005
           and accs["ideal"] - accs["hotafl"] <= 0.03)
@@ -236,8 +234,7 @@ def test_criterion_4_standin_synthetic_ordering():
 def test_criterion_5_mnist_noniid_ordering():
     cfg = _mnist_cfg(tau=3, partition="noniid")
     accs = _final_accs(cfg, range(1, 6),
-                       {"ideal": protocol.run_ideal_hierarchical,
-                        "hotafl": protocol.run_hotafl})
+                       {"ideal": "ideal_hier", "hotafl": "hotafl"})
     ok = accs["ideal"] >= accs["hotafl"] - 0.005
     print(f"\nmnist noniid 5-seed means: {accs}")
     _report(5, "MNIST non-i.i.d. ordering (tau=3)", ok)
@@ -246,8 +243,7 @@ def test_criterion_5_mnist_noniid_ordering():
 def test_criterion_5_standin_noniid_ordering():
     cfg = _ordering_cfg(tau=3, partition="noniid")
     accs = _final_accs(cfg, range(1, 6),
-                       {"ideal": protocol.run_ideal_hierarchical,
-                        "hotafl": protocol.run_hotafl})
+                       {"ideal": "ideal_hier", "hotafl": "hotafl"})
     ok = accs["ideal"] >= accs["hotafl"] - 0.005
     print(f"\nsynthetic noniid 5-seed means: {accs}")
     _report("5s", "synthetic stand-in non-i.i.d. ordering (tau=3)", ok)
@@ -297,7 +293,7 @@ def test_criterion_7_bound_vs_simulation():
     L, mu, theta_star, _ = bounds.measure_problem_constants(
         shards, cfg.num_classes, cfg.l2_reg)
 
-    cal = protocol.run_hotafl(cfg, topo=topo, record_models=True)
+    cal = protocol.run_scenario(cfg, topo=topo, record_models=True)
     samples = ([learner.zero_model(cfg.feature_dim, cfg.num_classes)]
                + cal.models[::10])
     g2 = bounds.measure_gradient_bound(
@@ -315,8 +311,8 @@ def test_criterion_7_bound_vs_simulation():
 
     dists = np.zeros(cfg.T)
     for k in range(10):
-        m = protocol.run_hotafl(replace(cfg, seed=cfg.seed + k), topo=topo,
-                                record_models=True)
+        m = protocol.run_scenario(replace(cfg, seed=cfg.seed + k),
+                                  topo=topo, record_models=True)
         dists += [float(np.sum((th - theta_star) ** 2)) for th in m.models]
     dists /= 10
     ratio = float(np.max(dists / bound[1:]))
@@ -375,7 +371,7 @@ def test_criterion_9_reproducibility(tmp_path):
 
     # in-process reruns are bit-identical regardless of aggregation order
     cfg = cli.parse_config(str(cfg_path))
-    r1 = protocol.run_hotafl(cfg)
-    r2 = protocol.run_hotafl(cfg, cluster_order=[1, 0])
+    r1 = protocol.run_scenario(cfg)
+    r2 = protocol.run_scenario(cfg, cluster_order=[1, 0])
     ok &= r1.final_checksum == r2.final_checksum
     _report(9, "manifest re-run byte-identical; order invariant", bool(ok))

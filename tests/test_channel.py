@@ -31,7 +31,7 @@ def test_draw_channels_moment_oracle():
     sh2 = 1.7
     gen = rng.substream(2, rng.CHANNEL)
     ch = channel.draw_channels_from_betas(betas, 25, 2000, sh2, gen)
-    est = (np.abs(ch.coefficients) ** 2).mean(axis=(1, 2))
+    est = (np.abs(ch) ** 2).mean(axis=(1, 2))
     assert est == pytest.approx(betas * sh2, rel=0.01)
 
 
@@ -39,14 +39,14 @@ def test_draw_channels_deterministic_and_unit():
     betas = np.array([1.0, 4.0])
     a = channel.draw_channels_from_betas(betas, 3, 5, 1.0, rng.substream(7, 0))
     b = channel.draw_channels_from_betas(betas, 3, 5, 1.0, rng.substream(7, 0))
-    assert np.array_equal(a.coefficients, b.coefficients)
+    assert np.array_equal(a, b)
     u = channel.draw_channels_from_betas(betas, 3, 5, 1.0, None, unit=True)
-    assert np.array_equal(u.coefficients,
+    assert np.array_equal(u,
                           np.sqrt(betas)[:, None, None] * np.ones((2, 3, 5)))
 
 
 def _const_channel(M, K, N, c=1.0):
-    return channel.ChannelTensor(np.full((M, K, N), c, dtype=np.complex128))
+    return np.full((M, K, N), c, dtype=np.complex128)
 
 
 def test_ota_uplink_identity_channel():
@@ -140,12 +140,11 @@ def test_decompose_requires_recorded_noise():
 
 
 def test_fused_uplink_matches_reference_path():
-    ch, x = _random_setup(M=2, K=6, N=10, seed=5)
+    h, x = _random_setup(M=2, K=6, N=10, seed=5)
     z = channel.draw_noise(6, 10, 0.5, rng.substream(8, rng.NOISE))
-    combined = channel.uplink_and_combine(x, ch, 1.2, z)
+    combined = channel.uplink_and_combine(x, h, 1.2, z)
     # per-antenna reference: receive on antenna k, weight by the conjugated
     # channel sum of antenna k, average over antennas
-    h = ch.coefficients
     ref = np.zeros(10, dtype=complex)
     for k in range(6):
         y_k = 1.2 * (h[:, k, :] * x).sum(axis=0) + z[k]

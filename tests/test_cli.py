@@ -171,6 +171,23 @@ def test_run_seeds_and_scenarios_cardinality(tmp_path):
     assert os.path.exists(os.path.join(out, "summary.csv"))
 
 
+def test_run_rejects_nonpositive_seeds(tmp_path, capsys):
+    cfg = _write(tmp_path, SMOKE)
+    first = str(tmp_path / "first")
+    assert cli.main(["run", "--config", cfg, "--out", first,
+                     "--scenarios", "ideal"]) == 0
+    manifest = os.path.join(first, "manifest.json")
+    for config in (cfg, manifest):
+        for n in ("0", "-1"):
+            out = str(tmp_path / f"out{n}")
+            assert cli.main(["run", "--config", config, "--out", out,
+                             "--seeds", n, "--scenarios", "ideal"]) == 1
+            err = capsys.readouterr().err
+            assert err == f"airfed: error: --seeds must be at least 1, " \
+                          f"got {n}\n"
+            assert not os.path.exists(out)
+
+
 def test_manifest_rerun_byte_identical(tmp_path):
     cfg = _write(tmp_path, SMOKE)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

@@ -60,13 +60,6 @@ def test_evaluate_bounds_and_perfect_model():
     assert learner.evaluate(theta, data) >= 0.95
 
 
-def test_model_difference():
-    a, b = np.arange(4.0), np.ones(4)
-    assert np.array_equal(learner.model_difference(a, b), a - b)
-    with pytest.raises(ValueError):
-        learner.model_difference(a, np.ones(3))
-
-
 def test_partition_iid_shapes_and_disjoint():
     data = _data(n=61)
     shards = learner.partition_iid(data, 2, 3, rng.substream(4, 2))

@@ -33,19 +33,6 @@ def test_lr_schedule_examples():
     assert protocol.lr_schedule(1000, 0.01, 1.0) == 0.0
 
 
-def test_ideal_aggregates():
-    assert np.array_equal(
-        protocol.ideal_local_aggregate([[2.0], [4.0]]), [3.0])
-    v = np.array([[1.0, 2.0]])
-    assert np.array_equal(protocol.ideal_local_aggregate(v), v[0])
-    gen = rng.substream(1, 0)
-    stack = gen.standard_normal((5, 7))
-    assert np.allclose(protocol.ideal_global_aggregate(stack),
-                       stack.mean(axis=0), atol=1e-12)
-    with pytest.raises(ValueError):
-        protocol.ideal_local_aggregate(np.empty((0, 3)))
-
-
 def test_config_validation_errors():
     with pytest.raises(ValueError, match="tau"):
         _cfg(tau=0).validate()
@@ -68,15 +55,16 @@ def test_default_antennas_and_flat_power():
 
 
 def test_run_deterministic_bitwise():
-    a = protocol.run_hotafl(_cfg())
-    b = protocol.run_hotafl(_cfg())
+    a = protocol.run_scenario(_cfg())
+    b = protocol.run_scenario(_cfg())
     assert a.final_checksum == b.final_checksum
     assert np.array_equal(a.train_loss, b.train_loss)
     assert np.array_equal(a.test_acc, b.test_acc)
 
 
 def test_zero_lr_freezes_model():
-    m = protocol.run_ideal_hierarchical(_cfg(lr_base=0.0, lr_slope=0.0))
+    m = protocol.run_scenario(_cfg(scenario="ideal_hier", lr_base=0.0,
+                                   lr_slope=0.0))
     assert np.unique(m.test_acc).size == 1
     assert np.unique(m.train_loss).size == 1
     assert not m.final_model.any()
@@ -85,7 +73,7 @@ def test_zero_lr_freezes_model():
 def test_ideal_matches_centralized_sgd():
     cfg = _cfg(scenario="ideal_hier", C=1, M=1, tau=1, I=1, T=10,
                train_samples=200)
-    m = protocol.run_ideal_hierarchical(cfg, record_models=True)
+    m = protocol.run_scenario(cfg, record_models=True)
 
     train, _ = protocol.load_run_data(cfg)
     shard = protocol.partition_for_run(cfg, train)[0][0]
@@ -101,8 +89,7 @@ def test_ideal_matches_centralized_sgd():
 def test_recursion_identity_ideal():
     cfg = _cfg(scenario="ideal_hier", C=2, M=3, I=2, tau=2, T=5,
                train_samples=600)
-    m = protocol.run_ideal_hierarchical(cfg, record_models=True,
-                                        collect_diffs=True)
+    m = protocol.run_scenario(cfg, record_models=True, collect_diffs=True)
     prev = learner.zero_model(cfg.feature_dim, cfg.num_classes)
     for t in range(cfg.T):
         global_delta = m.models[t] - prev
@@ -114,8 +101,8 @@ def test_recursion_identity_ideal():
 def test_cluster_order_invariance():
     cfg = _cfg(C=3, M=2, K=6, T=4)
     topo = protocol.build_topology(cfg)
-    a = protocol.run_hotafl(cfg, topo=topo)
-    b = protocol.run_hotafl(cfg, topo=topo, cluster_order=[2, 0, 1])
+    a = protocol.run_scenario(cfg, topo=topo)
+    b = protocol.run_scenario(cfg, topo=topo, cluster_order=[2, 0, 1])
     assert a.final_checksum == b.final_checksum
 
 
@@ -123,14 +110,14 @@ def test_flat_is_one_level_specialization():
     cfg = _cfg(scenario="flat_ota", C=2, M=3, K=12, tau=2, I=1, T=6,
                flat_power_base=1.5, train_samples=600)
     topo = protocol.build_topology(cfg)
-    a = protocol.run_flat_ota(cfg, topo=topo)
+    a = protocol.run_scenario(cfg, topo=topo)
 
     topo_flat = topology.SystemTopology(1, 6, cfg.K,
                                         topo.d_ps.reshape(1, 6), topo.d_ps,
                                         cfg.path_loss_exp)
     cfg_flat = replace(cfg, scenario="hotafl", C=1, M=6, power_base=1.5,
                        data_seed=cfg.seed)
-    b = protocol.run_hotafl(cfg_flat, topo=topo_flat)
+    b = protocol.run_scenario(cfg_flat, topo=topo_flat)
     assert a.final_checksum == b.final_checksum
     assert np.array_equal(a.test_acc, b.test_acc)
 
@@ -140,14 +127,38 @@ def test_degenerate_channel_equals_ideal():
                power_base=1.0, power_slope=0.0, feature_dim=7,
                num_classes=5, T=8)
     topo = topology.SystemTopology(2, 2, 4, np.ones((2, 2)), np.ones(4), 4.0)
-    a = protocol.run_ideal_hierarchical(cfg)
-    b = protocol.run_hotafl(cfg, topo=topo)
+    a = protocol.run_scenario(replace(cfg, scenario="ideal_hier"))
+    b = protocol.run_scenario(cfg, topo=topo)
     assert a.final_checksum == b.final_checksum
+
+
+def test_setup_calls_once_per_run(monkeypatch):
+    # perfbench/run.py times setup from these calls and checks their counts
+    names = ("load_run_data", "partition_for_run", "build_topology")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(protocol, name), **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(protocol, name, counted)
+
+    def counts(cfg, **kw):
+        calls.update(dict.fromkeys(names, 0))
+        protocol.run_scenario(cfg, **kw)
+        return tuple(calls[n] for n in names)
+
+    cfg = _cfg(T=2)
+    topo = protocol.build_topology(cfg)
+    assert counts(cfg) == (1, 1, 1)
+    assert counts(replace(cfg, scenario="flat_ota")) == (1, 1, 1)
+    assert counts(replace(cfg, scenario="ideal_hier")) == (1, 1, 0)
+    assert counts(cfg, topo=topo) == (1, 1, 0)
+    assert counts(replace(cfg, scenario="flat_ota"), topo=topo) == (1, 1, 0)
 
 
 def test_metrics_shape_and_csv(tmp_path):
     cfg = _cfg(T=4)
-    m = protocol.run_hotafl(cfg)
+    m = protocol.run_scenario(cfg)
     assert m.t.tolist() == [1, 2, 3, 4]
     assert np.all((m.test_acc >= 0) & (m.test_acc <= 1))
     assert np.all(m.avg_tx_power > 0)
@@ -162,7 +173,7 @@ def test_metrics_shape_and_csv(tmp_path):
 
 
 def test_ideal_reports_zero_tx_power():
-    m = protocol.run_ideal_hierarchical(_cfg(scenario="ideal_hier", T=3))
+    m = protocol.run_scenario(_cfg(scenario="ideal_hier", T=3))
     assert not m.avg_tx_power.any()
 
 
