@@ -95,10 +95,19 @@ def _from_fields(cls, kv, path):
 
 
 def _scenario_from_dict(kv, path):
+    """ScenarioConfig; scenario aliases are resolved and the key
+    ``optimizer = sgd`` of manifests written before plain SGD became the
+    only update rule is dropped."""
     if "scenario" in kv:
         name, lineno = kv["scenario"]
         kv = {**kv, "scenario": (SCENARIO_ALIASES.get(str(name), name),
                                  lineno)}
+    if "optimizer" in kv:
+        val, lineno = kv["optimizer"]
+        if val != "sgd":
+            raise ConfigError(f"{path}:{lineno}: bad value for 'optimizer': "
+                              f"{val!r} (only 'sgd' is supported)")
+        kv = {k: v for k, v in kv.items() if k != "optimizer"}
     cfg = _from_fields(protocol.ScenarioConfig, kv, path)
     try:
         return cfg.validate()
@@ -219,13 +228,13 @@ def _cmd_run(args):
     start = time.time()
     if args.seeds is not None and args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
-    os.makedirs(args.out, exist_ok=True)
     cfg, man = _load_config(args.config, "run")
     man = man or {}
     seeds = [cfg.seed + k for k in range(args.seeds)] \
         if args.seeds is not None else man.get("seeds", [cfg.seed])
     scenarios = _parse_scenarios(
         args.scenarios or man.get("scenarios", protocol.SCENARIOS))
+    os.makedirs(args.out, exist_ok=True)
 
     outputs = []
     run_csvs = []
@@ -251,8 +260,8 @@ def _cmd_run(args):
 
 def _cmd_bound(args):
     start = time.time()
-    os.makedirs(args.out, exist_ok=True)
     params, _ = _load_config(args.config, "bound")
+    os.makedirs(args.out, exist_ok=True)
     name = f"{params.label or 'bound'}.csv"
     bounds.bound_to_csv(params, os.path.join(args.out, name))
     _write_manifest(args.out, {

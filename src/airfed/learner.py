@@ -195,15 +195,9 @@ class UserLearnerState:
 
 
 def sgd_user_iterations(state: UserLearnerState, start, tau: int, eta: float,
-                        l2: float = 0.0, record_grads=None,
-                        optimizer: str = "sgd", adam_state=None):
-    """Run tau SGD steps from `start` with freshly sampled batches.
-
-    The default update is theta <- theta - eta * grad.  optimizer="adam"
-    switches to an Adam step sharing the same interface (kept out of any
-    bound comparison).  If record_grads is a list, the sampled gradients are
-    appended so callers can replay the accumulated-update identity.
-    """
+                        l2: float = 0.0):
+    """Run tau SGD steps theta <- theta - eta * grad from `start`, each on a
+    freshly sampled batch."""
     if tau < 1:
         raise ValueError("tau must be >= 1")
     if eta < 0:
@@ -214,28 +208,8 @@ def sgd_user_iterations(state: UserLearnerState, start, tau: int, eta: float,
         _, grad = loss_and_gradient(theta, state.shard.features[idx],
                                     state.shard.labels[idx],
                                     state.shard.num_classes, l2)
-        if record_grads is not None:
-            record_grads.append(grad)
-        if optimizer == "sgd":
-            theta -= eta * grad
-        elif optimizer == "adam":
-            theta = _adam_step(theta, grad, eta, adam_state)
-        else:
-            raise ValueError(f"unknown optimizer {optimizer!r}")
+        theta -= eta * grad
     return theta
-
-
-def _adam_step(theta, grad, eta, state, beta1=0.9, beta2=0.999, eps=1e-8):
-    state["t"] = state.get("t", 0) + 1
-    m = state.setdefault("m", np.zeros_like(theta))
-    v = state.setdefault("v", np.zeros_like(theta))
-    m *= beta1
-    m += (1 - beta1) * grad
-    v *= beta2
-    v += (1 - beta2) * grad * grad
-    mhat = m / (1 - beta1 ** state["t"])
-    vhat = v / (1 - beta2 ** state["t"])
-    return theta - eta * mhat / (np.sqrt(vhat) + eps)
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,6 @@ class ScenarioConfig:
     alpha_tolerance: float = 0.02
     path_loss_exp: float = 4.0
     channel_mode: str = "rayleigh"
-    optimizer: str = "sgd"
     train_samples: int = 20000
     test_samples: int = 4000
     feature_dim: int = 784
@@ -98,9 +97,12 @@ class ScenarioConfig:
                              f"got {self.scenario!r}")
         for name in ("C", "M", "K", "tau", "I", "T", "batch_size",
                      "train_samples", "test_samples", "feature_dim",
-                     "num_classes"):
+                     "num_classes", "eval_train_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        for name in ("seed", "data_seed"):
+            if (getattr(self, name) or 0) < 0:
+                raise ValueError(f"{name} must be a nonnegative integer")
         if self.sigma_h2 <= 0:
             raise ValueError("sigma_h2 must be positive")
         if self.sigma_z2 < 0:
@@ -111,12 +113,12 @@ class ScenarioConfig:
             raise ValueError(f"partition must be one of {PARTITIONS}")
         if self.channel_mode not in CHANNEL_MODES:
             raise ValueError(f"channel_mode must be one of {CHANNEL_MODES}")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError("optimizer must be 'sgd' or 'adam'")
         if not 0 < self.target_alpha < 1:
             raise ValueError("target_alpha must be in (0, 1)")
         if self.alpha_tolerance <= 0:
             raise ValueError("alpha_tolerance must be positive")
+        if not self.path_loss_exp >= 0:
+            raise ValueError("path_loss_exp must be nonnegative")
         if self.l2_reg < 0:
             raise ValueError("l2_reg must be nonnegative")
         for base, slope in ((self.power_base, self.power_slope),
@@ -190,7 +192,7 @@ def partition_for_run(cfg: ScenarioConfig, train):
 
 def build_topology(cfg: ScenarioConfig) -> topology.SystemTopology:
     gen = rng.substream(cfg.effective_data_seed, rng.TOPOLOGY)
-    return topology.place_users(cfg.C, cfg.M, cfg.K, cfg.path_loss_exp,
+    return topology.place_users(cfg.C, cfg.M, cfg.path_loss_exp,
                                 cfg.target_alpha, cfg.alpha_tolerance, gen,
                                 cfg.max_place_retries)
 
@@ -220,7 +222,6 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
     states = [[learner.UserLearnerState(
         shards[c][m], cfg.batch_size, rng.substream(cfg.seed, rng.BATCH, c, m))
         for m in range(M)] for c in range(C)]
-    adam_states = [[{} for _ in range(M)] for _ in range(C)]
 
     eval_gen = rng.substream(cfg.effective_data_seed, rng.EVAL)
     n_eval = min(cfg.eval_train_samples, len(train))
@@ -249,9 +250,7 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
                 diffs = np.empty((M, dim))
                 for m in range(M):
                     end = learner.sgd_user_iterations(
-                        states[c][m], theta_is, cfg.tau, eta,
-                        l2=cfg.l2_reg, optimizer=cfg.optimizer,
-                        adam_state=adam_states[c][m])
+                        states[c][m], theta_is, cfg.tau, eta, l2=cfg.l2_reg)
                     diffs[m] = end - theta_is
                 if collect_diffs:
                     diffs_t[c, i] = diffs

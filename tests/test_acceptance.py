@@ -161,7 +161,7 @@ def test_criterion_3_degenerate_channel_equivalence():
         lr_base=0.05, lr_slope=2e-5, dataset="synthetic", feature_dim=7,
         num_classes=5, train_samples=400, test_samples=100, batch_size=20,
         seed=3)
-    topo = topology.SystemTopology(2, 2, 4, np.ones((2, 2)), np.ones(4), 4.0)
+    topo = topology.SystemTopology(np.ones((2, 2)), np.ones(4), 4.0)
     a = protocol.run_scenario(replace(cfg, scenario="ideal_hier"))
     b = protocol.run_scenario(cfg, topo=topo)
     ok = (a.final_checksum == b.final_checksum

@@ -61,6 +61,12 @@ def test_parse_minimal_scenario_config(tmp_path):
 def test_parse_rejects_bad_tau(tmp_path):
     with pytest.raises(cli.ConfigError, match="tau"):
         cli.parse_config(_write(tmp_path, "scenario = hotafl\ntau = 0\n"))
+    # each error names its key
+    for line in ("seed = -1", "data_seed = -3", "eval_train_samples = 0",
+                 "path_loss_exp = -2"):
+        key = line.split(" ")[0]
+        with pytest.raises(cli.ConfigError, match=rf"cfg.txt: {key} must"):
+            cli.parse_config(_write(tmp_path, f"scenario = hotafl\n{line}\n"))
 
 
 def test_parse_rejects_unknown_key_with_line(tmp_path):
@@ -188,18 +194,43 @@ def test_run_rejects_nonpositive_seeds(tmp_path, capsys):
             assert not os.path.exists(out)
 
 
-def test_manifest_rerun_byte_identical(tmp_path):
+def test_failed_config_leaves_no_output_dir(tmp_path, capsys):
+    bad = _write(tmp_path, "scenario = hotafl\nC = two\n", "bad.cfg")
+    for command in ("run", "bound"):
+        for config in (str(tmp_path / "missing.cfg"), bad):
+            out = str(tmp_path / "o")
+            assert cli.main([command, "--config", config, "--out", out]) == 1
+            assert capsys.readouterr().err.count("\n") == 1
+            assert not os.path.exists(out)
+
+
+def test_manifest_rerun_byte_identical(tmp_path, capsys):
     cfg = _write(tmp_path, SMOKE)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert cli.main(["run", "--config", cfg, "--out", out1,
                      "--scenarios", "hotafl,flat"]) == 0
-    assert cli.main(["run", "--config", os.path.join(out1, "manifest.json"),
-                     "--out", out2]) == 0
+    manifest = os.path.join(out1, "manifest.json")
+    assert cli.main(["run", "--config", manifest, "--out", out2]) == 0
     for name in os.listdir(out1):
         if name.endswith(".csv"):
             a = open(os.path.join(out1, name), "rb").read()
             b = open(os.path.join(out2, name), "rb").read()
             assert a == b, name
+    # manifests written while an optimizer option existed carry "sgd"
+    man = json.load(open(manifest))
+    man["config"]["optimizer"] = "sgd"
+    json.dump(man, open(manifest, "w"))
+    out3 = str(tmp_path / "c")
+    assert cli.main(["run", "--config", manifest, "--out", out3]) == 0
+    for name in man["outputs"]:
+        assert open(os.path.join(out1, name), "rb").read() == \
+            open(os.path.join(out3, name), "rb").read(), name
+    man["config"]["optimizer"] = "adam"
+    json.dump(man, open(manifest, "w"))
+    assert cli.main(["run", "--config", manifest,
+                     "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert "'optimizer'" in err and err.count("\n") == 1
 
 
 def test_bound_command_and_rerun(tmp_path):

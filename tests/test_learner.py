@@ -126,17 +126,6 @@ def test_sgd_matches_manual_steps():
     assert np.array_equal(end, theta)
 
 
-def test_sgd_records_gradients_consistently():
-    data = _data(n=40)
-    theta0 = learner.zero_model(6, 3)
-    grads = []
-    state = learner.UserLearnerState(data, 8, rng.substream(5, 6))
-    end = learner.sgd_user_iterations(state, theta0, 4, 0.05,
-                                      record_grads=grads)
-    assert len(grads) == 4
-    assert np.allclose(end, theta0 - 0.05 * np.sum(grads, axis=0), atol=1e-12)
-
-
 def test_sgd_validates_args():
     data = _data(n=20)
     state = learner.UserLearnerState(data, 5, rng.substream(0, 0))
@@ -144,16 +133,6 @@ def test_sgd_validates_args():
         learner.sgd_user_iterations(state, learner.zero_model(6, 3), 0, 0.1)
     with pytest.raises(ValueError):
         learner.sgd_user_iterations(state, learner.zero_model(6, 3), 1, -0.1)
-
-
-def test_adam_optimizer_steps():
-    data = _data(n=40)
-    state = learner.UserLearnerState(data, 8, rng.substream(5, 6))
-    adam = {}
-    end = learner.sgd_user_iterations(state, learner.zero_model(6, 3), 5,
-                                      0.01, optimizer="adam", adam_state=adam)
-    assert adam["t"] == 5
-    assert np.isfinite(end).all()
 
 
 def test_make_synthetic_deterministic_and_balanced():

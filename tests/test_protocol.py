@@ -112,8 +112,7 @@ def test_flat_is_one_level_specialization():
     topo = protocol.build_topology(cfg)
     a = protocol.run_scenario(cfg, topo=topo)
 
-    topo_flat = topology.SystemTopology(1, 6, cfg.K,
-                                        topo.d_ps.reshape(1, 6), topo.d_ps,
+    topo_flat = topology.SystemTopology(topo.d_ps.reshape(1, 6), topo.d_ps,
                                         cfg.path_loss_exp)
     cfg_flat = replace(cfg, scenario="hotafl", C=1, M=6, power_base=1.5,
                        data_seed=cfg.seed)
@@ -126,7 +125,7 @@ def test_degenerate_channel_equals_ideal():
     cfg = _cfg(tau=2, I=2, sigma_z2=0.0, channel_mode="unit",
                power_base=1.0, power_slope=0.0, feature_dim=7,
                num_classes=5, T=8)
-    topo = topology.SystemTopology(2, 2, 4, np.ones((2, 2)), np.ones(4), 4.0)
+    topo = topology.SystemTopology(np.ones((2, 2)), np.ones(4), 4.0)
     a = protocol.run_scenario(replace(cfg, scenario="ideal_hier"))
     b = protocol.run_scenario(cfg, topo=topo)
     assert a.final_checksum == b.final_checksum
