@@ -9,7 +9,8 @@ aggregations.  Iteration indices here are 1-based: dist(1) is the initial
 distance and schedules are evaluated at a = 1..T-1.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -52,9 +53,12 @@ class BoundParams:
 
     def __post_init__(self):
         self.betas = np.atleast_2d(np.asarray(self.betas, dtype=np.float64))
-        if np.any(self.betas <= 0):
-            raise ValueError("large-scale gains must be positive")
+        if not np.all((self.betas > 0) & np.isfinite(self.betas)):
+            raise ValueError("betas must be positive and finite")
         self.C, self.M = self.betas.shape
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         for name in ("L", "mu", "G2", "init_dist", "sigma_h2"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -94,43 +98,44 @@ def contraction_x(eta, mu, tau, I) -> float:
     return 1.0 - mu * eta * I * (tau - eta * (tau - 1))
 
 
-def _a1_matrix(p: BoundParams) -> np.ndarray:
-    """(C*M, C*M) matrix of a1_term over all ordered user pairs."""
-    ratio = (p.betas / p.beta_bar[:, None]).reshape(-1)
-    return np.outer(1.0 - ratio, 1.0 - ratio)
+def _distortion_and_interference(p: BoundParams, sq, cross):
+    """Signal-distortion and interference variances of the OTA aggregation.
+
+    sq: (C, I, M) squared norms of the user differences d_{c,i,m}.  cross:
+    ||sum_u (1 - beta_u/beta_bar_u) sum_i d_{u,i}||^2 over all C*M users,
+    the a1_term-weighted sum of <d_{u1,i1}, d_{u2,i2}> (the weights factor).
+    """
+    bb = p.beta_bar[:, None]
+    M2C2 = (p.M * p.C) ** 2
+    diag_w = p.betas ** 2 / (p.K * bb ** 2)             # (C, M)
+    itf_w = (bb * p.betas - p.betas ** 2) / bb ** 2     # sum_{m'!=m} b_m b_m'
+    sig = (float((diag_w[:, None, :] * sq).sum()) + cross) / M2C2
+    itf = float((itf_w[:, None, :] * sq).sum()) / (M2C2 * p.K)
+    return sig, itf
 
 
 def drift_y_terms(eta, p_a, p: BoundParams) -> dict:
-    """The six additive drift contributions for one iteration.
+    """The six additive drift contributions for one iteration, by Y_TERMS.
 
     eta and p_a are the learning rate and transmit power at that iteration.
-    Channel terms assume every user difference is at the worst case
-    eta^2 * tau^2 * G2 (aligned across users for the cross terms).
+    Signal distortion and interference are the lemma variances with every
+    user difference at the worst case eta^2 * tau^2 * G2, all aligned.
     """
-    bb = p.beta_bar
-    M2C2 = (p.M * p.C) ** 2
     g_worst = eta * eta * p.tau * p.tau * p.G2
-
-    diag = float((p.betas ** 2 / (p.K * bb[:, None] ** 2)).sum())
-    cross = float(_a1_matrix(p).sum()) * p.I
-    sig = g_worst * p.I / M2C2 * (diag + cross)
-
-    prod = np.array([np.outer(p.betas[c], p.betas[c]).sum()
-                     - (p.betas[c] ** 2).sum() for c in range(p.C)])
-    itf = g_worst * p.I / (M2C2 * p.K) * float((prod / bb ** 2).sum())
-
-    noi = (p.sigma_z2 * p.I * p.N / (p_a ** 2 * M2C2 * p.K * p.sigma_h2)
-           * float((p.betas / bb[:, None] ** 2).sum()))
+    ratio_sum = float((1.0 - p.betas / p.beta_bar[:, None]).sum())
+    sig, itf = _distortion_and_interference(
+        p, np.full((p.C, p.I, p.M), g_worst),
+        g_worst * (p.I * ratio_sum) ** 2)
+    noi = (p.sigma_z2 * p.I * p.N
+           / (p_a ** 2 * (p.M * p.C) ** 2 * p.K * p.sigma_h2)
+           * float((p.betas / p.beta_bar[:, None] ** 2).sum()))
 
     tau = p.tau
     curv = ((1.0 + p.mu * (1.0 - eta)) * eta * eta * p.I * p.G2
             * tau * (tau - 1) * (2 * tau - 1) / 6.0)
     var = eta * eta * p.I * (tau * tau + tau - 1) * p.G2
     het = 2.0 * eta * p.I * (tau - 1) * p.Gamma
-
-    return {"signal_distortion": sig, "interference": itf, "noise": noi,
-            "drift_curvature": curv, "drift_variance": var,
-            "drift_heterogeneity": het}
+    return dict(zip(Y_TERMS, (sig, itf, noi, curv, var, het)))
 
 
 def drift_y(p: BoundParams, a: int) -> float:
@@ -199,47 +204,23 @@ def lemma_variance_oracle(which: str, p: BoundParams, a: Optional[int] = None,
     component never needs diffs but needs the iteration index a for the
     power schedule.
     """
-    bb = p.beta_bar
-    M2C2 = (p.M * p.C) ** 2
-
-    if which == "noise":
-        if a is None:
-            raise ValueError("noise oracle needs the iteration index a")
-        return (p.sigma_z2 * p.I * p.N
-                / (p.power(a) ** 2 * M2C2 * p.K * p.sigma_h2)
-                * float((p.betas / bb[:, None] ** 2).sum()))
-
-    if which not in ("signal_distortion", "interference"):
+    if which not in Y_TERMS[:3]:
         raise ValueError(f"unknown component {which!r}")
-
-    if diffs is None:
+    if which == "noise" or diffs is None:
         if a is None:
-            raise ValueError("worst-case mode needs the iteration index a")
-        eta = p.eta(a)
-        return drift_y_terms(eta, p.power(a), p)[which]
+            raise ValueError(f"the {which} oracle needs the index a")
+        return drift_y_terms(p.eta(a), p.power(a), p)[which]
 
     diffs = np.asarray(diffs, dtype=np.float64)
     if diffs.shape[:3] != (p.C, p.I, p.M):
         raise ValueError(f"diffs must have shape (C, I, M, dim) = "
                          f"({p.C}, {p.I}, {p.M}, ...), got {diffs.shape}")
-    sq = (diffs ** 2).sum(axis=3)                       # (C, I, M)
-
-    if which == "interference":
-        w = np.array([(bb[c] * p.betas[c] - p.betas[c] ** 2) / bb[c] ** 2
-                      for c in range(p.C)])             # (C, M): sum_{m!=m'} b_m
-        return float((w[:, None, :] * sq).sum()) / (M2C2 * p.K)
-
-    # signal distortion: per-user diagonal plus A1-weighted cross products
-    diag_w = (p.betas ** 2 / (p.K * bb[:, None] ** 2))  # (C, M)
-    diag = float((diag_w[:, None, :] * sq).sum())
-    # the a1_term weights factor, so the cross sum collapses to a norm:
-    # sum_{u1,i1,u2,i2} (1-r1)(1-r2) <d_{u1,i1}, d_{u2,i2}>
-    #   = || sum_u (1 - r_u) * sum_i d_{u,i} ||^2
     flat = diffs.transpose(0, 2, 1, 3).reshape(p.C * p.M, p.I, -1)
-    ratio = 1.0 - (p.betas / bb[:, None]).reshape(-1)
+    ratio = 1.0 - (p.betas / p.beta_bar[:, None]).reshape(-1)
     s = (ratio[:, None] * flat.sum(axis=1)).sum(axis=0)
-    cross = float(s @ s)
-    return (diag + cross) / M2C2
+    sig, itf = _distortion_and_interference(p, (diffs ** 2).sum(axis=3),
+                                            float(s @ s))
+    return sig if which == "signal_distortion" else itf
 
 
 # ---------------------------------------------------------------------------

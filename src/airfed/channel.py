@@ -11,39 +11,35 @@ import numpy as np
 
 
 def pack_complex(delta: np.ndarray) -> np.ndarray:
-    """First half -> real parts, second half -> imaginary parts."""
+    """First half -> real parts, second half -> imaginary (last axis)."""
     delta = np.asarray(delta, dtype=np.float64)
-    if delta.ndim != 1 or delta.size % 2 != 0:
-        raise ValueError(f"model vector must be 1-D with even length, "
+    if delta.ndim == 0 or delta.shape[-1] % 2 != 0:
+        raise ValueError(f"model vectors must have even length, "
                          f"got shape {delta.shape}")
-    n = delta.size // 2
-    return delta[:n] + 1j * delta[n:]
+    n = delta.shape[-1] // 2
+    return delta[..., :n] + 1j * delta[..., n:]
 
 
 def unpack_complex(symbols: np.ndarray) -> np.ndarray:
     """Exact inverse of pack_complex."""
     symbols = np.asarray(symbols, dtype=np.complex128)
-    return np.concatenate([symbols.real, symbols.imag])
+    return np.concatenate([symbols.real, symbols.imag], axis=-1)
 
 
-def draw_channels_from_betas(betas, K, N, sigma_h2, rng,
-                             unit: bool = False) -> np.ndarray:
+def draw_channels_from_betas(betas, K, N, sigma_h2, rng) -> np.ndarray:
     """Draw an (M, K, N) complex fading tensor for per-user gains betas.
 
     h[m, k, n] = sqrt(beta_m) * g with g ~ CN(0, sigma_h2), redrawn per
-    user, antenna and symbol.  unit=True forces every g to the constant 1
-    (degenerate coherent channel used by equivalence tests).
+    user, antenna and symbol.
     """
     betas = np.asarray(betas, dtype=np.float64)
     if sigma_h2 <= 0:
         raise ValueError("sigma_h2 must be positive")
-    M = betas.size
-    if unit:
-        g = np.ones((M, K, N), dtype=np.complex128)
-    else:
-        raw = rng.standard_normal((M, K, N, 2)) * np.sqrt(sigma_h2 / 2.0)
-        g = raw.view(np.complex128)[..., 0]
-    return np.sqrt(betas)[:, None, None] * g
+    raw = rng.standard_normal((betas.size, K, N, 2))
+    raw *= np.sqrt(sigma_h2 / 2.0)
+    h = raw.view(np.complex128)[..., 0]
+    h *= np.sqrt(betas)[:, None, None]      # in place: one (M, K, N) buffer
+    return h
 
 
 def draw_noise(K, N, sigma_z2, rng) -> np.ndarray:
@@ -114,3 +110,21 @@ def recover_cluster_update(combined, p_t, M, sigma_h2, beta_bar) -> np.ndarray:
     if denom <= 0:
         raise ValueError("recovery denominator must be positive")
     return unpack_complex(np.asarray(combined, dtype=np.complex128)) / denom
+
+
+def ota_aggregate(diffs, betas, p_t, K, sigma_h2, sigma_z2, fading_rng,
+                  noise_rng):
+    """Aggregate the (M, 2N) user diffs of one cluster over the air.
+
+    Returns (update, tx_energy = p_t^2 * sum |x|^2, symbols_sent).  The
+    helpers are called through the module's globals, so a test or a
+    profiler can swap any of them.
+    """
+    x = pack_complex(diffs)
+    M, N = x.shape
+    h = draw_channels_from_betas(betas, K, N, sigma_h2, fading_rng)
+    z = draw_noise(K, N, sigma_z2, noise_rng)
+    combined = uplink_and_combine(x, h, p_t, z)
+    update = recover_cluster_update(combined, p_t, M, sigma_h2, betas.sum())
+    tx_energy = p_t * p_t * float((x.real ** 2 + x.imag ** 2).sum())
+    return update, tx_energy, x.size

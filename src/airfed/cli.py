@@ -94,20 +94,23 @@ def _from_fields(cls, kv, path):
         raise ConfigError(f"{path}: {exc}")
 
 
+# Retired ScenarioConfig keys and their old defaults, the only behaviour
+# left: manifests written while the options existed still reproduce.
+_RETIRED_KEYS = {"optimizer": "sgd", "channel_mode": "rayleigh"}
+
+
 def _scenario_from_dict(kv, path):
-    """ScenarioConfig; scenario aliases are resolved and the key
-    ``optimizer = sgd`` of manifests written before plain SGD became the
-    only update rule is dropped."""
+    """ScenarioConfig; aliases resolved, retired keys at default dropped."""
     if "scenario" in kv:
         name, lineno = kv["scenario"]
         kv = {**kv, "scenario": (SCENARIO_ALIASES.get(str(name), name),
                                  lineno)}
-    if "optimizer" in kv:
-        val, lineno = kv["optimizer"]
-        if val != "sgd":
-            raise ConfigError(f"{path}:{lineno}: bad value for 'optimizer': "
-                              f"{val!r} (only 'sgd' is supported)")
-        kv = {k: v for k, v in kv.items() if k != "optimizer"}
+    for key, old in _RETIRED_KEYS.items():
+        if key in kv and kv[key][0] != old:
+            val, lineno = kv[key]
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: "
+                              f"{val!r} (only {old!r} is supported)")
+    kv = {k: v for k, v in kv.items() if k not in _RETIRED_KEYS}
     cfg = _from_fields(protocol.ScenarioConfig, kv, path)
     try:
         return cfg.validate()

@@ -9,6 +9,7 @@ large-scale gains taken from the direct user-to-PS distances.
 """
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
@@ -20,7 +21,6 @@ from . import channel, learner, rng, topology
 SCENARIOS = ("ideal_hier", "hotafl", "flat_ota")
 DATASETS = ("mnist", "synthetic")
 PARTITIONS = ("iid", "noniid")
-CHANNEL_MODES = ("rayleigh", "unit")
 
 MNIST_DIR_ENV = "AIRFED_MNIST_DIR"
 
@@ -30,7 +30,7 @@ def power_schedule(t, base, slope) -> float:
     if t < 0:
         raise ValueError("iteration index must be nonnegative")
     p = base + slope * t
-    if p <= 0:
+    if not p > 0:
         raise ValueError(f"power schedule non-positive at t={t}: {p}")
     return p
 
@@ -70,7 +70,6 @@ class ScenarioConfig:
     target_alpha: float = 0.4
     alpha_tolerance: float = 0.02
     path_loss_exp: float = 4.0
-    channel_mode: str = "rayleigh"
     train_samples: int = 20000
     test_samples: int = 4000
     feature_dim: int = 784
@@ -97,9 +96,14 @@ class ScenarioConfig:
                              f"got {self.scenario!r}")
         for name in ("C", "M", "K", "tau", "I", "T", "batch_size",
                      "train_samples", "test_samples", "feature_dim",
-                     "num_classes", "eval_train_samples"):
+                     "num_classes", "eval_train_samples",
+                     "max_place_retries"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        for f in fields(self):
+            if f.type in (float, Optional[float]) \
+                    and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         for name in ("seed", "data_seed"):
             if (getattr(self, name) or 0) < 0:
                 raise ValueError(f"{name} must be a nonnegative integer")
@@ -111,8 +115,6 @@ class ScenarioConfig:
             raise ValueError(f"dataset must be one of {DATASETS}")
         if self.partition not in PARTITIONS:
             raise ValueError(f"partition must be one of {PARTITIONS}")
-        if self.channel_mode not in CHANNEL_MODES:
-            raise ValueError(f"channel_mode must be one of {CHANNEL_MODES}")
         if not 0 < self.target_alpha < 1:
             raise ValueError("target_alpha must be in (0, 1)")
         if self.alpha_tolerance <= 0:
@@ -213,11 +215,7 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
     means.
     """
     C, M = cfg.C, cfg.M
-    ota = betas is not None
-    beta_bars = betas.sum(axis=1) if ota else None
     dim = learner.model_dim(cfg.feature_dim, cfg.num_classes)
-    n_sym = dim // 2 if ota else 0
-    unit = cfg.channel_mode == "unit"
 
     states = [[learner.UserLearnerState(
         shards[c][m], cfg.batch_size, rng.substream(cfg.seed, rng.BATCH, c, m))
@@ -254,25 +252,16 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
                     diffs[m] = end - theta_is
                 if collect_diffs:
                     diffs_t[c, i] = diffs
-                if ota:
-                    x = np.empty((M, n_sym), dtype=np.complex128)
-                    for m in range(M):
-                        x[m] = channel.pack_complex(diffs[m])
-                    h = channel.draw_channels_from_betas(
-                        betas[c], cfg.K, n_sym, cfg.sigma_h2,
-                        rng.substream(cfg.seed, rng.CHANNEL, t, i, c),
-                        unit=unit)
-                    z = channel.draw_noise(
-                        cfg.K, n_sym, cfg.sigma_z2,
-                        rng.substream(cfg.seed, rng.NOISE, t, i, c))
-                    combined = channel.uplink_and_combine(x, h, p_t, z)
-                    update = channel.recover_cluster_update(
-                        combined, p_t, M, cfg.sigma_h2, beta_bars[c])
-                    tx_energy += p_t * p_t * float(
-                        (x.real ** 2 + x.imag ** 2).sum())
-                    tx_count += x.size
-                else:
+                if betas is None:
                     update = diffs.sum(axis=0) / M
+                else:
+                    update, energy, sent = channel.ota_aggregate(
+                        diffs, betas[c], p_t, cfg.K, cfg.sigma_h2,
+                        cfg.sigma_z2,
+                        rng.substream(cfg.seed, rng.CHANNEL, t, i, c),
+                        rng.substream(cfg.seed, rng.NOISE, t, i, c))
+                    tx_energy += energy
+                    tx_count += sent
                 theta_is = theta_is + update
             delta_c = theta_is - theta_ps
             if not np.isfinite(delta_c).all():

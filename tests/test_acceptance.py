@@ -154,10 +154,15 @@ def test_criterion_2_statistical_channel_suite():
 # ---------------------------------------------------------------------------
 # 3. degenerate-channel equivalence
 
-def test_criterion_3_degenerate_channel_equivalence():
+def test_criterion_3_degenerate_channel_equivalence(monkeypatch):
+    # every fading coefficient is the constant sqrt(beta)
+    monkeypatch.setattr(
+        channel, "draw_channels_from_betas",
+        lambda betas, K, N, sigma_h2, rng: np.sqrt(betas)[:, None, None]
+        * np.ones((np.size(betas), K, N), dtype=np.complex128))
     cfg = protocol.ScenarioConfig(
         scenario="hotafl", C=2, M=2, K=4, tau=2, I=2, T=20, sigma_z2=0.0,
-        channel_mode="unit", power_base=1.0, power_slope=0.0,
+        power_base=1.0, power_slope=0.0,
         lr_base=0.05, lr_slope=2e-5, dataset="synthetic", feature_dim=7,
         num_classes=5, train_samples=400, test_samples=100, batch_size=20,
         seed=3)

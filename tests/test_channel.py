@@ -7,6 +7,10 @@ from airfed import channel, rng
 def test_pack_complex_example():
     out = channel.pack_complex(np.array([1.0, 2.0, 3.0, 4.0]))
     assert np.array_equal(out, np.array([1 + 3j, 2 + 4j]))
+    # a stack of user vectors packs row by row
+    out = channel.pack_complex(np.array([[1.0, 2.0, 3.0, 4.0],
+                                         [5.0, 6.0, 7.0, 8.0]]))
+    assert np.array_equal(out, np.array([[1 + 3j, 2 + 4j], [5 + 7j, 6 + 8j]]))
 
 
 def test_pack_rejects_odd_length():
@@ -24,6 +28,9 @@ def test_unpack_complex_example():
 def test_pack_unpack_round_trip():
     v = rng.substream(0, 1).standard_normal(64)
     assert np.array_equal(channel.unpack_complex(channel.pack_complex(v)), v)
+    stack = v.reshape(4, 16)
+    assert np.array_equal(
+        channel.unpack_complex(channel.pack_complex(stack)), stack)
 
 
 def test_draw_channels_moment_oracle():
@@ -40,9 +47,10 @@ def test_draw_channels_deterministic_and_unit():
     a = channel.draw_channels_from_betas(betas, 3, 5, 1.0, rng.substream(7, 0))
     b = channel.draw_channels_from_betas(betas, 3, 5, 1.0, rng.substream(7, 0))
     assert np.array_equal(a, b)
-    u = channel.draw_channels_from_betas(betas, 3, 5, 1.0, None, unit=True)
-    assert np.array_equal(u,
-                          np.sqrt(betas)[:, None, None] * np.ones((2, 3, 5)))
+    # unit gains draw the same small-scale fading, scaled by sqrt(beta)
+    u = channel.draw_channels_from_betas(np.ones(2), 3, 5, 1.0,
+                                         rng.substream(7, 0))
+    assert np.array_equal(a, np.sqrt(betas)[:, None, None] * u)
 
 
 def _const_channel(M, K, N, c=1.0):
@@ -162,16 +170,23 @@ def test_recover_scaling_inverse():
         channel.recover_cluster_update(combined, 0.0, M, sh2, bbar)
 
 
-def test_recover_hand_example_unit_channels():
+def test_recover_hand_example_unit_channels(monkeypatch):
     # two users, unit channels, diffs [2] and [4] (N=1): recovered value 3
     diffs = np.array([[2.0, 0.0], [4.0, 0.0]])
-    x = np.array([channel.pack_complex(d) for d in diffs])
-    ch = channel.draw_channels_from_betas(np.ones(2), 3, 1, 1.0, None,
-                                          unit=True)
+    x = channel.pack_complex(diffs)
+    ch = _const_channel(2, 3, 1)
     z = channel.draw_noise(3, 1, 0.0, None)
     combined = channel.uplink_and_combine(x, ch, 1.5, z)
     out = channel.recover_cluster_update(combined, 1.5, 2, 1.0, 2.0)
     assert np.allclose(out, [3.0, 0.0])
+    # the same aggregation in one call: tx energy 1.5^2 * (2^2 + 4^2)
+    monkeypatch.setattr(channel, "draw_channels_from_betas",
+                        lambda betas, K, N, sigma_h2, rng:
+                        _const_channel(betas.size, K, N))
+    update, energy, sent = channel.ota_aggregate(diffs, np.ones(2), 1.5, 3,
+                                                 1.0, 0.0, None, None)
+    assert np.allclose(update, [3.0, 0.0])
+    assert energy == pytest.approx(45.0) and sent == 2
 
 
 def test_recovery_error_decreases_with_K():

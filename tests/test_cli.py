@@ -63,7 +63,10 @@ def test_parse_rejects_bad_tau(tmp_path):
         cli.parse_config(_write(tmp_path, "scenario = hotafl\ntau = 0\n"))
     # each error names its key
     for line in ("seed = -1", "data_seed = -3", "eval_train_samples = 0",
-                 "path_loss_exp = -2"):
+                 "path_loss_exp = -2", "sigma_z2 = nan", "power_base = nan",
+                 "lr_base = nan", "lr_slope = nan", "l2_reg = nan",
+                 "sigma_h2 = inf", "alpha_tolerance = nan",
+                 "max_place_retries = -5"):
         key = line.split(" ")[0]
         with pytest.raises(cli.ConfigError, match=rf"cfg.txt: {key} must"):
             cli.parse_config(_write(tmp_path, f"scenario = hotafl\n{line}\n"))
@@ -132,6 +135,17 @@ def test_parse_bound_rejects_bad_values(tmp_path):
     with pytest.raises(cli.ConfigError, match=r"cfg.txt:6: bad value.*'N'"):
         cli.parse_config(_write(tmp_path, BOUND.replace("N = 3925",
                                                         "N = 3925.7")))
+    # non-finite floats are rejected, naming the key
+    for old, new in (("G2 = 1", "G2 = nan"), ("init_dist = 1000",
+                                               "init_dist = inf"),
+                     ("sigma_z2 = 10", "sigma_z2 = inf"),
+                     ("lr_base = 0.05", "lr_base = nan")):
+        key = new.split(" ")[0]
+        with pytest.raises(cli.ConfigError, match=rf"cfg.txt: {key} must"):
+            cli.parse_config(_write(tmp_path, BOUND.replace(old, new)))
+    with pytest.raises(cli.ConfigError, match=r"cfg.txt: betas must"):
+        cli.parse_config(_write(tmp_path, BOUND.replace("beta = 3",
+                                                        "beta = inf")))
     # a manifest float is not truncated into an int field
     out = str(tmp_path / "a")
     assert cli.main(["bound", "--config", _write(tmp_path, BOUND),
@@ -216,21 +230,23 @@ def test_manifest_rerun_byte_identical(tmp_path, capsys):
             a = open(os.path.join(out1, name), "rb").read()
             b = open(os.path.join(out2, name), "rb").read()
             assert a == b, name
-    # manifests written while an optimizer option existed carry "sgd"
+    # manifests written while the optimizer and channel_mode options
+    # existed carry their defaults "sgd" and "rayleigh"
     man = json.load(open(manifest))
-    man["config"]["optimizer"] = "sgd"
+    man["config"].update(optimizer="sgd", channel_mode="rayleigh")
     json.dump(man, open(manifest, "w"))
     out3 = str(tmp_path / "c")
     assert cli.main(["run", "--config", manifest, "--out", out3]) == 0
     for name in man["outputs"]:
         assert open(os.path.join(out1, name), "rb").read() == \
             open(os.path.join(out3, name), "rb").read(), name
-    man["config"]["optimizer"] = "adam"
-    json.dump(man, open(manifest, "w"))
-    assert cli.main(["run", "--config", manifest,
-                     "--out", str(tmp_path / "d")]) == 1
-    err = capsys.readouterr().err
-    assert "'optimizer'" in err and err.count("\n") == 1
+    for key, val in (("optimizer", "adam"), ("channel_mode", "unit")):
+        json.dump({**man, "config": {**man["config"], key: val}},
+                  open(manifest, "w"))
+        assert cli.main(["run", "--config", manifest,
+                         "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and err.count("\n") == 1
 
 
 def test_bound_command_and_rerun(tmp_path):

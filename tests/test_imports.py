@@ -1,5 +1,6 @@
-"""Every name a module in src/airfed imports is used in that module, and
-every ScenarioConfig option is read somewhere in the package."""
+"""Every name a module in src/airfed imports is used in that module, every
+top-level name it defines is referenced somewhere, and every ScenarioConfig
+option is read somewhere in the package."""
 
 import ast
 from dataclasses import fields
@@ -7,7 +8,8 @@ from pathlib import Path
 
 from airfed.protocol import ScenarioConfig
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "airfed"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "airfed"
 
 
 def _unused_imports(path):
@@ -27,6 +29,46 @@ def test_every_import_is_used():
     unused = [u for path in sorted(PACKAGE.glob("*.py"))
               for u in _unused_imports(path)]
     assert unused == []
+
+
+def _definitions(tree):
+    """Top-level functions, classes and assigned names of a module."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            out.update(t.id for t in targets if isinstance(t, ast.Name))
+    return out
+
+
+def _references(tree):
+    """Names a module loads, reads as attributes, imports or spells as a
+    string (perfbench names the functions it wraps)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_definition_is_referenced():
+    referenced = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            referenced |= _references(ast.parse(path.read_text("utf-8")))
+    dead = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+            for name in sorted(_definitions(ast.parse(path.read_text("utf-8"))))
+            if name not in referenced]
+    assert dead == []
 
 
 # ScenarioConfig methods that touch every field without using it

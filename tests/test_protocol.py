@@ -3,7 +3,7 @@ import pytest
 
 from dataclasses import replace
 
-from airfed import learner, protocol, rng, topology
+from airfed import channel, learner, protocol, rng, topology
 
 
 def _cfg(**kw):
@@ -121,10 +121,17 @@ def test_flat_is_one_level_specialization():
     assert np.array_equal(a.test_acc, b.test_acc)
 
 
-def test_degenerate_channel_equals_ideal():
-    cfg = _cfg(tau=2, I=2, sigma_z2=0.0, channel_mode="unit",
-               power_base=1.0, power_slope=0.0, feature_dim=7,
-               num_classes=5, T=8)
+def _coherent_channel(betas, K, N, sigma_h2, rng):
+    """Degenerate channel h = sqrt(beta) for every antenna and symbol."""
+    return np.sqrt(betas)[:, None, None] * np.ones((np.size(betas), K, N),
+                                                   dtype=np.complex128)
+
+
+def test_degenerate_channel_equals_ideal(monkeypatch):
+    monkeypatch.setattr(channel, "draw_channels_from_betas",
+                        _coherent_channel)
+    cfg = _cfg(tau=2, I=2, sigma_z2=0.0, power_base=1.0, power_slope=0.0,
+               feature_dim=7, num_classes=5, T=8)
     topo = topology.SystemTopology(np.ones((2, 2)), np.ones(4), 4.0)
     a = protocol.run_scenario(replace(cfg, scenario="ideal_hier"))
     b = protocol.run_scenario(cfg, topo=topo)
@@ -132,27 +139,38 @@ def test_degenerate_channel_equals_ideal():
 
 
 def test_setup_calls_once_per_run(monkeypatch):
-    # perfbench/run.py times setup from these calls and checks their counts
-    names = ("load_run_data", "partition_for_run", "build_topology")
+    # perfbench/run.py times setup and iterations from the protocol and
+    # learner calls, and each channel layer from the module attribute that
+    # channel.ota_aggregate calls once per cluster aggregation
+    targets = ((protocol, "load_run_data"), (protocol, "partition_for_run"),
+               (protocol, "build_topology"),
+               (channel, "draw_channels_from_betas"), (channel, "draw_noise"),
+               (channel, "uplink_and_combine"),
+               (channel, "recover_cluster_update"), (learner, "evaluate"))
+    names = [name for _, name in targets]
     calls = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(*args, _name=name, _fn=getattr(protocol, name), **kw):
+    for module, name in targets:
+        def counted(*args, _name=name, _fn=getattr(module, name), **kw):
             calls[_name] += 1
             return _fn(*args, **kw)
-        monkeypatch.setattr(protocol, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
     def counts(cfg, **kw):
         calls.update(dict.fromkeys(names, 0))
         protocol.run_scenario(cfg, **kw)
         return tuple(calls[n] for n in names)
 
-    cfg = _cfg(T=2)
+    cfg = _cfg(T=2, I=2)
     topo = protocol.build_topology(cfg)
-    assert counts(cfg) == (1, 1, 1)
-    assert counts(replace(cfg, scenario="flat_ota")) == (1, 1, 1)
-    assert counts(replace(cfg, scenario="ideal_hier")) == (1, 1, 0)
-    assert counts(cfg, topo=topo) == (1, 1, 0)
-    assert counts(replace(cfg, scenario="flat_ota"), topo=topo) == (1, 1, 0)
+    hier = (8,) * 4 + (2,)       # C*I*T aggregations, T evaluations
+    flat = (2,) * 4 + (2,)       # one cluster and I=1: T aggregations
+    ideal = (0,) * 4 + (2,)
+    assert counts(cfg) == (1, 1, 1) + hier
+    assert counts(replace(cfg, scenario="flat_ota")) == (1, 1, 1) + flat
+    assert counts(replace(cfg, scenario="ideal_hier")) == (1, 1, 0) + ideal
+    assert counts(cfg, topo=topo) == (1, 1, 0) + hier
+    assert counts(replace(cfg, scenario="flat_ota"), topo=topo) == \
+        (1, 1, 0) + flat
 
 
 def test_metrics_shape_and_csv(tmp_path):
