@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import learner, protocol
+from . import protocol
 
 Y_TERMS = ("signal_distortion", "interference", "noise",
            "drift_curvature", "drift_variance", "drift_heterogeneity")
@@ -79,12 +79,6 @@ class BoundParams:
         return protocol.power_schedule(a, self.power_base, self.power_slope)
 
 
-def a1_term(beta_1, beta_bar_1, beta_2, beta_bar_2) -> float:
-    """Cross-user distortion weight (1 - b1/bbar1)(1 - b2/bbar2), expanded."""
-    return (1.0 - beta_1 / beta_bar_1 - beta_2 / beta_bar_2
-            + beta_1 * beta_2 / (beta_bar_1 * beta_bar_2))
-
-
 def contraction_x(eta, mu, tau, I) -> float:
     """Per-iteration contraction 1 - mu*eta*I*(tau - eta*(tau - 1)).
 
@@ -103,7 +97,8 @@ def _distortion_and_interference(p: BoundParams, sq, cross):
 
     sq: (C, I, M) squared norms of the user differences d_{c,i,m}.  cross:
     ||sum_u (1 - beta_u/beta_bar_u) sum_i d_{u,i}||^2 over all C*M users,
-    the a1_term-weighted sum of <d_{u1,i1}, d_{u2,i2}> (the weights factor).
+    the sum of <d_{u1,i1}, d_{u2,i2}> weighted by the cross-user factor
+    (1 - beta_u1/beta_bar_u1)(1 - beta_u2/beta_bar_u2).
     """
     bb = p.beta_bar[:, None]
     M2C2 = (p.M * p.C) ** 2
@@ -157,22 +152,6 @@ def distance_bound_trajectory(p: BoundParams) -> np.ndarray:
     return out
 
 
-def distance_bound_closed_form(p: BoundParams, t: int) -> float:
-    """Unrolled form of the recursion at a single iteration t >= 1.
-
-    (prod_{a=1}^{t-1} X(a)) * init_dist
-      + sum_{b=1}^{t-1} Y(b) * prod_{a=b+1}^{t-1} X(a),
-    with empty products = 1 and empty sums = 0.
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    xs = {a: contraction_x(p.eta(a), p.mu, p.tau, p.I) for a in range(1, t)}
-    total = p.init_dist * float(np.prod([xs[a] for a in range(1, t)]))
-    for b in range(1, t):
-        total += drift_y(p, b) * float(np.prod([xs[a] for a in range(b + 1, t)]))
-    return total
-
-
 def bound_trajectory(p: BoundParams) -> np.ndarray:
     """Optimality-gap bound (L/2) * distance bound, t = 1..T."""
     return 0.5 * p.L * distance_bound_trajectory(p)
@@ -193,23 +172,20 @@ def bound_to_csv(p: BoundParams, path):
 
 def lemma_variance_oracle(which: str, p: BoundParams, a: Optional[int] = None,
                           diffs: Optional[np.ndarray] = None) -> float:
-    """Exact (or worst-case) value of one aggregation-error component.
+    """Exact value of one aggregation-error component.
 
     which: one of 'signal_distortion', 'interference', 'noise'.
 
-    With recorded user differences diffs of shape (C, I, M, 2N) the signal
-    and interference formulas are evaluated exactly; with diffs=None every
-    squared norm is replaced by the worst case eta(a)^2 * tau^2 * G2 and
-    the result matches the corresponding drift_y_terms entry.  The noise
-    component never needs diffs but needs the iteration index a for the
-    power schedule.
+    The signal and interference formulas are evaluated on the recorded user
+    differences diffs of shape (C, I, M, 2N).  The noise component never
+    needs diffs but needs the iteration index a for the power schedule.
     """
     if which not in Y_TERMS[:3]:
         raise ValueError(f"unknown component {which!r}")
-    if which == "noise" or diffs is None:
+    if which == "noise":
         if a is None:
-            raise ValueError(f"the {which} oracle needs the index a")
-        return drift_y_terms(p.eta(a), p.power(a), p)[which]
+            raise ValueError("the noise oracle needs the index a")
+        return drift_y_terms(p.eta(a), p.power(a), p)["noise"]
 
     diffs = np.asarray(diffs, dtype=np.float64)
     if diffs.shape[:3] != (p.C, p.I, p.M):
@@ -221,67 +197,3 @@ def lemma_variance_oracle(which: str, p: BoundParams, a: Optional[int] = None,
     sig, itf = _distortion_and_interference(p, (diffs ** 2).sum(axis=3),
                                             float(s @ s))
     return sig if which == "signal_distortion" else itf
-
-
-# ---------------------------------------------------------------------------
-# measuring problem constants for bound-vs-simulation comparisons
-
-def measure_problem_constants(shards, num_classes: int, l2: float,
-                              tol: float = 1e-10, max_iters: int = 200_000):
-    """Smoothness L, strong convexity mu, and the global minimizer.
-
-    shards is a flat list of per-user Datasets; the global objective is the
-    uniform average of the per-user regularized softmax losses.  L comes
-    from the softmax Hessian bound 0.5 * lambda_max(Gram/n) plus l2, taken
-    over shards; mu = l2 (from the ridge term).  theta* is found by
-    full-batch gradient descent at step 1/L until the gradient norm drops
-    below tol.  Returns (L, mu, theta_star, f_star).
-    """
-    if l2 <= 0:
-        raise ValueError("need l2 > 0 for strong convexity")
-    lam_max = 0.0
-    for s in shards:
-        aug = np.hstack([s.features, np.ones((len(s), 1))])
-        gram = aug.T @ aug / len(s)
-        lam_max = max(lam_max, float(np.linalg.eigvalsh(gram)[-1]))
-    L = l2 + 0.5 * lam_max
-    mu = l2
-
-    d = shards[0].feature_dim
-    theta = learner.zero_model(d, num_classes)
-    for _ in range(max_iters):
-        loss = 0.0
-        grad = np.zeros_like(theta)
-        for s in shards:
-            lo, g = learner.loss_and_gradient(theta, s.features, s.labels,
-                                              num_classes, l2)
-            loss += lo
-            grad += g
-        loss /= len(shards)
-        grad /= len(shards)
-        if float(np.linalg.norm(grad)) < tol:
-            return L, mu, theta, loss
-        theta -= grad / L
-    raise RuntimeError(f"gradient descent did not reach tol={tol} in "
-                       f"{max_iters} iterations")
-
-
-def measure_gradient_bound(shards, num_classes: int, l2: float, theta_samples,
-                           batch_size: int, rng, draws_per_shard: int = 50,
-                           safety: float = 1.5) -> float:
-    """Empirical bound G2 on squared stochastic gradient norms.
-
-    Samples random batches at the supplied model iterates and returns
-    safety * max ||grad||^2.
-    """
-    worst = 0.0
-    for theta in theta_samples:
-        for s in shards:
-            for _ in range(draws_per_shard):
-                idx = rng.choice(len(s), size=min(batch_size, len(s)),
-                                 replace=False)
-                _, g = learner.loss_and_gradient(theta, s.features[idx],
-                                                 s.labels[idx], num_classes,
-                                                 l2)
-                worst = max(worst, float(g @ g))
-    return safety * worst

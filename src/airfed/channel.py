@@ -81,29 +81,6 @@ def uplink_and_combine(symbols, h, p_t, z):
     return (np.conj(hs) * y).sum(axis=0) / h.shape[1]
 
 
-def decompose_terms(symbols, h, p_t, noise):
-    """Signal, interference, and noise summands of the combined output.
-
-    Given the same noise draws, signal + interference + noise equals
-    uplink_and_combine(symbols, h, p_t, noise).
-    """
-    x = _check_shapes(symbols, h, noise)
-    p_t = float(p_t)
-    z = np.asarray(noise, dtype=np.complex128)
-    K = h.shape[1]
-    gain = (h.real ** 2 + h.imag ** 2).sum(axis=1) / K   # (M, N)
-    sig = p_t * (gain * x).sum(axis=0)
-    hs = h.sum(axis=0)
-    sx = np.einsum("mkn,mn->kn", h, x)
-    if h.shape[0] == 1:          # single user: no cross terms at all
-        itf = np.zeros(h.shape[2], dtype=np.complex128)
-    else:
-        itf = p_t * ((np.conj(hs) * sx).sum(axis=0) / K
-                     - (gain * x).sum(axis=0))
-    noi = (np.conj(hs) * z).sum(axis=0) / K
-    return sig, itf, noi
-
-
 def recover_cluster_update(combined, p_t, M, sigma_h2, beta_bar) -> np.ndarray:
     """Divide out the nominal gain and unpack back to a 2N real vector."""
     denom = p_t * M * sigma_h2 * beta_bar

@@ -96,7 +96,8 @@ def _from_fields(cls, kv, path):
 
 # Retired ScenarioConfig keys and their old defaults, the only behaviour
 # left: manifests written while the options existed still reproduce.
-_RETIRED_KEYS = {"optimizer": "sgd", "channel_mode": "rayleigh"}
+_RETIRED_KEYS = {"optimizer": "sgd", "channel_mode": "rayleigh",
+                 "max_place_retries": 10000}
 
 
 def _scenario_from_dict(kv, path):
@@ -106,7 +107,8 @@ def _scenario_from_dict(kv, path):
         kv = {**kv, "scenario": (SCENARIO_ALIASES.get(str(name), name),
                                  lineno)}
     for key, old in _RETIRED_KEYS.items():
-        if key in kv and kv[key][0] != old:
+        # typed like the old field: text gives "10000", a manifest 10000
+        if key in kv and _typed(type(old), key, kv[key], path) != old:
             val, lineno = kv[key]
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: "
                               f"{val!r} (only {old!r} is supported)")
@@ -211,6 +213,9 @@ def summarize(csv_paths, out_path):
                     last = line.strip().split(",")
             if last is None:
                 raise ConfigError(f"{path}: no data rows")
+            if len(last) != len(header):
+                raise ConfigError(f"{path}: last row has {len(last)} "
+                                  f"fields, header has {len(header)}")
             finals.setdefault(last[si], []).append(float(last[ai]))
 
     means = {s: float(np.mean(v)) for s, v in finals.items()}

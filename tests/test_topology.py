@@ -63,8 +63,7 @@ def test_place_users_deterministic():
 
 def test_place_users_unreachable_alpha():
     with pytest.raises(topology.PlacementError):
-        topology.place_users(2, 2, 4.0, 0.99, 1e-6,
-                             rng.substream(1, 0), max_retries=50)
+        topology.place_users(2, 2, 4.0, 0.99, 1e-6, rng.substream(1, 0))
 
 
 def test_place_users_validates_target():
