@@ -6,7 +6,7 @@ bound sweep.  The keys, their types and which of them are required come
 from the ``ScenarioConfig`` and ``BoundParams`` dataclasses; unknown keys
 are hard errors.  Every ``run``/``bound`` invocation writes a manifest.json
 next to its outputs; passing that manifest back as --config reproduces the
-outputs byte for byte.
+outputs byte for byte under the same ``tool_version``.
 """
 
 import argparse
@@ -19,7 +19,7 @@ from dataclasses import MISSING, fields, replace
 
 import numpy as np
 
-from . import __version__, bounds, protocol, topology
+from . import __version__, bounds, protocol
 
 SCENARIO_ALIASES = {
     "ideal": "ideal_hier", "ideal_hier": "ideal_hier",
@@ -95,9 +95,9 @@ def _from_fields(cls, kv, path):
 
 
 # Retired ScenarioConfig keys and their old defaults, the only behaviour
-# left: manifests written while the options existed still reproduce.
+# left: manifests written while the options existed still load.
 _RETIRED_KEYS = {"optimizer": "sgd", "channel_mode": "rayleigh",
-                 "max_place_retries": 10000}
+                 "max_place_retries": 10000, "eval_train_samples": 2000}
 
 
 def _scenario_from_dict(kv, path):
@@ -216,7 +216,12 @@ def summarize(csv_paths, out_path):
             if len(last) != len(header):
                 raise ConfigError(f"{path}: last row has {len(last)} "
                                   f"fields, header has {len(header)}")
-            finals.setdefault(last[si], []).append(float(last[ai]))
+            try:
+                acc = float(last[ai])
+            except ValueError:
+                raise ConfigError(f"{path}: last row's test_acc "
+                                  f"{last[ai]!r} is not a number")
+            finals.setdefault(last[si], []).append(acc)
 
     means = {s: float(np.mean(v)) for s, v in finals.items()}
     chain = [s for s in protocol.SCENARIOS if s in means]
@@ -333,8 +338,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError,
-            topology.PlacementError) as exc:
+    except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"airfed: error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,6 +23,8 @@ DATASETS = ("mnist", "synthetic")
 PARTITIONS = ("iid", "noniid")
 
 MNIST_DIR_ENV = "AIRFED_MNIST_DIR"
+# training samples the per-iteration train loss is evaluated on
+EVAL_TRAIN_SAMPLES = 2000
 
 
 def power_schedule(t, base, slope) -> float:
@@ -75,7 +77,6 @@ class ScenarioConfig:
     feature_dim: int = 784
     num_classes: int = 10
     l2_reg: float = 0.0
-    eval_train_samples: int = 2000
 
     def __post_init__(self):
         if self.K == 0:
@@ -95,7 +96,7 @@ class ScenarioConfig:
                              f"got {self.scenario!r}")
         for name in ("C", "M", "K", "tau", "I", "T", "batch_size",
                      "train_samples", "test_samples", "feature_dim",
-                     "num_classes", "eval_train_samples"):
+                     "num_classes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
         for f in fields(self):
@@ -219,7 +220,7 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
         for m in range(M)] for c in range(C)]
 
     eval_gen = rng.substream(cfg.effective_data_seed, rng.EVAL)
-    n_eval = min(cfg.eval_train_samples, len(train))
+    n_eval = min(EVAL_TRAIN_SAMPLES, len(train))
     eval_idx = np.sort(eval_gen.choice(len(train), size=n_eval, replace=False))
     eval_feats = train.features[eval_idx]
     eval_labels = train.labels[eval_idx]

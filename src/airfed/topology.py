@@ -4,22 +4,17 @@ Users sit inside non-overlapping clusters, each served by one intermediate
 server (IS); every user also has a direct distance to the parameter server
 (PS).  Large-scale fading is pure path loss, beta = d**-p.  The closeness
 ratio alpha compares total user-to-IS distance against total user-to-PS
-distance.
+distance; a placement is one uniform draw whose PS distances are scaled by
+one common factor when its alpha misses the target, so it cannot fail.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# placement bounds for user-to-IS and user-to-PS distances
+# drawing ranges for user-to-IS and user-to-PS distances
 IS_DIST_LO, IS_DIST_HI = 0.5, 1.0
 PS_DIST_LO, PS_DIST_HI = 0.5, 3.0
-# placements drawn before place_users gives up
-MAX_PLACE_TRIES = 10_000
-
-
-class PlacementError(RuntimeError):
-    """Raised when rejection sampling cannot hit the target alpha."""
 
 
 @dataclass(frozen=True)
@@ -66,21 +61,22 @@ def closeness_ratio(d_is, d_ps) -> float:
 
 def place_users(C, M, path_loss_exp, target_alpha, tolerance,
                 rng) -> SystemTopology:
-    """Rejection-sample a placement until the closeness ratio hits target_alpha.
+    """One placement draw, scaled onto target_alpha if it misses it.
 
-    Distances are uniform in [0.5, 1] (to the IS) and [0.5, 3] (to the PS);
-    the whole placement is redrawn until |alpha - target| <= tolerance, at
-    most MAX_PLACE_TRIES times.  Deterministic given the generator state.
+    Distances are drawn uniform in [0.5, 1] (to the IS) and [0.5, 3] (to
+    the PS).  A draw with |alpha - target_alpha| <= tolerance is kept as
+    drawn.  Otherwise every PS distance is multiplied by the common factor
+    s = alpha / target_alpha, which puts alpha on the target up to rounding
+    and keeps the ratios between the users' PS gains; the PS distances then
+    lie in [0.5 s, 3 s].  Deterministic given the generator state.
     """
     if not 0 < target_alpha < 1:
         raise ValueError(f"target_alpha must be in (0, 1), got {target_alpha}")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    for _ in range(MAX_PLACE_TRIES):
-        d_is = rng.uniform(IS_DIST_LO, IS_DIST_HI, size=(C, M))
-        d_ps = rng.uniform(PS_DIST_LO, PS_DIST_HI, size=C * M)
-        if abs(closeness_ratio(d_is, d_ps) - target_alpha) <= tolerance:
-            return SystemTopology(d_is, d_ps, path_loss_exp)
-    raise PlacementError(
-        f"no placement with |alpha - {target_alpha}| <= {tolerance} "
-        f"after {MAX_PLACE_TRIES} attempts")
+    d_is = rng.uniform(IS_DIST_LO, IS_DIST_HI, size=(C, M))
+    d_ps = rng.uniform(PS_DIST_LO, PS_DIST_HI, size=C * M)
+    alpha = closeness_ratio(d_is, d_ps)
+    if abs(alpha - target_alpha) > tolerance:
+        d_ps *= alpha / target_alpha
+    return SystemTopology(d_is, d_ps, path_loss_exp)

@@ -15,7 +15,6 @@ from airfed import bounds, channel, cli, learner, protocol, rng, topology
 from oracles import (a1_term, decompose_terms, distance_bound_closed_form,
                      measure_gradient_bound, measure_problem_constants)
 
-FAST = os.environ.get("AIRFED_FAST", "") in ("1", "true", "yes")
 MNIST_DIR = os.environ.get(protocol.MNIST_DIR_ENV)
 
 
@@ -184,7 +183,7 @@ def test_criterion_3_degenerate_channel_equivalence(monkeypatch):
 
 def _ordering_cfg(**kw):
     base = dict(scenario="hotafl", C=4, M=5, K=100, tau=1, I=1,
-                T=30 if FAST else 60, sigma_z2=1.0, power_base=1.0,
+                T=60, sigma_z2=1.0, power_base=1.0,
                 power_slope=0.01, flat_power_base=1.5, lr_base=0.05,
                 lr_slope=2e-5, dataset="synthetic", partition="iid",
                 feature_dim=64, num_classes=10, train_samples=20000,
@@ -205,7 +204,7 @@ def _final_accs(cfg, seeds, scenarios):
 
 def _mnist_cfg(**kw):
     base = dict(scenario="hotafl", C=4, M=5, K=100, tau=1, I=1,
-                T=50 if FAST else 200, sigma_z2=10.0, power_base=1.0,
+                T=200, sigma_z2=10.0, power_base=1.0,
                 power_slope=0.01, flat_power_base=1.5, lr_base=0.05,
                 lr_slope=2e-5, dataset="mnist", partition="iid",
                 feature_dim=784, num_classes=10, batch_size=500)

@@ -62,10 +62,10 @@ def test_parse_rejects_bad_tau(tmp_path):
     with pytest.raises(cli.ConfigError, match="tau"):
         cli.parse_config(_write(tmp_path, "scenario = hotafl\ntau = 0\n"))
     # each error names its key
-    for line in ("seed = -1", "data_seed = -3", "eval_train_samples = 0",
-                 "path_loss_exp = -2", "sigma_z2 = nan", "power_base = nan",
-                 "lr_base = nan", "lr_slope = nan", "l2_reg = nan",
-                 "sigma_h2 = inf", "alpha_tolerance = nan"):
+    for line in ("seed = -1", "data_seed = -3", "path_loss_exp = -2",
+                 "sigma_z2 = nan", "power_base = nan", "lr_base = nan",
+                 "lr_slope = nan", "l2_reg = nan", "sigma_h2 = inf",
+                 "alpha_tolerance = nan"):
         key = line.split(" ")[0]
         with pytest.raises(cli.ConfigError, match=rf"cfg.txt: {key} must"):
             cli.parse_config(_write(tmp_path, f"scenario = hotafl\n{line}\n"))
@@ -229,11 +229,12 @@ def test_manifest_rerun_byte_identical(tmp_path, capsys):
             a = open(os.path.join(out1, name), "rb").read()
             b = open(os.path.join(out2, name), "rb").read()
             assert a == b, name
-    # manifests written while the optimizer, channel_mode and
-    # max_place_retries options existed carry their defaults
+    # manifests written while the optimizer, channel_mode,
+    # max_place_retries and eval_train_samples options existed carry their
+    # defaults
     man = json.load(open(manifest))
     man["config"].update(optimizer="sgd", channel_mode="rayleigh",
-                         max_place_retries=10000)
+                         max_place_retries=10000, eval_train_samples=2000)
     json.dump(man, open(manifest, "w"))
     out3 = str(tmp_path / "c")
     assert cli.main(["run", "--config", manifest, "--out", out3]) == 0
@@ -241,10 +242,11 @@ def test_manifest_rerun_byte_identical(tmp_path, capsys):
         assert open(os.path.join(out1, name), "rb").read() == \
             open(os.path.join(out3, name), "rb").read(), name
     # a text config spells the same default as a string
-    text = _write(tmp_path, SMOKE + "max_place_retries = 10000\n", "old.cfg")
+    text = _write(tmp_path, SMOKE + "max_place_retries = 10000\n"
+                  "eval_train_samples = 2000\n", "old.cfg")
     assert cli.parse_config(text) == cli.parse_config(cfg)
     for key, val in (("optimizer", "adam"), ("channel_mode", "unit"),
-                     ("max_place_retries", 3)):
+                     ("max_place_retries", 3), ("eval_train_samples", 0)):
         json.dump({**man, "config": {**man["config"], key: val}},
                   open(manifest, "w"))
         text = _write(tmp_path, f"{SMOKE}{key} = {val}\n", "old.cfg")
@@ -313,7 +315,8 @@ def test_summarize_ordering_flag(tmp_path):
 def test_summarize_malformed_csv(tmp_path, capsys):
     bad = str(tmp_path / "bad.csv")
     for text in ("nope\n1,2\n",
-                 "scenario,test_acc\nhotafl,0.5\nflat_ota\n"):
+                 "scenario,test_acc\nhotafl,0.5\nflat_ota\n",
+                 "scenario,test_acc\nhotafl,abc\n"):
         open(bad, "w").write(text)
         assert cli.main(["summarize", bad,
                          "--out", str(tmp_path / "s.csv")]) == 1
@@ -326,16 +329,6 @@ def test_unknown_scenario_name_errors(tmp_path):
     cfg = _write(tmp_path, SMOKE)
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--scenarios", "bogus"]) == 1
-
-
-def test_run_placement_failure_is_one_line_error(tmp_path, capsys):
-    # alpha is at least 0.5/3, so no placement reaches 0.1
-    cfg = _write(tmp_path, SMOKE + "target_alpha = 0.1\n")
-    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
-                     "--scenarios", "hotafl"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("airfed: error: no placement")
-    assert err.count("\n") == 1
 
 
 def test_run_non_finite_is_one_line_error(tmp_path, capsys):

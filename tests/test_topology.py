@@ -46,12 +46,39 @@ def test_closeness_ratio():
     assert alpha == pytest.approx(2.9 / 7.0)
 
 
+def _first_draw(C, M, gen):
+    """The d_is and d_ps a placement draws before any scaling."""
+    return gen.uniform(0.5, 1.0, size=(C, M)), gen.uniform(0.5, 3.0, C * M)
+
+
 def test_place_users_hits_target_alpha():
     gen = rng.substream(3, rng.TOPOLOGY)
     topo = topology.place_users(4, 5, 4.0, 0.4, 0.02, gen)
     assert abs(topology.closeness_ratio(topo.d_is, topo.d_ps) - 0.4) <= 0.02
     assert np.all((topo.d_is >= 0.5) & (topo.d_is <= 1.0))
-    assert np.all((topo.d_ps >= 0.5) & (topo.d_ps <= 3.0))
+    assert topo.d_ps.max() / topo.d_ps.min() <= 6
+
+
+def test_place_users_keeps_draw_in_band():
+    # the first draw has alpha = 0.4108, inside 0.4 +- 0.02
+    d_is, d_ps = _first_draw(4, 5, rng.substream(2, rng.TOPOLOGY))
+    assert abs(topology.closeness_ratio(d_is, d_ps) - 0.4108) < 1e-4
+    topo = topology.place_users(4, 5, 4.0, 0.4, 0.02,
+                                rng.substream(2, rng.TOPOLOGY))
+    assert np.array_equal(topo.d_is, d_is)
+    assert np.array_equal(topo.d_ps, d_ps)
+
+
+def test_place_users_scales_ps_distances_off_band():
+    # the first draw has alpha = 0.5185: d_is stays, d_ps takes one factor
+    d_is, d_ps = _first_draw(4, 5, rng.substream(3, rng.TOPOLOGY))
+    alpha = topology.closeness_ratio(d_is, d_ps)
+    assert abs(alpha - 0.5185) < 1e-4
+    topo = topology.place_users(4, 5, 4.0, 0.4, 0.02,
+                                rng.substream(3, rng.TOPOLOGY))
+    assert np.array_equal(topo.d_is, d_is)
+    factor = topo.d_ps / d_ps
+    assert factor == pytest.approx(np.full(20, alpha / 0.4), rel=1e-15)
 
 
 def test_place_users_deterministic():
@@ -61,9 +88,17 @@ def test_place_users_deterministic():
     assert np.array_equal(a.d_ps, b.d_ps)
 
 
-def test_place_users_unreachable_alpha():
-    with pytest.raises(topology.PlacementError):
-        topology.place_users(2, 2, 4.0, 0.99, 1e-6, rng.substream(1, 0))
+def test_place_users_far_target_alpha():
+    # far outside what uniform draws reach (alpha ~ 0.43 +- 0.05 at 4x5,
+    # +- 0.002 at 100x100), so the PS distances are scaled onto the target
+    for C, M, target in ((4, 5, 0.1), (4, 5, 0.25), (4, 5, 0.6),
+                         (4, 5, 0.99), (100, 100, 0.4)):
+        topo = topology.place_users(C, M, 4.0, target, 0.02,
+                                    rng.substream(1, rng.TOPOLOGY))
+        alpha = topology.closeness_ratio(topo.d_is, topo.d_ps)
+        assert abs(alpha - target) <= 1e-12
+        assert np.all((topo.d_is >= 0.5) & (topo.d_is <= 1.0))
+        assert topo.d_ps.max() / topo.d_ps.min() <= 6
 
 
 def test_place_users_validates_target():
