@@ -5,6 +5,11 @@ symbols, all users in a cluster transmit simultaneously through i.i.d.
 Rayleigh fading to the K-antenna IS, the IS combines antennas with the
 conjugated channel sum, and the cluster update is recovered by dividing
 out the nominal combining gain p_t * M * sigma_h2 * beta_bar.
+
+The combined output of a symbol depends on its (M, K) channel H only
+through the Gram matrix W = H H^H, which is complex Wishart(K,
+sigma_h2 * diag(beta)).  When K >= M, ota_aggregate draws W's Bartlett
+factor instead of H, so its cost does not grow with K.
 """
 
 import numpy as np
@@ -40,6 +45,31 @@ def draw_channels_from_betas(betas, K, N, sigma_h2, rng) -> np.ndarray:
     h = raw.view(np.complex128)[..., 0]
     h *= np.sqrt(betas)[:, None, None]      # in place: one (M, K, N) buffer
     return h
+
+
+def draw_gram_factor(betas, K, N, sigma_h2, rng) -> np.ndarray:
+    """Draw the (N, M, M) Bartlett factor G of each symbol's W = H H^H.
+
+    For H drawn as draw_channels_from_betas draws it, W = G G^H in
+    distribution with G = diag(sqrt(sigma_h2 * betas)) L, L lower
+    triangular, |L_ii|^2 ~ Gamma(K - i) for i = 0..M-1 and CN(0, 1) entries
+    below the diagonal (Goodman 1963; Edelman 1989).  Needs K >= M.
+    """
+    betas = np.asarray(betas, dtype=np.float64)
+    M = betas.size
+    if sigma_h2 <= 0:
+        raise ValueError("sigma_h2 must be positive")
+    if K < M:
+        raise ValueError(f"the Bartlett factor needs K >= M, got K={K}, M={M}")
+    diag = np.arange(M)
+    g = np.zeros((N, M, M), dtype=np.complex128)
+    g[:, diag, diag] = np.sqrt(rng.standard_gamma(K - diag, size=(N, M)))
+    rows, cols = np.tril_indices(M, -1)
+    raw = rng.standard_normal((N, rows.size, 2))
+    raw *= np.sqrt(0.5)
+    g[:, rows, cols] = raw.view(np.complex128)[..., 0]
+    g *= np.sqrt(sigma_h2 * betas)[:, None]
+    return g
 
 
 def draw_noise(K, N, sigma_z2, rng) -> np.ndarray:
@@ -93,15 +123,31 @@ def ota_aggregate(diffs, betas, p_t, K, sigma_h2, sigma_z2, fading_rng,
                   noise_rng):
     """Aggregate the (M, 2N) user diffs of one cluster over the air.
 
-    Returns (update, tx_energy = p_t^2 * sum |x|^2, symbols_sent).  The
-    helpers are called through the module's globals, so a test or a
-    profiler can swap any of them.
+    Returns (update, tx_energy = p_t^2 * sum |x|^2, symbols_sent).  With
+    K >= M each symbol's combined output is drawn from the Bartlett factor
+    G of its Gram matrix: p_t * r.u / K with u = G^T x and r = conj(1^T G),
+    plus CN(0, sigma_z2 * |r|^2) / K receiver noise.  With K < M the full
+    (M, K, N) channel and (K, N) noise are drawn and combined.  The helpers
+    are called through the module's globals, so a test or a profiler can
+    swap any of them.
     """
     x = pack_complex(diffs)
     M, N = x.shape
-    h = draw_channels_from_betas(betas, K, N, sigma_h2, fading_rng)
-    z = draw_noise(K, N, sigma_z2, noise_rng)
-    combined = uplink_and_combine(x, h, p_t, z)
+    if K >= M:
+        if sigma_z2 < 0:
+            raise ValueError("sigma_z2 must be nonnegative")
+        g = draw_gram_factor(betas, K, N, sigma_h2, fading_rng)
+        u = np.einsum("nij,in->nj", g, x)
+        r = np.conj(g.sum(axis=1))
+        combined = p_t * (r * u).sum(axis=1) / K
+        if sigma_z2 > 0:
+            raw = noise_rng.standard_normal((N, 2))
+            scale = np.sqrt(sigma_z2 / 2.0 * (np.abs(r) ** 2).sum(axis=1)) / K
+            combined += raw.view(np.complex128)[:, 0] * scale
+    else:
+        h = draw_channels_from_betas(betas, K, N, sigma_h2, fading_rng)
+        z = draw_noise(K, N, sigma_z2, noise_rng)
+        combined = uplink_and_combine(x, h, p_t, z)
     update = recover_cluster_update(combined, p_t, M, sigma_h2, betas.sum())
     tx_energy = p_t * p_t * float((x.real ** 2 + x.imag ** 2).sum())
     return update, tx_energy, x.size

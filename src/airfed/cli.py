@@ -221,6 +221,9 @@ def summarize(csv_paths, out_path):
             except ValueError:
                 raise ConfigError(f"{path}: last row's test_acc "
                                   f"{last[ai]!r} is not a number")
+            if not np.isfinite(acc):
+                raise ConfigError(f"{path}: last row's test_acc "
+                                  f"{last[ai]!r} is not finite")
             finals.setdefault(last[si], []).append(acc)
 
     means = {s: float(np.mean(v)) for s, v in finals.items()}

@@ -156,11 +156,13 @@ def test_criterion_2_statistical_channel_suite():
 # 3. degenerate-channel equivalence
 
 def test_criterion_3_degenerate_channel_equivalence(monkeypatch):
-    # every fading coefficient is the constant sqrt(beta)
+    # every fading coefficient is the constant sqrt(beta): the Bartlett
+    # factor of W = K sqrt(beta) sqrt(beta)^T is G = sqrt(K) sqrt(beta)
     monkeypatch.setattr(
-        channel, "draw_channels_from_betas",
-        lambda betas, K, N, sigma_h2, rng: np.sqrt(betas)[:, None, None]
-        * np.ones((np.size(betas), K, N), dtype=np.complex128))
+        channel, "draw_gram_factor",
+        lambda betas, K, N, sigma_h2, rng: np.sqrt(K)
+        * np.sqrt(betas)[None, :, None]
+        * np.ones((N, np.size(betas), 1), dtype=np.complex128))
     cfg = protocol.ScenarioConfig(
         scenario="hotafl", C=2, M=2, K=4, tau=2, I=2, T=20, sigma_z2=0.0,
         power_base=1.0, power_slope=0.0,

@@ -181,9 +181,10 @@ def test_recover_hand_example_unit_channels(monkeypatch):
     out = channel.recover_cluster_update(combined, 1.5, 2, 1.0, 2.0)
     assert np.allclose(out, [3.0, 0.0])
     # the same aggregation in one call: tx energy 1.5^2 * (2^2 + 4^2)
-    monkeypatch.setattr(channel, "draw_channels_from_betas",
+    # unit channels: W = K 1 1^T, whose Bartlett factor is G = sqrt(K) 1
+    monkeypatch.setattr(channel, "draw_gram_factor",
                         lambda betas, K, N, sigma_h2, rng:
-                        _const_channel(betas.size, K, N))
+                        np.full((N, betas.size, 1), np.sqrt(K), dtype=complex))
     update, energy, sent = channel.ota_aggregate(diffs, np.ones(2), 1.5, 3,
                                                  1.0, 0.0, None, None)
     assert np.allclose(update, [3.0, 0.0])
@@ -210,3 +211,71 @@ def test_recovery_error_decreases_with_K():
         errs.append(sq / 200)
     assert errs[0] > errs[1] > errs[2]
 
+
+
+def _aggregate_replications(x, betas, K, reps, full_tensor, key):
+    """(reps, 2N) updates of reps independent aggregations of the (M, N)
+    symbols x, p_t = 1.3, sigma_h2 = 1.2 and the paper's sigma_z2 = 10.
+
+    Every symbol's channel and noise are drawn independently, so one call
+    with the symbols repeated r times gives r replications.  full_tensor
+    chains draw_channels_from_betas, draw_noise and uplink_and_combine;
+    otherwise ota_aggregate runs (its Bartlett path, as K >= M here).
+    """
+    M, N = x.shape
+    chunk = 250                  # replications per call: <= 64 MB of h
+    out = []
+    for start in range(0, reps, chunk):
+        xs = np.tile(x, chunk)
+        fading = rng.substream(41, rng.CHANNEL, *key, start)
+        noise = rng.substream(41, rng.NOISE, *key, start)
+        if full_tensor:
+            h = channel.draw_channels_from_betas(betas, K, xs.shape[1], 1.2,
+                                                 fading)
+            z = channel.draw_noise(K, xs.shape[1], 10.0, noise)
+            combined = channel.uplink_and_combine(xs, h, 1.3, z)
+            update = channel.recover_cluster_update(combined, 1.3, M, 1.2,
+                                                    betas.sum())
+        else:
+            update, _, _ = channel.ota_aggregate(
+                channel.unpack_complex(xs), betas, 1.3, K, 1.2, 10.0, fading,
+                noise)
+        # update = [real parts, imaginary parts] of chunk * N symbols
+        out.append(update.reshape(2, chunk, N).transpose(1, 0, 2)
+                   .reshape(chunk, 2 * N))
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("M", (1, 5, 20))
+def test_bartlett_aggregation_matches_full_tensor(M):
+    # ota_aggregate's Bartlett draw against the full (M, K, N) tensor path,
+    # N = 8 fixed symbols, 4000 replications of each.  Tolerances: every
+    # coordinate's mean differs by at most 4 standard errors, and the
+    # ratio of the total variance (the aggregation error energy summed
+    # over the 2N coordinates) lies in [0.9, 1.1]
+    reps = 4000
+    gen = rng.substream(41, M)
+    betas = gen.uniform(0.5, 8.0, M)
+    x = gen.standard_normal((M, 8, 2)).view(np.complex128)[..., 0]
+    for K in (M, 100):
+        fast = _aggregate_replications(x, betas, K, reps, False, (M, K, 0))
+        ref = _aggregate_replications(x, betas, K, reps, True, (M, K, 1))
+        var_f, var_r = fast.var(axis=0, ddof=1), ref.var(axis=0, ddof=1)
+        z = (fast.mean(axis=0) - ref.mean(axis=0)) / np.sqrt(
+            (var_f + var_r) / reps)
+        assert np.abs(z).max() <= 4.0, (K, z)
+        assert 0.9 <= var_f.sum() / var_r.sum() <= 1.1, (K, var_f, var_r)
+
+
+def test_gram_factor_shape_and_bartlett_diagonal():
+    betas = np.array([0.5, 2.0, 8.0])
+    g = channel.draw_gram_factor(betas, 6, 20000, 1.5, rng.substream(3, 0))
+    assert g.shape == (20000, 3, 3)
+    # E|G_ii|^2 = sigma_h2 beta_i (K - i), E|G_ij|^2 = sigma_h2 beta_i below
+    # the diagonal and exact zeros above it
+    power = (np.abs(g) ** 2).mean(axis=0)
+    expect = 1.5 * betas[:, None] * np.tril(np.ones((3, 3)), -1)
+    expect[np.diag_indices(3)] = 1.5 * betas * (6 - np.arange(3))
+    assert power == pytest.approx(expect, rel=0.03, abs=1e-12)
+    with pytest.raises(ValueError, match="K >= M"):
+        channel.draw_gram_factor(betas, 2, 4, 1.0, rng.substream(3, 0))

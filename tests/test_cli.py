@@ -314,15 +314,21 @@ def test_summarize_ordering_flag(tmp_path):
 
 def test_summarize_malformed_csv(tmp_path, capsys):
     bad = str(tmp_path / "bad.csv")
-    for text in ("nope\n1,2\n",
-                 "scenario,test_acc\nhotafl,0.5\nflat_ota\n",
-                 "scenario,test_acc\nhotafl,abc\n"):
+    for text, reason in (
+            ("nope\n1,2\n", "missing scenario/test_acc columns"),
+            ("scenario,test_acc\nhotafl,0.5\nflat_ota\n",
+             "last row has 1 fields, header has 2"),
+            ("scenario,test_acc\nhotafl,abc\n",
+             "last row's test_acc 'abc' is not a number"),
+            # a diverged run: no NaN row in the summary or ordering flag
+            ("scenario,test_acc\nhotafl,0.5\nhotafl,nan\n",
+             "last row's test_acc 'nan' is not finite"),
+            ("scenario,test_acc\nhotafl,inf\n",
+             "last row's test_acc 'inf' is not finite")):
         open(bad, "w").write(text)
         assert cli.main(["summarize", bad,
                          "--out", str(tmp_path / "s.csv")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"airfed: error: {bad}: ")
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == f"airfed: error: {bad}: {reason}\n"
 
 
 def test_unknown_scenario_name_errors(tmp_path):
