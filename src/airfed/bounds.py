@@ -53,8 +53,9 @@ class BoundParams:
 
     def __post_init__(self):
         self.betas = np.atleast_2d(np.asarray(self.betas, dtype=np.float64))
-        if not np.all((self.betas > 0) & np.isfinite(self.betas)):
-            raise ValueError("betas must be positive and finite")
+        if self.betas.size == 0 \
+                or not np.all((self.betas > 0) & np.isfinite(self.betas)):
+            raise ValueError("betas must be non-empty, positive and finite")
         self.C, self.M = self.betas.shape
         for f in fields(self):
             if f.type is float and not math.isfinite(getattr(self, f.name)):
@@ -62,8 +63,9 @@ class BoundParams:
         for name in ("L", "mu", "G2", "init_dist", "sigma_h2"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.Gamma < 0 or self.sigma_z2 < 0:
-            raise ValueError("Gamma and sigma_z2 must be nonnegative")
+        for name in ("Gamma", "sigma_z2"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         for name in ("N", "tau", "I", "T", "K"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")

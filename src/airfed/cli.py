@@ -55,7 +55,8 @@ def _typed(hint, key, item, path):
     """A (value, line) item as the type of its dataclass annotation.
 
     Optional is unwrapped (None stays None), np.ndarray means a 2-D float64
-    array, and an int takes only integral values (int() would truncate).
+    array, a number is never a JSON boolean, and an int takes only integral
+    values (int() would truncate).
     """
     val, lineno = item
     if typing.get_origin(hint) is typing.Union:
@@ -67,8 +68,10 @@ def _typed(hint, key, item, path):
             arr = np.asarray(val, dtype=np.float64)
             if arr.ndim == 2:
                 return arr
-        elif val is not None and not (hint is int and isinstance(val, float)
-                                      and not val.is_integer()):
+        elif not (val is None
+                  or hint in (int, float) and isinstance(val, bool)
+                  or hint is int and isinstance(val, float)
+                  and not val.is_integer()):
             return hint(val)
     except (TypeError, ValueError):
         pass
@@ -113,11 +116,7 @@ def _scenario_from_dict(kv, path):
             raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: "
                               f"{val!r} (only {old!r} is supported)")
     kv = {k: v for k, v in kv.items() if k not in _RETIRED_KEYS}
-    cfg = _from_fields(protocol.ScenarioConfig, kv, path)
-    try:
-        return cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}")
+    return _from_fields(protocol.ScenarioConfig, kv, path)
 
 
 def _bound_from_dict(kv, path):
@@ -341,7 +340,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"airfed: error: {exc}", file=sys.stderr)
         return 1
 

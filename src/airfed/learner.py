@@ -225,8 +225,6 @@ def make_synthetic(num_samples: int, feature_dim: int, num_classes: int,
     Each class centre lies at distance 4 from the origin along a random unit
     direction; the noise is standard normal.
     """
-    if num_samples < 1 or feature_dim < 1 or num_classes < 1:
-        raise ValueError("sizes must be positive")
     dirs = rng.standard_normal((num_classes, feature_dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     labels = np.arange(num_samples) % num_classes
@@ -239,17 +237,26 @@ _IDX_LABELS_MAGIC = 0x00000801
 
 
 def _read_idx(path):
+    """(magic, (n, rows*cols) images or (n,) labels) of one IDX file."""
     opener = gzip.open if path.endswith(".gz") else open
     with opener(path, "rb") as fh:
-        magic, = struct.unpack(">I", fh.read(4))
-        if magic == _IDX_IMAGES_MAGIC:
-            n, rows, cols = struct.unpack(">III", fh.read(12))
-            data = np.frombuffer(fh.read(n * rows * cols), dtype=np.uint8)
-            return magic, data.reshape(n, rows * cols)
-        if magic == _IDX_LABELS_MAGIC:
-            n, = struct.unpack(">I", fh.read(4))
-            return magic, np.frombuffer(fh.read(n), dtype=np.uint8)
+        buf = fh.read()
+    magic = int.from_bytes(buf[:4], "big")
+    ndim = {_IDX_IMAGES_MAGIC: 3, _IDX_LABELS_MAGIC: 1}.get(magic, 0)
+    start = 4 + 4 * ndim
+    if len(buf) < start:
+        raise ValueError(f"{path}: truncated IDX header")
+    if not ndim:
         raise ValueError(f"{path}: unrecognized IDX magic 0x{magic:08x}")
+    dims = struct.unpack_from(f">{ndim}I", buf, 4)
+    count = int(np.prod(dims))
+    if len(buf) - start < count:
+        raise ValueError(f"{path}: IDX payload has {len(buf) - start} "
+                         f"bytes, its header says {count}")
+    data = np.frombuffer(buf, dtype=np.uint8, count=count, offset=start)
+    if ndim == 3:
+        data = data.reshape(dims[0], dims[1] * dims[2])
+    return magic, data
 
 
 def load_mnist(data_dir: str, split: str = "train") -> Dataset:

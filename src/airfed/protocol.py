@@ -44,9 +44,9 @@ def lr_schedule(t, base, slope) -> float:
     return max(base - slope * t, 0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Full experiment description for one run."""
+    """Full experiment description for one run, checked when built."""
 
     scenario: str
     C: int = 4
@@ -80,11 +80,12 @@ class ScenarioConfig:
 
     def __post_init__(self):
         if self.K == 0:
-            self.K = 5 * self.M * self.C
+            object.__setattr__(self, "K", 5 * self.M * self.C)
         if self.flat_power_base is None:
-            self.flat_power_base = self.power_base
+            object.__setattr__(self, "flat_power_base", self.power_base)
         if self.flat_power_slope is None:
-            self.flat_power_slope = self.power_slope
+            object.__setattr__(self, "flat_power_slope", self.power_slope)
+        self.validate()
 
     @property
     def effective_data_seed(self) -> int:
@@ -130,7 +131,6 @@ class ScenarioConfig:
         if self.scenario != "ideal_hier" and dim % 2 != 0:
             raise ValueError(f"model dimension {dim} must be even for "
                              "over-the-air packing")
-        return self
 
     def as_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -297,7 +297,6 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
     the one-cluster case: the same C*M shards in one row (flattened
     row-major), the user-to-PS gains, I=1 and the flat_power_* schedule.
     """
-    cfg.validate()
     topo = None if cfg.scenario == "ideal_hier" else build_topology(cfg)
     train, test = load_run_data(cfg)
     shards = partition_for_run(cfg, train)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -161,6 +162,71 @@ def test_parse_bound_rejects_bad_values(tmp_path):
             cli._load_config(man_path, "bound")
 
 
+# (kind, key, value) for the config checks no other test reaches
+_CONFIG_CHECKS = [
+    ("run", "sigma_h2", "0"), ("run", "sigma_z2", "-1"),
+    ("run", "dataset", "cifar"), ("run", "partition", "dirichlet"),
+    ("run", "target_alpha", "0"), ("run", "target_alpha", "1"),
+    ("run", "alpha_tolerance", "0"), ("run", "l2_reg", "-0.1"),
+    ("bound", "L", "0"), ("bound", "mu", "0"), ("bound", "G2", "0"),
+    ("bound", "init_dist", "0"), ("bound", "sigma_h2", "0"),
+    ("bound", "Gamma", "-1"), ("bound", "sigma_z2", "-1"),
+    ("bound", "N", "0"), ("bound", "tau", "0"), ("bound", "I", "0"),
+    ("bound", "T", "0"), ("bound", "K", "0")]
+
+
+@pytest.mark.parametrize("kind,key,val", _CONFIG_CHECKS,
+                         ids=[f"{k}-{key}={v}" for k, key, v in _CONFIG_CHECKS])
+def test_parse_rejects_out_of_range_value(tmp_path, kind, key, val):
+    if kind == "run":
+        text = f"scenario = hotafl\n{key} = {val}\n"
+    else:
+        text = re.sub(rf"^{key} = .*$", f"{key} = {val}", BOUND, flags=re.M)
+    with pytest.raises(cli.ConfigError, match=rf"cfg.txt: {key} must"):
+        cli.parse_config(_write(tmp_path, text))
+
+
+def test_manifest_rejects_booleans_for_numbers(tmp_path, capsys):
+    first = str(tmp_path / "first")
+    assert cli.main(["run", "--config", _write(tmp_path, SMOKE),
+                     "--out", first, "--scenarios", "ideal"]) == 0
+    manifest = os.path.join(first, "manifest.json")
+    man = json.load(open(manifest))
+    for key, val in (("T", True), ("sigma_z2", False)):
+        json.dump({**man, "config": {**man["config"], key: val}},
+                  open(manifest, "w"))
+        out = str(tmp_path / "o")
+        assert cli.main(["run", "--config", manifest, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            f"airfed: error: {manifest}:0: bad value for {key!r}: {val!r}\n")
+        assert not os.path.exists(out)
+
+
+def test_bound_rejects_empty_betas(tmp_path, capsys):
+    first = str(tmp_path / "first")
+    assert cli.main(["bound", "--config", _write(tmp_path, BOUND),
+                     "--out", first]) == 0
+    manifest = os.path.join(first, "manifest.json")
+    man = json.load(open(manifest))
+    man["config"]["betas"] = [[]]
+    json.dump(man, open(manifest, "w"))
+    out = str(tmp_path / "o")
+    assert cli.main(["bound", "--config", manifest, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"airfed: error: {manifest}: betas must be non-empty, positive "
+        "and finite\n")
+    assert not os.path.exists(out)
+
+
+def test_out_naming_a_file_is_one_line_error(tmp_path, capsys):
+    taken = _write(tmp_path, "", "taken")
+    for command, text in (("run", SMOKE), ("bound", BOUND)):
+        assert cli.main([command, "--config", _write(tmp_path, text),
+                         "--out", taken]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("airfed: error: ") and err.count("\n") == 1
+
+
 def test_run_command_three_scenarios(tmp_path):
     cfg = _write(tmp_path, SMOKE)
     out = str(tmp_path / "out")
@@ -210,7 +276,8 @@ def test_run_rejects_nonpositive_seeds(tmp_path, capsys):
 def test_failed_config_leaves_no_output_dir(tmp_path, capsys):
     bad = _write(tmp_path, "scenario = hotafl\nC = two\n", "bad.cfg")
     for command in ("run", "bound"):
-        for config in (str(tmp_path / "missing.cfg"), bad):
+        # a missing file, a directory, a bad value
+        for config in (str(tmp_path / "missing.cfg"), str(tmp_path), bad):
             out = str(tmp_path / "o")
             assert cli.main([command, "--config", config, "--out", out]) == 1
             assert capsys.readouterr().err.count("\n") == 1

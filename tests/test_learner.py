@@ -182,3 +182,21 @@ def test_load_mnist_gzip_and_missing(tmp_path):
     assert len(data) == 3
     with pytest.raises(FileNotFoundError):
         learner.load_mnist(str(tmp_path), "train")
+
+
+def test_load_mnist_truncated_idx_names_the_file(tmp_path):
+    images = tmp_path / "train-images-idx3-ubyte"
+    labels = np.zeros(10, dtype=np.uint8)
+    _write_idx(tmp_path / "train-labels-idx1-ubyte", 0x801, labels, (10,))
+    for payload, dims, reason in (
+            (None, None, "truncated IDX header"),
+            (np.zeros(0), (10,), "truncated IDX header"),
+            (np.zeros(100), (10, 28, 28),
+             "IDX payload has 100 bytes, its header says 7840")):
+        if payload is None:
+            images.write_bytes(b"")
+        else:
+            _write_idx(images, 0x803, payload, dims)
+        with pytest.raises(ValueError) as err:
+            learner.load_mnist(str(tmp_path), "train")
+        assert str(err.value) == f"{images}: {reason}"

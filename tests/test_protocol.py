@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 from airfed import channel, learner, protocol, rng, topology
 
@@ -35,15 +35,26 @@ def test_lr_schedule_examples():
 
 def test_config_validation_errors():
     with pytest.raises(ValueError, match="tau"):
-        _cfg(tau=0).validate()
+        _cfg(tau=0)
     with pytest.raises(ValueError, match="scenario"):
-        _cfg(scenario="bogus").validate()
+        _cfg(scenario="bogus")
     with pytest.raises(ValueError):
-        _cfg(power_base=-1.0).validate()
+        _cfg(power_base=-1.0)
     with pytest.raises(ValueError, match="even"):
-        _cfg(feature_dim=8, num_classes=3).validate()  # dim 27, odd
+        _cfg(feature_dim=8, num_classes=3)  # dim 27, odd
     # ideal runs tolerate odd model dimensions
-    _cfg(scenario="ideal_hier", feature_dim=8, num_classes=3).validate()
+    _cfg(scenario="ideal_hier", feature_dim=8, num_classes=3)
+
+
+def test_config_checked_when_built_and_frozen():
+    with pytest.raises(ValueError, match="tau must"):
+        protocol.ScenarioConfig(scenario="hotafl", tau=0)
+    cfg = _cfg()
+    # every copy is checked too, such as run_scenario's flat remap
+    with pytest.raises(ValueError, match="tau must"):
+        replace(cfg, tau=0)
+    with pytest.raises(FrozenInstanceError):
+        cfg.tau = 0
 
 
 def test_default_antennas_and_flat_power():
