@@ -10,6 +10,7 @@ distance and schedules are evaluated at a = 1..T-1.
 """
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -69,6 +70,11 @@ class BoundParams:
         for name in ("N", "tau", "I", "T", "K"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        # the label names the output CSV and fills its last column
+        if not re.fullmatch(r"([A-Za-z0-9_-][A-Za-z0-9_.-]*)?", self.label):
+            raise ValueError(f"label must be a plain file stem (letters, "
+                             f"digits, '_', '-', '.', no leading '.'), "
+                             f"got {self.label!r}")
 
     @property
     def beta_bar(self) -> np.ndarray:

@@ -6,10 +6,13 @@ Rayleigh fading to the K-antenna IS, the IS combines antennas with the
 conjugated channel sum, and the cluster update is recovered by dividing
 out the nominal combining gain p_t * M * sigma_h2 * beta_bar.
 
-The combined output of a symbol depends on its (M, K) channel H only
-through the Gram matrix W = H H^H, which is complex Wishart(K,
-sigma_h2 * diag(beta)).  When K >= M, ota_aggregate draws W's Bartlett
-factor instead of H, so its cost does not grow with K.
+The combined output of a symbol depends on its (M, K) channel only through
+S = sum_k conj(a_k) c_k and R = sum_k |a_k|^2, with a_k = sum_m h[m, k] and
+c_k = sum_m h[m, k] x_m.  The pairs (a_k, c_k) are i.i.d. complex Gaussian
+over k, so ota_aggregate draws (S, R) from their 2x2 Wishart law
+(draw_mrc_statistic) for every M and K, and never draws the channel.  The
+full-tensor chain draw_channels_from_betas -> draw_noise ->
+uplink_and_combine is the reference that draw is tested against.
 
 sigma_h2 and sigma_z2 arrive from a ScenarioConfig, which checked them
 when it was built; nothing here checks them again.
@@ -46,29 +49,6 @@ def draw_channels_from_betas(betas, K, N, sigma_h2, rng) -> np.ndarray:
     h = raw.view(np.complex128)[..., 0]
     h *= np.sqrt(betas)[:, None, None]      # in place: one (M, K, N) buffer
     return h
-
-
-def draw_gram_factor(betas, K, N, sigma_h2, rng) -> np.ndarray:
-    """Draw the (N, M, M) Bartlett factor G of each symbol's W = H H^H.
-
-    For H drawn as draw_channels_from_betas draws it, W = G G^H in
-    distribution with G = diag(sqrt(sigma_h2 * betas)) L, L lower
-    triangular, |L_ii|^2 ~ Gamma(K - i) for i = 0..M-1 and CN(0, 1) entries
-    below the diagonal (Goodman 1963; Edelman 1989).  Needs K >= M.
-    """
-    betas = np.asarray(betas, dtype=np.float64)
-    M = betas.size
-    if K < M:
-        raise ValueError(f"the Bartlett factor needs K >= M, got K={K}, M={M}")
-    diag = np.arange(M)
-    g = np.zeros((N, M, M), dtype=np.complex128)
-    g[:, diag, diag] = np.sqrt(rng.standard_gamma(K - diag, size=(N, M)))
-    rows, cols = np.tril_indices(M, -1)
-    raw = rng.standard_normal((N, rows.size, 2))
-    raw *= np.sqrt(0.5)
-    g[:, rows, cols] = raw.view(np.complex128)[..., 0]
-    g *= np.sqrt(sigma_h2 * betas)[:, None]
-    return g
 
 
 def draw_noise(K, N, sigma_z2, rng) -> np.ndarray:
@@ -116,33 +96,45 @@ def recover_cluster_update(combined, p_t, M, sigma_h2, beta_bar) -> np.ndarray:
     return unpack_complex(np.asarray(combined, dtype=np.complex128)) / denom
 
 
+def draw_mrc_statistic(betas, K, x, sigma_h2, rng):
+    """Draw each symbol's (S, R) for the (M, N) symbols x, exactly in law.
+
+    With b = sigma_h2 * betas, (a_k, c_k) has covariance [[s_aa, s_ac],
+    [conj(s_ac), s_cc]], s_aa = sum b, s_ac = sum b x, s_cc = sum b |x|^2,
+    and the 2x2 Bartlett decomposition gives R = s_aa * g and
+    S = s_ac * g + sqrt(l2 * R) * n, with g ~ Gamma(K), n ~ CN(0, 1) and
+    l2 = s_cc - |s_ac|^2 / s_aa (clamped at 0 against rounding).
+    """
+    b = sigma_h2 * np.asarray(betas, dtype=np.float64)
+    s_aa = b.sum()
+    s_ac = (b @ x.real) + 1j * (b @ x.imag)   # float @ complex is far slower
+    s_cc = b @ (x.real ** 2 + x.imag ** 2)
+    l2 = np.maximum(s_cc - (s_ac.real ** 2 + s_ac.imag ** 2) / s_aa, 0.0)
+    N = x.shape[1]
+    g = rng.standard_gamma(K, size=N)
+    raw = rng.standard_normal((N, 2))
+    raw *= np.sqrt(0.5)
+    R = s_aa * g
+    return s_ac * g + np.sqrt(l2 * R) * raw.view(np.complex128)[:, 0], R
+
+
 def ota_aggregate(diffs, betas, p_t, K, sigma_h2, sigma_z2, fading_rng,
                   noise_rng):
     """Aggregate the (M, 2N) user diffs of one cluster over the air.
 
-    Returns (update, tx_energy = p_t^2 * sum |x|^2, symbols_sent).  With
-    K >= M each symbol's combined output is drawn from the Bartlett factor
-    G of its Gram matrix: p_t * r.u / K with u = G^T x and r = conj(1^T G),
-    plus CN(0, sigma_z2 * |r|^2) / K receiver noise.  With K < M the full
-    (M, K, N) channel and (K, N) noise are drawn and combined.  The helpers
-    are called through the module's globals, so a test or a profiler can
-    swap any of them.
+    Returns (update, tx_energy = p_t^2 * sum |x|^2, symbols_sent).  Each
+    symbol's combined output is (p_t * S + CN(0, sigma_z2 * R)) / K with
+    (S, R) from draw_mrc_statistic, which is called through the module's
+    globals, so a test or a profiler can swap it.
     """
     x = pack_complex(diffs)
     M, N = x.shape
-    if K >= M:
-        g = draw_gram_factor(betas, K, N, sigma_h2, fading_rng)
-        u = np.einsum("nij,in->nj", g, x)
-        r = np.conj(g.sum(axis=1))
-        combined = p_t * (r * u).sum(axis=1) / K
-        if sigma_z2 > 0:
-            raw = noise_rng.standard_normal((N, 2))
-            scale = np.sqrt(sigma_z2 / 2.0 * (np.abs(r) ** 2).sum(axis=1)) / K
-            combined += raw.view(np.complex128)[:, 0] * scale
-    else:
-        h = draw_channels_from_betas(betas, K, N, sigma_h2, fading_rng)
-        z = draw_noise(K, N, sigma_z2, noise_rng)
-        combined = uplink_and_combine(x, h, p_t, z)
+    S, R = draw_mrc_statistic(betas, K, x, sigma_h2, fading_rng)
+    combined = p_t * S
+    if sigma_z2 > 0:
+        raw = noise_rng.standard_normal((N, 2))
+        combined += raw.view(np.complex128)[:, 0] * np.sqrt(sigma_z2 / 2.0 * R)
+    combined /= K
     update = recover_cluster_update(combined, p_t, M, sigma_h2, betas.sum())
     tx_energy = p_t * p_t * float((x.real ** 2 + x.imag ** 2).sum())
     return update, tx_energy, x.size

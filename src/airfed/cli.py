@@ -55,8 +55,8 @@ def _typed(hint, key, item, path):
     """A (value, line) item as the type of its dataclass annotation.
 
     Optional is unwrapped (None stays None), np.ndarray means a 2-D float64
-    array, a number is never a JSON boolean, and an int takes only integral
-    values (int() would truncate).
+    array, a number or array entry is never a JSON boolean, and an int takes
+    only integral values (int() would truncate).
     """
     val, lineno = item
     if typing.get_origin(hint) is typing.Union:
@@ -66,7 +66,8 @@ def _typed(hint, key, item, path):
     try:
         if hint is np.ndarray:
             arr = np.asarray(val, dtype=np.float64)
-            if arr.ndim == 2:
+            entries = np.asarray(val, dtype=object).ravel()
+            if arr.ndim == 2 and not any(isinstance(v, bool) for v in entries):
                 return arr
         elif not (val is None
                   or hint in (int, float) and isinstance(val, bool)

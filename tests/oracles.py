@@ -122,3 +122,15 @@ def decompose_terms(symbols, h, p_t, noise):
                      - (gain * x).sum(axis=0))
     noi = (np.conj(hs) * z).sum(axis=0) / K
     return sig, itf, noi
+
+
+def coherent_mrc_statistic(betas, K, x, sigma_h2, rng):
+    """(S, R) of the constant channel h[m, k, n] = sqrt(beta_m).
+
+    A fake for channel.draw_mrc_statistic (sigma_h2 and rng are unused):
+    S = K (sum sqrt(beta)) (sum sqrt(beta) x), R = K (sum sqrt(beta))^2.
+    """
+    r = np.sqrt(np.asarray(betas, dtype=np.float64))
+    a = r.sum()
+    c = (r @ x.real) + 1j * (r @ x.imag)
+    return K * a * c, np.full(x.shape[1], K * a * a)

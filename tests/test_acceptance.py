@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from airfed import bounds, channel, cli, learner, protocol, rng, topology
-from oracles import (a1_term, decompose_terms, distance_bound_closed_form,
-                     measure_gradient_bound, measure_problem_constants)
+from oracles import (a1_term, coherent_mrc_statistic, decompose_terms,
+                     distance_bound_closed_form, measure_gradient_bound,
+                     measure_problem_constants)
 
 MNIST_DIR = os.environ.get(protocol.MNIST_DIR_ENV)
 
@@ -156,13 +157,8 @@ def test_criterion_2_statistical_channel_suite():
 # 3. degenerate-channel equivalence
 
 def test_criterion_3_degenerate_channel_equivalence(monkeypatch):
-    # every fading coefficient is the constant sqrt(beta): the Bartlett
-    # factor of W = K sqrt(beta) sqrt(beta)^T is G = sqrt(K) sqrt(beta)
-    monkeypatch.setattr(
-        channel, "draw_gram_factor",
-        lambda betas, K, N, sigma_h2, rng: np.sqrt(K)
-        * np.sqrt(betas)[None, :, None]
-        * np.ones((N, np.size(betas), 1), dtype=np.complex128))
+    # every fading coefficient is the constant sqrt(beta)
+    monkeypatch.setattr(channel, "draw_mrc_statistic", coherent_mrc_statistic)
     cfg = protocol.ScenarioConfig(
         scenario="hotafl", C=2, M=2, K=4, tau=2, I=2, T=20, sigma_z2=0.0,
         power_base=1.0, power_slope=0.0,

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from airfed import channel, rng
-from oracles import decompose_terms
+from oracles import coherent_mrc_statistic, decompose_terms
 
 
 def test_pack_complex_example():
@@ -181,10 +183,7 @@ def test_recover_hand_example_unit_channels(monkeypatch):
     out = channel.recover_cluster_update(combined, 1.5, 2, 1.0, 2.0)
     assert np.allclose(out, [3.0, 0.0])
     # the same aggregation in one call: tx energy 1.5^2 * (2^2 + 4^2)
-    # unit channels: W = K 1 1^T, whose Bartlett factor is G = sqrt(K) 1
-    monkeypatch.setattr(channel, "draw_gram_factor",
-                        lambda betas, K, N, sigma_h2, rng:
-                        np.full((N, betas.size, 1), np.sqrt(K), dtype=complex))
+    monkeypatch.setattr(channel, "draw_mrc_statistic", coherent_mrc_statistic)
     update, energy, sent = channel.ota_aggregate(diffs, np.ones(2), 1.5, 3,
                                                  1.0, 0.0, None, None)
     assert np.allclose(update, [3.0, 0.0])
@@ -195,18 +194,14 @@ def test_recovery_error_decreases_with_K():
     gen = rng.substream(77, 0)
     betas = np.array([1.0, 3.0, 6.0])
     diffs = gen.standard_normal((3, 8))
-    x = np.array([channel.pack_complex(d) for d in diffs])
     target = diffs.mean(axis=0)
     errs = []
     for K in (4, 8, 16):
         sq = 0.0
         for rep in range(200):
-            ch = channel.draw_channels_from_betas(
-                betas, K, 4, 1.0, rng.substream(77, 1, K, rep))
-            z = channel.draw_noise(K, 4, 1.0, rng.substream(77, 2, K, rep))
-            combined = channel.uplink_and_combine(x, ch, 1.0, z)
-            rec = channel.recover_cluster_update(combined, 1.0, 3, 1.0,
-                                                 betas.sum())
+            rec, _, _ = channel.ota_aggregate(
+                diffs, betas, 1.0, K, 1.0, 1.0, rng.substream(77, 1, K, rep),
+                rng.substream(77, 2, K, rep))
             sq += float(((rec - target) ** 2).sum())
         errs.append(sq / 200)
     assert errs[0] > errs[1] > errs[2]
@@ -220,7 +215,7 @@ def _aggregate_replications(x, betas, K, reps, full_tensor, key):
     Every symbol's channel and noise are drawn independently, so one call
     with the symbols repeated r times gives r replications.  full_tensor
     chains draw_channels_from_betas, draw_noise and uplink_and_combine;
-    otherwise ota_aggregate runs (its Bartlett path, as K >= M here).
+    otherwise ota_aggregate runs.
     """
     M, N = x.shape
     chunk = 250                  # replications per call: <= 64 MB of h
@@ -246,18 +241,22 @@ def _aggregate_replications(x, betas, K, reps, full_tensor, key):
     return np.concatenate(out)
 
 
+# antenna counts per user count: K = M, K = 100 and, for M > 1, K < M
+GATE_KS = {1: (1, 100), 5: (1, 2, 5, 100), 20: (5, 20, 100)}
+
+
 @pytest.mark.parametrize("M", (1, 5, 20))
-def test_bartlett_aggregation_matches_full_tensor(M):
-    # ota_aggregate's Bartlett draw against the full (M, K, N) tensor path,
-    # N = 8 fixed symbols, 4000 replications of each.  Tolerances: every
-    # coordinate's mean differs by at most 4 standard errors, and the
+def test_ota_aggregate_matches_full_tensor(M):
+    # ota_aggregate's MRC-statistic draw against the full (M, K, N) tensor
+    # path, N = 8 fixed symbols, 4000 replications of each.  Tolerances:
+    # every coordinate's mean differs by at most 4 standard errors, and the
     # ratio of the total variance (the aggregation error energy summed
     # over the 2N coordinates) lies in [0.9, 1.1]
     reps = 4000
     gen = rng.substream(41, M)
     betas = gen.uniform(0.5, 8.0, M)
     x = gen.standard_normal((M, 8, 2)).view(np.complex128)[..., 0]
-    for K in (M, 100):
+    for K in GATE_KS[M]:
         fast = _aggregate_replications(x, betas, K, reps, False, (M, K, 0))
         ref = _aggregate_replications(x, betas, K, reps, True, (M, K, 1))
         var_f, var_r = fast.var(axis=0, ddof=1), ref.var(axis=0, ddof=1)
@@ -267,15 +266,35 @@ def test_bartlett_aggregation_matches_full_tensor(M):
         assert 0.9 <= var_f.sum() / var_r.sum() <= 1.1, (K, var_f, var_r)
 
 
-def test_gram_factor_shape_and_bartlett_diagonal():
-    betas = np.array([0.5, 2.0, 8.0])
-    g = channel.draw_gram_factor(betas, 6, 20000, 1.5, rng.substream(3, 0))
-    assert g.shape == (20000, 3, 3)
-    # E|G_ii|^2 = sigma_h2 beta_i (K - i), E|G_ij|^2 = sigma_h2 beta_i below
-    # the diagonal and exact zeros above it
-    power = (np.abs(g) ** 2).mean(axis=0)
-    expect = 1.5 * betas[:, None] * np.tril(np.ones((3, 3)), -1)
-    expect[np.diag_indices(3)] = 1.5 * betas * (6 - np.arange(3))
-    assert power == pytest.approx(expect, rel=0.03, abs=1e-12)
-    with pytest.raises(ValueError, match="K >= M"):
-        channel.draw_gram_factor(betas, 2, 4, 1.0, rng.substream(3, 0))
+def test_ota_aggregate_mean_in_closed_form():
+    # E[update] = (1/M) sum_m (beta_m / sum(beta)) d_m: the combined output
+    # has mean p_t sigma_h2 sum_m beta_m x_m, and recovery divides by
+    # p_t M sigma_h2 sum(beta).  Tolerance: every coordinate of the mean of
+    # 4000 replications within 4 standard errors
+    reps, M = 4000, 5
+    gen = rng.substream(43, M)
+    betas = gen.uniform(0.5, 8.0, M)
+    x = gen.standard_normal((M, 8, 2)).view(np.complex128)[..., 0]
+    d = channel.unpack_complex(x)
+    expect = betas @ d / (M * betas.sum())
+    for K in (2, 100):
+        up = _aggregate_replications(x, betas, K, reps, False, (M, K, 2))
+        z = (up.mean(axis=0) - expect) / (up.std(axis=0, ddof=1)
+                                          / np.sqrt(reps))
+        assert np.abs(z).max() <= 4.0, (K, z)
+
+
+def test_ota_aggregate_finite_when_symbols_are_collinear():
+    # one user, or users sending identical symbols, make
+    # s_cc - |s_ac|^2 / s_aa zero up to rounding, which can fall below 0
+    gen = rng.substream(44, 0)
+    one = gen.standard_normal((1, 2000))
+    same = np.tile(gen.standard_normal(2000), (5, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for diffs in (one, same):
+            betas = gen.uniform(0.5, 8.0, diffs.shape[0])
+            update, _, _ = channel.ota_aggregate(
+                diffs, betas, 1.3, 4, 1.2, 10.0, rng.substream(44, 1),
+                rng.substream(44, 2))
+            assert np.isfinite(update).all()

@@ -218,6 +218,48 @@ def test_bound_rejects_empty_betas(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_bound_rejects_booleans_in_betas(tmp_path, capsys):
+    first = str(tmp_path / "first")
+    assert cli.main(["bound", "--config", _write(tmp_path, BOUND),
+                     "--out", first]) == 0
+    manifest = os.path.join(first, "manifest.json")
+    man = json.load(open(manifest))
+    betas = man["config"]["betas"]
+    betas[0][0] = True
+    json.dump(man, open(manifest, "w"))
+    out = str(tmp_path / "o")
+    assert cli.main(["bound", "--config", manifest, "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"airfed: error: {manifest}:0: bad value for 'betas': {betas!r}\n")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("label", ("../escaped", "a,b", ".hidden", "a/b"))
+def test_bound_label_must_be_a_file_stem(tmp_path, capsys, label):
+    # the label names the output CSV and fills its last column, so it
+    # cannot leave --out or add a column
+    out = str(tmp_path / "sub" / "o")
+    text = BOUND.replace("label = b", f"label = {label}")
+    cfg = _write(tmp_path, text)
+    assert cli.main(["bound", "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"airfed: error: {cfg}: label must be a plain "
+                          "file stem") and err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "sub")
+    # a manifest carrying the same label ends in the same line
+    first = str(tmp_path / "first")
+    assert cli.main(["bound", "--config", _write(tmp_path, BOUND),
+                     "--out", first]) == 0
+    manifest = os.path.join(first, "manifest.json")
+    man = json.load(open(manifest))
+    man["config"]["label"] = label
+    json.dump(man, open(manifest, "w"))
+    assert cli.main(["bound", "--config", manifest, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"airfed: error: {manifest}: label must be a plain file stem")
+    assert not os.path.exists(tmp_path / "sub")
+
+
 def test_out_naming_a_file_is_one_line_error(tmp_path, capsys):
     taken = _write(tmp_path, "", "taken")
     for command, text in (("run", SMOKE), ("bound", BOUND)):
