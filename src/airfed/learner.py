@@ -62,6 +62,27 @@ def _unflatten(model, feature_dim, num_classes):
     return model.reshape(feature_dim + 1, num_classes)
 
 
+def _softmax_loss(model, features, labels, num_classes, l2):
+    """(W, probs, loss) of the linear softmax classifier on one batch."""
+    if features.shape[0] == 0:
+        raise ValueError("batch must be non-empty")
+    W = _unflatten(np.asarray(model, dtype=np.float64), features.shape[1], num_classes)
+    logits = features @ W[:-1] + W[-1]
+    logits -= logits.max(axis=1, keepdims=True)
+    expz = np.exp(logits)
+    probs = expz / expz.sum(axis=1, keepdims=True)
+    loss = -np.log(probs[np.arange(features.shape[0]), labels]).mean()
+    if l2:
+        loss += 0.5 * l2 * float(model @ model)
+    return W, probs, float(loss)
+
+
+def loss(model, features, labels, num_classes, l2: float = 0.0) -> float:
+    """The loss of loss_and_gradient, without computing the gradient."""
+    return _softmax_loss(model, np.asarray(features, dtype=np.float64),
+                         np.asarray(labels), num_classes, l2)[2]
+
+
 def loss_and_gradient(model, features, labels, num_classes, l2: float = 0.0):
     """Mean cross-entropy of the linear softmax classifier and its gradient.
 
@@ -70,25 +91,16 @@ def loss_and_gradient(model, features, labels, num_classes, l2: float = 0.0):
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    if features.shape[0] == 0:
-        raise ValueError("batch must be non-empty")
-    W = _unflatten(np.asarray(model, dtype=np.float64), features.shape[1], num_classes)
-    logits = features @ W[:-1] + W[-1]
-    logits -= logits.max(axis=1, keepdims=True)
-    expz = np.exp(logits)
-    probs = expz / expz.sum(axis=1, keepdims=True)
+    W, delta, value = _softmax_loss(model, features, labels, num_classes, l2)
     n = features.shape[0]
-    loss = -np.log(probs[np.arange(n), labels]).mean()
-    delta = probs
     delta[np.arange(n), labels] -= 1.0
     delta /= n
     grad = np.empty_like(W)
     grad[:-1] = features.T @ delta
     grad[-1] = delta.sum(axis=0)
     if l2:
-        loss += 0.5 * l2 * float(model @ model)
         grad += l2 * W
-    return float(loss), grad.reshape(-1)
+    return value, grad.reshape(-1)
 
 
 def evaluate(model, test: Dataset) -> float:
@@ -107,17 +119,16 @@ def evaluate(model, test: Dataset) -> float:
 def partition_iid(data: Dataset, C: int, M: int, rng):
     """Shuffle and split into C*M disjoint shards, sizes differing by <= 1.
 
-    Returns a (C, M) nested list; flattening it row-major gives the same
-    shards a flat C=1, M=C*M split would, so hierarchical and flat runs see
-    identical user data.
+    Returns a (C, M) nested list of sorted row-index arrays into data;
+    flattening it row-major gives the same shards a flat C=1, M=C*M split
+    would, so hierarchical and flat runs see identical user data.
     """
     n_users = C * M
     if len(data) < n_users:
         raise ValueError(f"{len(data)} samples cannot cover {n_users} users")
     order = rng.permutation(len(data))
     splits = np.array_split(order, n_users)
-    return [[data.subset(np.sort(splits[c * M + m])) for m in range(M)]
-            for c in range(C)]
+    return [[np.sort(splits[c * M + m]) for m in range(M)] for c in range(C)]
 
 
 def partition_noniid(data: Dataset, C: int, M: int, rng):
@@ -126,7 +137,7 @@ def partition_noniid(data: Dataset, C: int, M: int, rng):
     Groups are allocated to labels proportionally to label frequency
     (largest remainder), each label's samples are split into near-equal
     single-label groups, and a random permutation deals 5 groups to every
-    user.
+    user.  Returns a (C, M) nested list of sorted row-index arrays into data.
     """
     n_groups = 5 * M * C
     counts = np.bincount(data.labels, minlength=data.num_classes)
@@ -157,44 +168,40 @@ def partition_noniid(data: Dataset, C: int, M: int, rng):
         groups.extend(np.array_split(idx, alloc[label]))
     assert len(groups) == n_groups
     deal = rng.permutation(n_groups)
-    shards = []
-    for c in range(C):
-        row = []
-        for m in range(M):
-            u = c * M + m
-            picked = deal[5 * u:5 * (u + 1)]
-            idx = np.sort(np.concatenate([groups[g] for g in picked]))
-            row.append(data.subset(idx))
-        shards.append(row)
-    return shards
+    users = [np.sort(np.concatenate([groups[g] for g in picked]))
+             for picked in deal.reshape(C * M, 5)]
+    return [users[c * M:(c + 1) * M] for c in range(C)]
 
 
 # ---------------------------------------------------------------------------
 # user-side SGD
 
 class UserLearnerState:
-    """One user's shard, batch cursor, and private RNG stream.
+    """One user's shard (rows of a shared dataset), batch cursor, and
+    private RNG stream.
 
     Batches are sampled without replacement within an epoch and the shard is
     reshuffled whenever fewer than batch_size samples remain.
     """
 
-    def __init__(self, shard: Dataset, batch_size: int, rng):
-        if batch_size < 1 or batch_size > len(shard):
-            raise ValueError(f"batch_size {batch_size} not in [1, {len(shard)}]")
-        self.shard = shard
+    def __init__(self, data: Dataset, rows, batch_size: int, rng):
+        if batch_size < 1 or batch_size > len(rows):
+            raise ValueError(f"batch_size {batch_size} not in [1, {len(rows)}]")
+        self.data = data
+        self.rows = rows
         self.batch_size = batch_size
         self.rng = rng
-        self._order = self.rng.permutation(len(shard))
+        self._order = self.rng.permutation(len(rows))
         self._cursor = 0
 
     def next_batch(self):
-        if self._cursor + self.batch_size > len(self.shard):
-            self._order = self.rng.permutation(len(self.shard))
+        """Rows of data in the next batch."""
+        if self._cursor + self.batch_size > len(self.rows):
+            self._order = self.rng.permutation(len(self.rows))
             self._cursor = 0
         idx = self._order[self._cursor:self._cursor + self.batch_size]
         self._cursor += self.batch_size
-        return idx
+        return self.rows[idx]
 
 
 def sgd_user_iterations(state: UserLearnerState, start, tau: int, eta: float,
@@ -206,11 +213,11 @@ def sgd_user_iterations(state: UserLearnerState, start, tau: int, eta: float,
     if eta < 0:
         raise ValueError("eta must be >= 0")
     theta = np.array(start, dtype=np.float64, copy=True)
+    data = state.data
     for _ in range(tau):
-        idx = state.next_batch()
-        _, grad = loss_and_gradient(theta, state.shard.features[idx],
-                                    state.shard.labels[idx],
-                                    state.shard.num_classes, l2)
+        batch = state.next_batch()
+        _, grad = loss_and_gradient(theta, data.features[batch],
+                                    data.labels[batch], data.num_classes, l2)
         theta -= eta * grad
     return theta
 
@@ -223,12 +230,15 @@ def make_synthetic(num_samples: int, feature_dim: int, num_classes: int,
     """Linearly separable Gaussian blobs with round-robin labels.
 
     Each class centre lies at distance 4 from the origin along a random unit
-    direction; the noise is standard normal.
+    direction; the noise is standard normal.  The rows of class c are
+    feats[c::num_classes], and each centre is added to its rows in place.
     """
     dirs = rng.standard_normal((num_classes, feature_dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     labels = np.arange(num_samples) % num_classes
-    feats = 4.0 * dirs[labels] + rng.standard_normal((num_samples, feature_dim))
+    feats = rng.standard_normal((num_samples, feature_dim))
+    for c in range(num_classes):
+        feats[c::num_classes] += 4.0 * dirs[c]
     return Dataset(feats, labels, num_classes)
 
 

@@ -166,25 +166,34 @@ class RunMetrics:
 # data plumbing
 
 def load_run_data(cfg: ScenarioConfig):
-    """(train, test) datasets for a config; deterministic given cfg.seed."""
+    """(train, test) read-only datasets for a config; deterministic given
+    cfg.seed.  Synthetic train and test are views of one generated matrix."""
     if cfg.dataset == "mnist":
         data_dir = os.environ.get(MNIST_DIR_ENV)
         if not data_dir:
             raise FileNotFoundError(
                 f"dataset=mnist needs the {MNIST_DIR_ENV} environment "
                 "variable pointing at the IDX files")
-        return (learner.load_mnist(data_dir, "train"),
-                learner.load_mnist(data_dir, "test"))
+        return (_read_only(learner.load_mnist(data_dir, "train")),
+                _read_only(learner.load_mnist(data_dir, "test")))
     gen = rng.substream(cfg.effective_data_seed, rng.DATA, 0)
-    full = learner.make_synthetic(cfg.train_samples + cfg.test_samples,
-                                  cfg.feature_dim, cfg.num_classes, gen)
-    train_idx = np.arange(cfg.train_samples)
-    test_idx = np.arange(cfg.train_samples, len(full))
-    return full.subset(train_idx), full.subset(test_idx)
+    full = _read_only(learner.make_synthetic(
+        cfg.train_samples + cfg.test_samples, cfg.feature_dim,
+        cfg.num_classes, gen))
+    n = cfg.train_samples
+    return full.subset(slice(None, n)), full.subset(slice(n, None))
+
+
+def _read_only(data):
+    """data with its arrays locked: every user's shard reads from them."""
+    data.features.flags.writeable = False
+    data.labels.flags.writeable = False
+    return data
 
 
 def partition_for_run(cfg: ScenarioConfig, train):
-    """C x M user shards; flat runs flatten the same shards row-major."""
+    """C x M user shards as row-index arrays into train; flat runs flatten
+    the same shards row-major."""
     gen = rng.substream(cfg.effective_data_seed, rng.DATA, 1)
     if cfg.partition == "iid":
         return learner.partition_iid(train, cfg.C, cfg.M, gen)
@@ -207,16 +216,17 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
                 collect_diffs):
     """Shared loop for all scenarios.
 
-    shards: nested (cfg.C, cfg.M) list of Datasets; user (c, m) draws its
-    batches from substream (seed, BATCH, c, m).  betas: (cfg.C, cfg.M)
-    large-scale gains for over-the-air local aggregation, or None for exact
-    means.
+    shards: nested (cfg.C, cfg.M) list of row-index arrays into train; user
+    (c, m) draws its batches from substream (seed, BATCH, c, m).
+    betas: (cfg.C, cfg.M) large-scale gains for over-the-air local
+    aggregation, or None for exact means.
     """
     C, M = cfg.C, cfg.M
     dim = learner.model_dim(cfg.feature_dim, cfg.num_classes)
 
     states = [[learner.UserLearnerState(
-        shards[c][m], cfg.batch_size, rng.substream(cfg.seed, rng.BATCH, c, m))
+        train, shards[c][m], cfg.batch_size,
+        rng.substream(cfg.seed, rng.BATCH, c, m))
         for m in range(M)] for c in range(C)]
 
     eval_gen = rng.substream(cfg.effective_data_seed, rng.EVAL)
@@ -268,8 +278,8 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
 
         theta_ps = theta_ps + cluster_delta.sum(axis=0) / C
 
-        loss, _ = learner.loss_and_gradient(theta_ps, eval_feats, eval_labels,
-                                            cfg.num_classes, cfg.l2_reg)
+        loss = learner.loss(theta_ps, eval_feats, eval_labels,
+                            cfg.num_classes, cfg.l2_reg)
         if not np.isfinite(loss):
             raise ValueError(f"train loss is not finite at t={t + 1}")
         out["train_loss"][t] = loss

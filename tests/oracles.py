@@ -34,6 +34,15 @@ def distance_bound_closed_form(p: bounds.BoundParams, t: int) -> float:
     return total
 
 
+def make_synthetic_reference(num_samples, feature_dim, num_classes, rng):
+    """learner.make_synthetic with every class centre gathered per row."""
+    dirs = rng.standard_normal((num_classes, feature_dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    labels = np.arange(num_samples) % num_classes
+    feats = 4.0 * dirs[labels] + rng.standard_normal((num_samples, feature_dim))
+    return learner.Dataset(feats, labels, num_classes)
+
+
 # ---------------------------------------------------------------------------
 # measuring problem constants for bound-vs-simulation comparisons
 

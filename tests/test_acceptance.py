@@ -293,8 +293,9 @@ def test_criterion_7_bound_vs_simulation():
         seed=100, data_seed=100)
     topo = protocol.build_topology(cfg)
     train, _ = protocol.load_run_data(cfg)
-    shards = [s for row in protocol.partition_for_run(cfg, train)
-              for s in row]
+    shards = [train.subset(rows)
+              for row in protocol.partition_for_run(cfg, train)
+              for rows in row]
     L, mu, theta_star, _ = measure_problem_constants(
         shards, cfg.num_classes, cfg.l2_reg)
 

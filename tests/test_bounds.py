@@ -217,7 +217,9 @@ def test_measure_problem_constants():
         feature_dim=9, num_classes=4, train_samples=400, test_samples=100,
         batch_size=20, l2_reg=0.1, seed=5)
     train, _ = protocol.load_run_data(cfg)
-    shards = [s for row in protocol.partition_for_run(cfg, train) for s in row]
+    shards = [train.subset(rows)
+              for row in protocol.partition_for_run(cfg, train)
+              for rows in row]
     L, mu, theta_star, f_star = measure_problem_constants(
         shards, 4, 0.1)
     assert mu == 0.1 and L > mu
@@ -234,7 +236,9 @@ def test_measure_gradient_bound_dominates_observations():
         feature_dim=9, num_classes=4, train_samples=200, test_samples=50,
         batch_size=20, l2_reg=0.1, seed=5)
     train, _ = protocol.load_run_data(cfg)
-    shards = [s for row in protocol.partition_for_run(cfg, train) for s in row]
+    shards = [train.subset(rows)
+              for row in protocol.partition_for_run(cfg, train)
+              for rows in row]
     samples = [learner.zero_model(9, 4)]
     g2 = measure_gradient_bound(shards, 4, 0.1, samples, 20,
                                 rng.substream(8, 0))

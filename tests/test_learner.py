@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from airfed import learner, rng
+from oracles import make_synthetic_reference
 
 
 def _data(n=60, d=6, k=3, seed=0):
@@ -35,6 +36,19 @@ def test_loss_gradient_finite_difference():
         assert abs(fd - grad[i]) <= 1e-6 * max(1.0, abs(fd))
 
 
+def test_loss_is_the_loss_of_loss_and_gradient():
+    gen = rng.substream(11, 1)
+    data = _data(seed=3)
+    theta = gen.standard_normal(learner.model_dim(6, 3))
+    for l2 in (0.0, 0.05):
+        got = learner.loss(theta, data.features, data.labels, 3, l2)
+        assert got == learner.loss_and_gradient(theta, data.features,
+                                                data.labels, 3, l2)[0]
+    with pytest.raises(ValueError):
+        learner.loss(learner.zero_model(2, 2), np.empty((0, 2)),
+                     np.empty(0, int), 2)
+
+
 def test_loss_uniform_at_zero_model():
     data = _data()
     loss, _ = learner.loss_and_gradient(learner.zero_model(6, 3),
@@ -63,13 +77,12 @@ def test_evaluate_bounds_and_perfect_model():
 def test_partition_iid_shapes_and_disjoint():
     data = _data(n=61)
     shards = learner.partition_iid(data, 2, 3, rng.substream(4, 2))
-    sizes = [len(s) for row in shards for s in row]
-    assert sum(sizes) == 61
+    rows = [r for row in shards for r in row]
+    sizes = [len(r) for r in rows]
     assert max(sizes) - min(sizes) <= 1
-    all_idx = np.concatenate([
-        np.flatnonzero((data.features[:, None] == s.features[None]).all(-1).any(1))
-        for row in shards for s in row])
-    assert np.unique(all_idx).size == 61
+    assert all(np.array_equal(r, np.sort(r)) for r in rows)
+    # disjoint and covering: the shards together are every row exactly once
+    assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(61))
 
 
 def test_partition_iid_flat_matches_nested():
@@ -78,8 +91,7 @@ def test_partition_iid_flat_matches_nested():
     flat = learner.partition_iid(data, 1, 6, rng.substream(4, 2))
     nested_flat = [s for row in nested for s in row]
     for a, b in zip(nested_flat, flat[0]):
-        assert np.array_equal(a.features, b.features)
-        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a, b)
 
 
 def test_partition_noniid_label_concentration():
@@ -87,9 +99,9 @@ def test_partition_noniid_label_concentration():
     shards = learner.partition_noniid(data, 2, 2, rng.substream(7, 2))
     total = 0
     for row in shards:
-        for s in row:
-            total += len(s)
-            assert np.unique(s.labels).size <= 5
+        for rows in row:
+            total += len(rows)
+            assert np.unique(data.labels[rows]).size <= 5
     assert total == 2000
 
 
@@ -108,21 +120,23 @@ def test_partition_noniid_rejects_fewer_groups_than_classes():
 
 def test_user_state_epoch_reshuffle():
     data = _data(n=10)
-    state = learner.UserLearnerState(data, 4, rng.substream(3, 3))
+    rows = np.arange(10)
+    state = learner.UserLearnerState(data, rows, 4, rng.substream(3, 3))
     seen = np.concatenate([state.next_batch() for _ in range(2)])
     assert np.unique(seen).size == 8  # within one epoch, no repeats
     state.next_batch()               # triggers reshuffle (only 2 left)
     with pytest.raises(ValueError):
-        learner.UserLearnerState(data, 11, rng.substream(3, 3))
+        learner.UserLearnerState(data, rows, 11, rng.substream(3, 3))
 
 
 def test_sgd_matches_manual_steps():
     data = _data(n=40)
+    rows = np.arange(40)
     theta0 = learner.zero_model(6, 3)
-    state = learner.UserLearnerState(data, 8, rng.substream(5, 6))
+    state = learner.UserLearnerState(data, rows, 8, rng.substream(5, 6))
     end = learner.sgd_user_iterations(state, theta0, 3, 0.1)
 
-    state2 = learner.UserLearnerState(data, 8, rng.substream(5, 6))
+    state2 = learner.UserLearnerState(data, rows, 8, rng.substream(5, 6))
     theta = theta0.copy()
     for _ in range(3):
         idx = state2.next_batch()
@@ -132,9 +146,34 @@ def test_sgd_matches_manual_steps():
     assert np.array_equal(end, theta)
 
 
+def test_sgd_on_rows_matches_copied_shard():
+    # a shard of row indices takes the steps a copied shard took, reshuffles
+    # included: batch k is shard row order[k], which is data row rows[order[k]]
+    data = _data(n=60)
+    rows = np.sort(rng.substream(2, 2).permutation(60)[:20])
+    state = learner.UserLearnerState(data, rows, 8, rng.substream(5, 6))
+    end = learner.sgd_user_iterations(state, learner.zero_model(6, 3), 5, 0.1)
+
+    shard = data.subset(rows)
+    gen = rng.substream(5, 6)
+    order = gen.permutation(len(rows))
+    theta = learner.zero_model(6, 3)
+    cursor = 0
+    for _ in range(5):
+        if cursor + 8 > len(rows):
+            order, cursor = gen.permutation(len(rows)), 0
+        idx = order[cursor:cursor + 8]
+        cursor += 8
+        _, g = learner.loss_and_gradient(theta, shard.features[idx],
+                                         shard.labels[idx], 3)
+        theta -= 0.1 * g
+    assert np.array_equal(end, theta)
+
+
 def test_sgd_validates_args():
     data = _data(n=20)
-    state = learner.UserLearnerState(data, 5, rng.substream(0, 0))
+    state = learner.UserLearnerState(data, np.arange(20), 5,
+                                     rng.substream(0, 0))
     with pytest.raises(ValueError):
         learner.sgd_user_iterations(state, learner.zero_model(6, 3), 0, 0.1)
     with pytest.raises(ValueError):
@@ -147,6 +186,14 @@ def test_make_synthetic_deterministic_and_balanced():
     assert np.array_equal(a.features, b.features)
     counts = np.bincount(a.labels, minlength=3)
     assert max(counts) - min(counts) <= 1
+
+
+@pytest.mark.parametrize("n, k", [(60, 10), (23, 10)])
+def test_make_synthetic_matches_reference(n, k):
+    got = learner.make_synthetic(n, 5, k, rng.substream(6, 1))
+    ref = make_synthetic_reference(n, 5, k, rng.substream(6, 1))
+    assert np.array_equal(got.features, ref.features)
+    assert np.array_equal(got.labels, ref.labels)
 
 
 def _write_idx(path, magic, arr, dims, gz=False):

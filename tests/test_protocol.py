@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -88,9 +90,9 @@ def test_ideal_matches_centralized_sgd():
     m = protocol.run_scenario(cfg, record_models=True)
 
     train, _ = protocol.load_run_data(cfg)
-    shard = protocol.partition_for_run(cfg, train)[0][0]
+    rows = protocol.partition_for_run(cfg, train)[0][0]
     state = learner.UserLearnerState(
-        shard, cfg.batch_size, rng.substream(cfg.seed, rng.BATCH, 0, 0))
+        train, rows, cfg.batch_size, rng.substream(cfg.seed, rng.BATCH, 0, 0))
     theta = learner.zero_model(cfg.feature_dim, cfg.num_classes)
     for t in range(cfg.T):
         eta = protocol.lr_schedule(t, cfg.lr_base, cfg.lr_slope)
@@ -207,3 +209,53 @@ def test_mnist_requires_env(monkeypatch):
     monkeypatch.delenv(protocol.MNIST_DIR_ENV, raising=False)
     with pytest.raises(FileNotFoundError):
         protocol.load_run_data(_cfg(dataset="mnist"))
+
+
+def test_run_data_is_read_only():
+    # every user's shard and the train-loss sample read the one train matrix
+    train, test = protocol.load_run_data(_cfg())
+    for data in (train, test):
+        with pytest.raises(ValueError):
+            data.features[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            data.labels[0] = 0
+    assert train.features.base is test.features.base  # views of one matrix
+
+
+# A run whose data (11000 x 64 float64) dominates its memory; three
+# scenarios that cover both partitions and both aggregation paths.
+_DATA_SHAPE = dict(C=2, M=2, K=8, T=2, train_samples=10000,
+                   test_samples=1000, feature_dim=64, batch_size=50, seed=3)
+_DATA_RUNS = {
+    "hotafl_iid": dict(scenario="hotafl", partition="iid"),
+    "flat_iid": dict(scenario="flat_ota", partition="iid"),
+    "ideal_noniid_tau3": dict(scenario="ideal_hier", partition="noniid",
+                              tau=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DATA_RUNS))
+def test_run_holds_its_data_once(name):
+    cfg = protocol.ScenarioConfig(**_DATA_SHAPE, **_DATA_RUNS[name])
+    data_bytes = (cfg.train_samples + cfg.test_samples) * cfg.feature_dim * 8
+    tracemalloc.start()
+    try:
+        protocol.run_scenario(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * data_bytes, f"peak {peak / data_bytes:.2f}x the data"
+
+
+@pytest.mark.parametrize("name, checksum", [
+    ("hotafl_iid",
+     "889b2927a8f60db2bdcb03b0816f3a48ce66cd4ac27c3d9f4f33a9d16351c738"),
+    ("flat_iid",
+     "7b5d31ed0a4453b68b67a163599d5aaadb441929d66e7f8c64044f5ed797414b"),
+    ("ideal_noniid_tau3",
+     "779a3550d936c55e05d973fe795cadf8eece3c025b34d6d561840b0ea604f3e1"),
+])
+def test_golden_checksums(name, checksum):
+    # pinned at 0.4.0; a change here changes every output of the scenario
+    cfg = protocol.ScenarioConfig(**_DATA_SHAPE, **_DATA_RUNS[name])
+    assert protocol.run_scenario(cfg).final_checksum == checksum
