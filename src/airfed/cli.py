@@ -248,8 +248,13 @@ def _cmd_run(args):
     man = man or {}
     seeds = [cfg.seed + k for k in range(args.seeds)] \
         if args.seeds is not None else man.get("seeds", [cfg.seed])
+    if not (isinstance(seeds, list) and seeds
+            and all(type(s) is int and s >= 0 for s in seeds)):
+        raise ConfigError(f"{args.config}: seeds must be a non-empty list "
+                          f"of nonnegative integers, got {seeds!r}")
     scenarios = _parse_scenarios(
-        args.scenarios or man.get("scenarios", protocol.SCENARIOS))
+        args.scenarios or man.get("scenarios", protocol.SCENARIOS),
+        "" if args.scenarios else f"{args.config}: ")
     os.makedirs(args.out, exist_ok=True)
 
     outputs = []
@@ -292,19 +297,21 @@ def _cmd_summarize(args):
     return 0
 
 
-def _parse_scenarios(arg):
-    if isinstance(arg, (list, tuple)):
-        names = list(arg)
-    else:
-        names = [s.strip() for s in arg.split(",") if s.strip()]
+def _parse_scenarios(arg, where=""):
+    """Canonical names from a comma string or a list; where prefixes errors."""
+    if isinstance(arg, str):
+        arg = [s.strip() for s in arg.split(",") if s.strip()]
+    if not isinstance(arg, (list, tuple)):
+        raise ConfigError(f"{where}scenarios must be a list or a comma "
+                          f"string of names, got {arg!r}")
     out = []
-    for n in names:
-        if n not in SCENARIO_ALIASES:
-            raise ConfigError(f"unknown scenario {n!r} (choose from "
+    for n in arg:
+        if not isinstance(n, str) or n not in SCENARIO_ALIASES:
+            raise ConfigError(f"{where}unknown scenario {n!r} (choose from "
                               f"{sorted(set(SCENARIO_ALIASES))})")
         out.append(SCENARIO_ALIASES[n])
     if not out:
-        raise ConfigError("empty scenario list")
+        raise ConfigError(f"{where}empty scenario list")
     return out
 
 
@@ -341,7 +348,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"airfed: error: {exc}", file=sys.stderr)
         return 1
 

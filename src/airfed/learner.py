@@ -55,10 +55,6 @@ def zero_model(feature_dim: int, num_classes: int) -> np.ndarray:
 
 
 def _unflatten(model, feature_dim, num_classes):
-    expected = model_dim(feature_dim, num_classes)
-    if model.shape != (expected,):
-        raise ValueError(f"model length {model.shape} does not match "
-                         f"(d+1)*k = {expected}")
     return model.reshape(feature_dim + 1, num_classes)
 
 
@@ -208,10 +204,6 @@ def sgd_user_iterations(state: UserLearnerState, start, tau: int, eta: float,
                         l2: float = 0.0):
     """Run tau SGD steps theta <- theta - eta * grad from `start`, each on a
     freshly sampled batch."""
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
     theta = np.array(start, dtype=np.float64, copy=True)
     data = state.data
     for _ in range(tau):

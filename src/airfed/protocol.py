@@ -29,8 +29,6 @@ EVAL_TRAIN_SAMPLES = 2000
 
 def power_schedule(t, base, slope) -> float:
     """Transmit power multiplier base + slope * t (0-based iteration index)."""
-    if t < 0:
-        raise ValueError("iteration index must be nonnegative")
     p = base + slope * t
     if not p > 0:
         raise ValueError(f"power schedule non-positive at t={t}: {p}")
@@ -39,8 +37,6 @@ def power_schedule(t, base, slope) -> float:
 
 def lr_schedule(t, base, slope) -> float:
     """Learning rate max(base - slope * t, 0)."""
-    if t < 0:
-        raise ValueError("iteration index must be nonnegative")
     return max(base - slope * t, 0.0)
 
 
@@ -167,15 +163,25 @@ class RunMetrics:
 
 def load_run_data(cfg: ScenarioConfig):
     """(train, test) read-only datasets for a config; deterministic given
-    cfg.seed.  Synthetic train and test are views of one generated matrix."""
+    cfg.seed.  Synthetic train and test are views of one generated matrix;
+    MNIST sets must match the config's feature_dim and num_classes."""
     if cfg.dataset == "mnist":
         data_dir = os.environ.get(MNIST_DIR_ENV)
         if not data_dir:
             raise FileNotFoundError(
                 f"dataset=mnist needs the {MNIST_DIR_ENV} environment "
                 "variable pointing at the IDX files")
-        return (_read_only(learner.load_mnist(data_dir, "train")),
-                _read_only(learner.load_mnist(data_dir, "test")))
+        sets = []
+        for split in ("train", "test"):
+            data = _read_only(learner.load_mnist(data_dir, split))
+            for key in ("feature_dim", "num_classes"):
+                got, want = getattr(data, key), getattr(cfg, key)
+                if got != want:
+                    raise ValueError(f"MNIST {split} set under {data_dir} "
+                                     f"has {key} {got}, the config has "
+                                     f"{key} = {want}")
+            sets.append(data)
+        return tuple(sets)
     gen = rng.substream(cfg.effective_data_seed, rng.DATA, 0)
     full = _read_only(learner.make_synthetic(
         cfg.train_samples + cfg.test_samples, cfg.feature_dim,

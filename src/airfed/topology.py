@@ -6,6 +6,10 @@ server (IS); every user also has a direct distance to the parameter server
 ratio alpha compares total user-to-IS distance against total user-to-PS
 distance; a placement is one uniform draw whose PS distances are scaled by
 one common factor when its alpha misses the target, so it cannot fail.
+
+C, M, path_loss_exp >= 0, target_alpha in (0, 1) and a positive tolerance
+come from a ScenarioConfig, which checked them when it was built, and
+place_users draws positive distances; nothing here checks them again.
 """
 
 from dataclasses import dataclass, field
@@ -36,17 +40,6 @@ class SystemTopology:
     def __post_init__(self):
         d_is = np.array(self.d_is, dtype=np.float64)
         d_ps = np.array(self.d_ps, dtype=np.float64).reshape(-1)
-        if d_is.ndim != 2 or d_is.size == 0:
-            raise ValueError(f"d_is must be a non-empty (C, M) array, "
-                             f"got shape {d_is.shape}")
-        if d_ps.size != d_is.size:
-            raise ValueError(f"d_ps must have C*M = {d_is.size} entries, "
-                             f"got {d_ps.size}")
-        if np.any(d_is <= 0) or np.any(d_ps <= 0):
-            raise ValueError("all distances must be strictly positive")
-        if not self.path_loss_exp >= 0:
-            raise ValueError(f"path-loss exponent must be nonnegative, "
-                             f"got {self.path_loss_exp}")
         p = self.path_loss_exp
         for name, arr in (("d_is", d_is), ("d_ps", d_ps),
                           ("beta", d_is ** (-p)), ("ps_beta", d_ps ** (-p))):
@@ -70,10 +63,6 @@ def place_users(C, M, path_loss_exp, target_alpha, tolerance,
     and keeps the ratios between the users' PS gains; the PS distances then
     lie in [0.5 s, 3 s].  Deterministic given the generator state.
     """
-    if not 0 < target_alpha < 1:
-        raise ValueError(f"target_alpha must be in (0, 1), got {target_alpha}")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     d_is = rng.uniform(IS_DIST_LO, IS_DIST_HI, size=(C, M))
     d_ps = rng.uniform(PS_DIST_LO, PS_DIST_HI, size=C * M)
     alpha = closeness_ratio(d_is, d_ps)

@@ -169,8 +169,6 @@ def test_recover_scaling_inverse():
     combined = np.full(5, p_t * M * sh2 * bbar * (1 + 1j))
     out = channel.recover_cluster_update(combined, p_t, M, sh2, bbar)
     assert np.allclose(out, np.ones(10))
-    with pytest.raises(ValueError):
-        channel.recover_cluster_update(combined, 0.0, M, sh2, bbar)
 
 
 def test_recover_hand_example_unit_channels(monkeypatch):

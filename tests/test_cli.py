@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from airfed import bounds, cli, protocol
+from test_learner import _write_idx
 
 SMOKE = """\
 scenario = hotafl
@@ -313,6 +314,72 @@ def test_run_rejects_nonpositive_seeds(tmp_path, capsys):
             assert err == f"airfed: error: --seeds must be at least 1, " \
                           f"got {n}\n"
             assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("key, val, reason", [
+    ("seeds", [], "seeds must be a non-empty list of nonnegative integers, "
+                  "got []"),
+    ("seeds", "ab", "seeds must be a non-empty list of nonnegative "
+                    "integers, got 'ab'"),
+    ("seeds", [1.5], "seeds must be a non-empty list of nonnegative "
+                     "integers, got [1.5]"),
+    ("seeds", [True], "seeds must be a non-empty list of nonnegative "
+                      "integers, got [True]"),
+    ("scenarios", 5, "scenarios must be a list or a comma string of names, "
+                     "got 5"),
+], ids=["empty", "string", "float", "bool", "scenarios-int"])
+def test_manifest_rejects_bad_seeds_and_scenarios(tmp_path, capsys, key, val,
+                                                  reason):
+    first = str(tmp_path / "first")
+    assert cli.main(["run", "--config", _write(tmp_path, SMOKE),
+                     "--out", first, "--scenarios", "ideal"]) == 0
+    manifest = os.path.join(first, "manifest.json")
+    man = json.load(open(manifest))
+    json.dump({**man, key: val}, open(manifest, "w"))
+    out = str(tmp_path / "o")
+    assert cli.main(["run", "--config", manifest, "--out", out]) == 1
+    assert capsys.readouterr().err == f"airfed: error: {manifest}: {reason}\n"
+    assert not os.path.exists(out)
+
+
+def test_allocation_failure_is_one_line_error(tmp_path, capsys):
+    # 10**15 samples ask for petabytes, more than the address space holds,
+    # so the allocation fails at once whatever the overcommit setting
+    cfg = _write(tmp_path, SMOKE.replace("train_samples = 300",
+                                         "train_samples = 1000000000000000"))
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--scenarios", "ideal"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("airfed: error: Unable to allocate ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("feature_dim, num_classes, test_side, reason", [
+    (19, 10, 4, "train set under {} has feature_dim 16, the config has "
+                "feature_dim = 19"),
+    (16, 4, 4, "train set under {} has num_classes 10, the config has "
+               "num_classes = 4"),
+    (16, 10, 3, "test set under {} has feature_dim 9, the config has "
+                "feature_dim = 16"),
+], ids=["feature_dim", "num_classes", "test-feature_dim"])
+def test_mnist_shape_must_match_config(tmp_path, capsys, monkeypatch,
+                                       feature_dim, num_classes, test_side,
+                                       reason):
+    # 4x4 train images and test_side x test_side test images, labels 0..9
+    for prefix, n, side in (("train", 20, 4), ("t10k", 10, test_side)):
+        _write_idx(tmp_path / f"{prefix}-images-idx3-ubyte", 0x803,
+                   np.arange(n * side * side) % 256, (n, side, side))
+        _write_idx(tmp_path / f"{prefix}-labels-idx1-ubyte", 0x801,
+                   np.arange(n) % 10, (n,))
+    monkeypatch.setenv(protocol.MNIST_DIR_ENV, str(tmp_path))
+    cfg = _write(tmp_path, "scenario = ideal\nC = 1\nM = 2\nT = 1\n"
+                           "dataset = mnist\nbatch_size = 5\n"
+                           f"feature_dim = {feature_dim}\n"
+                           f"num_classes = {num_classes}\n")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--scenarios", "ideal"]) == 1
+    assert capsys.readouterr().err == \
+        f"airfed: error: MNIST {reason.format(tmp_path)}\n"
 
 
 def test_failed_config_leaves_no_output_dir(tmp_path, capsys):

@@ -170,16 +170,6 @@ def test_sgd_on_rows_matches_copied_shard():
     assert np.array_equal(end, theta)
 
 
-def test_sgd_validates_args():
-    data = _data(n=20)
-    state = learner.UserLearnerState(data, np.arange(20), 5,
-                                     rng.substream(0, 0))
-    with pytest.raises(ValueError):
-        learner.sgd_user_iterations(state, learner.zero_model(6, 3), 0, 0.1)
-    with pytest.raises(ValueError):
-        learner.sgd_user_iterations(state, learner.zero_model(6, 3), 1, -0.1)
-
-
 def test_make_synthetic_deterministic_and_balanced():
     a = _data(n=33, seed=8)
     b = _data(n=33, seed=8)

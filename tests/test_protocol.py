@@ -25,8 +25,6 @@ def test_power_schedule_examples():
     assert protocol.power_schedule(123, 0.7, 0.0) == 0.7
     with pytest.raises(ValueError):
         protocol.power_schedule(10, 0.5, -0.1)
-    with pytest.raises(ValueError):
-        protocol.power_schedule(-1, 1.0, 0.0)
 
 
 def test_lr_schedule_examples():

@@ -24,22 +24,6 @@ def test_topology_arrays_read_only():
         topo.beta[0, 0] = 2.0
 
 
-def test_topology_rejects_nonpositive_distance():
-    with pytest.raises(ValueError, match="distances"):
-        topology.SystemTopology([[1.0, 0.0]], [1.0, 1.0], 4.0)
-    with pytest.raises(ValueError, match="distances"):
-        topology.SystemTopology([[1.0, 1.0]], [1.0, -1.0], 4.0)
-    with pytest.raises(ValueError, match="exponent"):
-        topology.SystemTopology([[1.0, 1.0]], [1.0, 1.0], -2.0)
-    # C and M come from d_is, and d_ps must hold C*M distances
-    with pytest.raises(ValueError, match="d_is"):
-        topology.SystemTopology(np.ones((0, 2)), [], 4.0)
-    with pytest.raises(ValueError, match="d_is"):
-        topology.SystemTopology([1.0, 1.0], [1.0, 1.0], 4.0)
-    with pytest.raises(ValueError, match="C\\*M = 4"):
-        topology.SystemTopology(np.ones((2, 2)), np.ones(3), 4.0)
-
-
 def test_closeness_ratio():
     topo = _topo()
     alpha = topology.closeness_ratio(topo.d_is, topo.d_ps)
@@ -100,9 +84,3 @@ def test_place_users_far_target_alpha():
         assert np.all((topo.d_is >= 0.5) & (topo.d_is <= 1.0))
         assert topo.d_ps.max() / topo.d_ps.min() <= 6
 
-
-def test_place_users_validates_target():
-    with pytest.raises(ValueError):
-        topology.place_users(2, 2, 4.0, 1.5, 0.02, rng.substream(1, 0))
-    with pytest.raises(ValueError):
-        topology.place_users(2, 2, 4.0, 0.4, -0.1, rng.substream(1, 0))
