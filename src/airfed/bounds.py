@@ -70,6 +70,11 @@ class BoundParams:
         for name in ("N", "tau", "I", "T", "K"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        # the recursion evaluates both schedules at a = 1..T-1; each is
+        # monotone in a, so its two ends bound every value it takes
+        for a in ((1, self.T - 1) if self.T > 1 else ()):
+            self.power(a)    # raises if non-positive
+            contraction_x(self.eta(a), self.mu, self.tau, self.I)
         # the label names the output CSV and fills its last column
         if not re.fullmatch(r"([A-Za-z0-9_-][A-Za-z0-9_.-]*)?", self.label):
             raise ValueError(f"label must be a plain file stem (letters, "

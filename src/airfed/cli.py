@@ -6,7 +6,9 @@ bound sweep.  The keys, their types and which of them are required come
 from the ``ScenarioConfig`` and ``BoundParams`` dataclasses; unknown keys
 are hard errors.  Every ``run``/``bound`` invocation writes a manifest.json
 next to its outputs; passing that manifest back as --config reproduces the
-outputs byte for byte under the same ``tool_version``.
+outputs byte for byte under the same ``tool_version``.  ``_load_config`` is
+the one reader of config files and manifests, ``_write_manifest`` the one
+manifest writer.
 """
 
 import argparse
@@ -141,57 +143,51 @@ def _bound_from_dict(kv, path):
     return _from_fields(bounds.BoundParams, kv, path)
 
 
-def parse_config(path):
-    """ScenarioConfig or BoundParams from a key=value file."""
-    if path.endswith(".json"):
+def _load_config(path, command=None):
+    """(config, manifest or None) from a key=value file or a manifest.json.
+
+    A file with a ``scenario`` key is a run config, any other a bound
+    config.  With command ("run" or "bound") a config of the other kind is
+    refused and a manifest.json written by that command is read as well.
+    """
+    if not path.endswith(".json"):
+        kv, man = _read_kv(path), None
+        kind = "run" if "scenario" in kv else "bound"
+        if command not in (None, kind):
+            raise ConfigError(f"{path}: not a {command} config")
+    elif command is None:
         raise ConfigError(f"{path}: manifests are handled by the run/bound "
                           "commands directly")
-    kv = _read_kv(path)
-    if "scenario" in kv:
-        return _scenario_from_dict(kv, path)
-    return _bound_from_dict(kv, path)
-
-
-_COMMANDS = {"run": (protocol.ScenarioConfig, _scenario_from_dict),
-             "bound": (bounds.BoundParams, _bound_from_dict)}
-
-
-def _load_config(path, command):
-    """(config, manifest or None) for the run or bound command.
-
-    path is a key=value file or a manifest.json written by that command.
-    """
-    cls, from_dict = _COMMANDS[command]
-    if not path.endswith(".json"):
-        cfg = parse_config(path)
-        if not isinstance(cfg, cls):
-            raise ConfigError(f"{path}: not a {command} config")
-        return cfg, None
-    with open(path, encoding="utf-8") as fh:
-        man = json.load(fh)
-    if not (isinstance(man, dict) and man.get("kind") == command
-            and isinstance(man.get("config"), dict)):
-        raise ConfigError(f"{path}: not a {command} manifest")
-    kv = {key: (val, 0) for key, val in man["config"].items()}
+    else:
+        with open(path, encoding="utf-8") as fh:
+            man = json.load(fh)
+        if not (isinstance(man, dict) and man.get("kind") == command
+                and isinstance(man.get("config"), dict)):
+            raise ConfigError(f"{path}: not a {command} manifest")
+        kv = {key: (val, 0) for key, val in man["config"].items()}
+        kind = command
+    from_dict = _scenario_from_dict if kind == "run" else _bound_from_dict
     return from_dict(kv, path), man
 
 
-def _manifest_config(cfg):
-    """The init fields of a config dataclass, arrays as nested lists."""
-    out = {}
-    for f in fields(cfg):
-        if f.init:
-            val = getattr(cfg, f.name)
-            out[f.name] = val.tolist() if isinstance(val, np.ndarray) else val
-    return out
+def parse_config(path):
+    """ScenarioConfig or BoundParams from a key=value file."""
+    return _load_config(path)[0]
 
 
-def _write_manifest(out_dir, payload):
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+def _write_manifest(out_dir, kind, cfg, outputs, start, **runs):
+    """manifest.json: cfg's init fields, outputs, runtime since start and,
+    for a run, its seeds and scenarios."""
+    config = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.init}
+    payload = {"kind": kind, "tool_version": __version__, "config": config,
+               "outputs": outputs,
+               "runtime_seconds": round(time.time() - start, 3), **runs}
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8",
+              newline="\n") as fh:
+        # a bound's betas array is written as nested lists
+        json.dump(payload, fh, indent=2, sort_keys=True,
+                  default=np.ndarray.tolist)
         fh.write("\n")
-    return path
 
 
 def summarize(csv_paths, out_path):
@@ -252,30 +248,33 @@ def _cmd_run(args):
             and all(type(s) is int and s >= 0 for s in seeds)):
         raise ConfigError(f"{args.config}: seeds must be a non-empty list "
                           f"of nonnegative integers, got {seeds!r}")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"{args.config}: seeds must not repeat, "
+                          f"got {seeds!r}")
     scenarios = _parse_scenarios(
         args.scenarios or man.get("scenarios", protocol.SCENARIOS),
         "" if args.scenarios else f"{args.config}: ")
+    try:
+        runs = [replace(cfg, scenario=scen, seed=seed)
+                for seed in seeds for scen in scenarios]
+    except ValueError as exc:
+        raise ConfigError(f"{args.config}: {exc}")
     os.makedirs(args.out, exist_ok=True)
 
     outputs = []
     run_csvs = []
-    for seed in seeds:
-        for scen in scenarios:
-            run_cfg = replace(cfg, scenario=scen, seed=seed)
-            metrics = protocol.run_scenario(run_cfg)
-            name = f"{scen}_seed{seed}.csv"
-            metrics.to_csv(os.path.join(args.out, name))
-            outputs.append(name)
-            run_csvs.append(os.path.join(args.out, name))
+    for run_cfg in runs:
+        metrics = protocol.run_scenario(run_cfg)
+        name = f"{run_cfg.scenario}_seed{run_cfg.seed}.csv"
+        metrics.to_csv(os.path.join(args.out, name))
+        outputs.append(name)
+        run_csvs.append(os.path.join(args.out, name))
     if len(run_csvs) > 1:
         summarize(run_csvs, os.path.join(args.out, "summary.csv"))
         outputs.append("summary.csv")
 
-    _write_manifest(args.out, {
-        "kind": "run", "tool_version": __version__, "seed": seeds[0],
-        "seeds": seeds, "scenarios": scenarios,
-        "config": _manifest_config(cfg), "outputs": outputs,
-        "runtime_seconds": round(time.time() - start, 3)})
+    _write_manifest(args.out, "run", cfg, outputs, start, seeds=seeds,
+                    scenarios=scenarios)
     return 0
 
 
@@ -285,10 +284,7 @@ def _cmd_bound(args):
     os.makedirs(args.out, exist_ok=True)
     name = f"{params.label or 'bound'}.csv"
     bounds.bound_to_csv(params, os.path.join(args.out, name))
-    _write_manifest(args.out, {
-        "kind": "bound", "tool_version": __version__, "seed": 0,
-        "config": _manifest_config(params), "outputs": [name],
-        "runtime_seconds": round(time.time() - start, 3)})
+    _write_manifest(args.out, "bound", params, [name], start)
     return 0
 
 
@@ -309,6 +305,9 @@ def _parse_scenarios(arg, where=""):
         if not isinstance(n, str) or n not in SCENARIO_ALIASES:
             raise ConfigError(f"{where}unknown scenario {n!r} (choose from "
                               f"{sorted(set(SCENARIO_ALIASES))})")
+        if SCENARIO_ALIASES[n] in out:
+            raise ConfigError(f"{where}scenarios name "
+                              f"{SCENARIO_ALIASES[n]!r} twice")
         out.append(SCENARIO_ALIASES[n])
     if not out:
         raise ConfigError(f"{where}empty scenario list")

@@ -88,9 +88,11 @@ class ScenarioConfig:
         return self.seed if self.data_seed is None else self.data_seed
 
     def validate(self):
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"scenario must be one of {SCENARIOS}, "
-                             f"got {self.scenario!r}")
+        for name, choices in (("scenario", SCENARIOS), ("dataset", DATASETS),
+                              ("partition", PARTITIONS)):
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {choices}, "
+                                 f"got {getattr(self, name)!r}")
         for name in ("C", "M", "K", "tau", "I", "T", "batch_size",
                      "train_samples", "test_samples", "feature_dim",
                      "num_classes"):
@@ -100,25 +102,15 @@ class ScenarioConfig:
             if f.type in (float, Optional[float]) \
                     and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite")
-        for name in ("seed", "data_seed"):
-            if (getattr(self, name) or 0) < 0:
-                raise ValueError(f"{name} must be a nonnegative integer")
-        if self.sigma_h2 <= 0:
-            raise ValueError("sigma_h2 must be positive")
-        if self.sigma_z2 < 0:
-            raise ValueError("sigma_z2 must be nonnegative")
-        if self.dataset not in DATASETS:
-            raise ValueError(f"dataset must be one of {DATASETS}")
-        if self.partition not in PARTITIONS:
-            raise ValueError(f"partition must be one of {PARTITIONS}")
+        for name in ("sigma_h2", "alpha_tolerance"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("seed", "data_seed", "sigma_z2", "path_loss_exp",
+                     "l2_reg"):
+            if (getattr(self, name) or 0) < 0:    # data_seed may be None
+                raise ValueError(f"{name} must be nonnegative")
         if not 0 < self.target_alpha < 1:
             raise ValueError("target_alpha must be in (0, 1)")
-        if self.alpha_tolerance <= 0:
-            raise ValueError("alpha_tolerance must be positive")
-        if not self.path_loss_exp >= 0:
-            raise ValueError("path_loss_exp must be nonnegative")
-        if self.l2_reg < 0:
-            raise ValueError("l2_reg must be nonnegative")
         for base, slope in ((self.power_base, self.power_slope),
                             (self.flat_power_base, self.flat_power_slope)):
             for t in (0, self.T - 1):

@@ -393,6 +393,64 @@ def test_failed_config_leaves_no_output_dir(tmp_path, capsys):
             assert not os.path.exists(out)
 
 
+def test_repeated_scenario_or_seed_leaves_no_output_dir(tmp_path, capsys):
+    cfg = _write(tmp_path, SMOKE)
+    out = str(tmp_path / "o")
+    assert cli.main(["run", "--config", cfg, "--out", out,
+                     "--scenarios", "ideal,ideal_hier"]) == 1
+    assert capsys.readouterr().err == \
+        "airfed: error: scenarios name 'ideal_hier' twice\n"
+    assert not os.path.exists(out)
+    first = str(tmp_path / "first")
+    assert cli.main(["run", "--config", cfg, "--out", first,
+                     "--scenarios", "ideal"]) == 0
+    manifest = os.path.join(first, "manifest.json")
+    man = json.load(open(manifest))
+    for key, val, reason in (
+            ("seeds", [3, 3], "seeds must not repeat, got [3, 3]"),
+            ("scenarios", ["flat", "flat_ota"],
+             "scenarios name 'flat_ota' twice")):
+        json.dump({**man, key: val}, open(manifest, "w"))
+        assert cli.main(["run", "--config", manifest, "--out", out]) == 1
+        assert capsys.readouterr().err == \
+            f"airfed: error: {manifest}: {reason}\n"
+        assert not os.path.exists(out)
+
+
+def test_bad_run_list_or_bound_schedule_leaves_no_output_dir(tmp_path,
+                                                             capsys):
+    # each config is fine on its own; the error shows only for a scenario
+    # the run list adds or at an iteration the bound recursion reaches
+    here = os.path.join(os.path.dirname(__file__), "..", "configs")
+    text = open(os.path.join(here, "bound_fig4_hotafl.cfg")).read()
+    cases = [
+        (["run", "--scenarios", "ideal,hotafl"],
+         "scenario = ideal\nfeature_dim = 8\nnum_classes = 3\n",
+         "model dimension 27 must be even for over-the-air packing"),
+        (["bound"], text.replace("power_base = 1.0", "power_base = -1.0"),
+         "power schedule non-positive at t=1: -0.99"),
+        (["bound"], text.replace("lr_base = 0.05", "lr_base = 2"),
+         "eta=1.99998 outside [0, 1.0] where the contraction factor is "
+         "valid")]
+    for args, cfg_text, reason in cases:
+        cfg = _write(tmp_path, cfg_text)
+        out = str(tmp_path / "o")
+        assert cli.main([*args, "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == f"airfed: error: {cfg}: {reason}\n"
+        assert not os.path.exists(out)
+
+
+def test_manifest_top_level_keys(tmp_path):
+    common = {"kind", "tool_version", "config", "outputs", "runtime_seconds"}
+    for command, text, extra in (("run", SMOKE, {"seeds", "scenarios"}),
+                                 ("bound", BOUND, set())):
+        out = str(tmp_path / command)
+        assert cli.main([command, "--config", _write(tmp_path, text),
+                         "--out", out]) == 0
+        man = json.load(open(os.path.join(out, "manifest.json")))
+        assert set(man) == common | extra
+
+
 def test_manifest_rerun_byte_identical(tmp_path, capsys):
     cfg = _write(tmp_path, SMOKE)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
