@@ -35,11 +35,18 @@ def distance_bound_closed_form(p: bounds.BoundParams, t: int) -> float:
 
 
 def make_synthetic_reference(num_samples, feature_dim, num_classes, rng):
-    """learner.make_synthetic with every class centre gathered per row."""
+    """learner.make_synthetic drawn serially: the blocks one after another,
+    each from its rng.spawn child, with every class centre gathered per
+    row."""
     dirs = rng.standard_normal((num_classes, feature_dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     labels = np.arange(num_samples) % num_classes
-    feats = 4.0 * dirs[labels] + rng.standard_normal((num_samples, feature_dim))
+    step = learner.SYNTHETIC_BLOCK_ROWS
+    starts = range(0, num_samples, step)
+    noise = np.concatenate([
+        gen.standard_normal((min(step, num_samples - s), feature_dim))
+        for s, gen in zip(starts, rng.spawn(len(starts)))])
+    feats = 4.0 * dirs[labels] + noise
     return learner.Dataset(feats, labels, num_classes)
 
 

@@ -178,12 +178,20 @@ def test_make_synthetic_deterministic_and_balanced():
     assert max(counts) - min(counts) <= 1
 
 
-@pytest.mark.parametrize("n, k", [(60, 10), (23, 10)])
-def test_make_synthetic_matches_reference(n, k):
-    got = learner.make_synthetic(n, 5, k, rng.substream(6, 1))
+@pytest.mark.parametrize("n, k", [
+    (60, 10), (23, 10),
+    # three blocks, a short last one, and a block start (2048) that is not
+    # a multiple of the class count
+    (2 * learner.SYNTHETIC_BLOCK_ROWS + 7, 7),
+])
+def test_make_synthetic_matches_reference(n, k, monkeypatch):
     ref = make_synthetic_reference(n, 5, k, rng.substream(6, 1))
-    assert np.array_equal(got.features, ref.features)
-    assert np.array_equal(got.labels, ref.labels)
+    for cpus in (None, 1, 3):   # the usable CPUs, then 1 and 3 workers
+        if cpus:
+            monkeypatch.setattr(learner, "_cpu_count", lambda: cpus)
+        got = learner.make_synthetic(n, 5, k, rng.substream(6, 1))
+        assert np.array_equal(got.features, ref.features)
+        assert np.array_equal(got.labels, ref.labels)
 
 
 def _write_idx(path, magic, arr, dims, gz=False):
