@@ -1,11 +1,13 @@
 """Scenario orchestration: ideal hierarchical FL, HOTAFL, and flat OTA FL.
 
-One engine drives all three scenarios.  A global iteration broadcasts the
-PS model to every cluster, runs I local iterations (each: tau user SGD
-steps per user, then a local aggregation that is either an exact mean or
-an over-the-air uplink), and averages the cluster updates at the PS over
-an error-free link.  Flat OTA FL is the C=1, I=1 specialization with
-large-scale gains taken from the direct user-to-PS distances.
+One engine drives all three scenarios.  A global iteration t broadcasts the
+PS model to every cluster, runs I local iterations i (each: tau SGD steps
+by user m of each cluster c, then a local aggregation per cluster that is
+either an exact mean or an over-the-air uplink), and averages the cluster
+updates at the PS over an error-free link.  The loops run t -> i -> c -> m;
+batch streams are keyed by (c, m) and channel and noise streams by
+(t, i, c), so the order cannot change the outputs.  Flat OTA FL is the
+C=1, I=1 specialization with gains from the direct user-to-PS distances.
 """
 
 import hashlib
@@ -155,8 +157,8 @@ class RunMetrics:
 
 def load_run_data(cfg: ScenarioConfig):
     """(train, test) read-only datasets for a config; deterministic given
-    cfg.seed.  Synthetic train and test are views of one generated matrix;
-    MNIST sets must match the config's feature_dim and num_classes."""
+    cfg.effective_data_seed.  Synthetic train and test are views of one
+    matrix; MNIST sets must match the config's feature_dim and num_classes."""
     if cfg.dataset == "mnist":
         data_dir = os.environ.get(MNIST_DIR_ENV)
         if not data_dir:
@@ -212,15 +214,15 @@ def build_topology(cfg: ScenarioConfig) -> topology.SystemTopology:
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _run_engine(cfg, shards, betas, train, test, record_models,
                 collect_diffs):
-    """Shared loop for all scenarios.
+    """Shared loop for all scenarios, in the order t -> i -> c -> m.
 
-    shards: nested (cfg.C, cfg.M) list of row-index arrays into train; user
-    (c, m) draws its batches from substream (seed, BATCH, c, m).
+    shards: nested (cfg.C, cfg.M) list of row-index arrays into train.
     betas: (cfg.C, cfg.M) large-scale gains for over-the-air local
-    aggregation, or None for exact means.
+    aggregation, or None for exact means.  User (c, m) draws its batches
+    from substream (seed, BATCH, c, m) and aggregation (t, i, c) from
+    (seed, CHANNEL | NOISE, t, i, c), so no loop order changes the outputs.
     """
-    C, M = cfg.C, cfg.M
-    dim = learner.model_dim(cfg.feature_dim, cfg.num_classes)
+    C, M, I = cfg.C, cfg.M, cfg.I
 
     states = [[learner.UserLearnerState(
         train, shards[c][m], cfg.batch_size,
@@ -234,6 +236,8 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
     eval_labels = train.labels[eval_idx]
 
     theta_ps = learner.zero_model(cfg.feature_dim, cfg.num_classes)
+    theta_is = np.empty((C, theta_ps.size))     # the C IS models
+    diffs = np.empty((C, I, M, theta_ps.size))  # one iteration's user diffs
     out = {k: np.empty(cfg.T) for k in
            ("train_loss", "test_acc", "avg_tx_power", "eta", "power")}
     models = [] if record_models else None
@@ -242,39 +246,34 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
     for t in range(cfg.T):
         eta = lr_schedule(t, cfg.lr_base, cfg.lr_slope)
         p_t = power_schedule(t, cfg.power_base, cfg.power_slope)
-        cluster_delta = np.empty((C, dim))
-        tx_energy = 0.0
-        tx_count = 0
-        diffs_t = np.empty((C, cfg.I, M, dim)) if collect_diffs else None
+        tx_energy, tx_count = 0.0, 0
+        theta_is[:] = theta_ps
 
-        for c in range(C):
-            theta_is = theta_ps.copy()
-            for i in range(cfg.I):
-                diffs = np.empty((M, dim))
+        for i in range(I):
+            for c in range(C):
                 for m in range(M):
                     end = learner.sgd_user_iterations(
-                        states[c][m], theta_is, cfg.tau, eta, l2=cfg.l2_reg)
-                    diffs[m] = end - theta_is
-                if collect_diffs:
-                    diffs_t[c, i] = diffs
-                if betas is None:
-                    update = diffs.sum(axis=0) / M
-                else:
+                        states[c][m], theta_is[c], cfg.tau, eta,
+                        l2=cfg.l2_reg)
+                    diffs[c, i, m] = end - theta_is[c]
+                if betas is not None:
                     update, energy, sent = channel.ota_aggregate(
-                        diffs, betas[c], p_t, cfg.K, cfg.sigma_h2,
+                        diffs[c, i], betas[c], p_t, cfg.K, cfg.sigma_h2,
                         cfg.sigma_z2,
                         rng.substream(cfg.seed, rng.CHANNEL, t, i, c),
                         rng.substream(cfg.seed, rng.NOISE, t, i, c))
+                    theta_is[c] += update
                     tx_energy += energy
                     tx_count += sent
-                theta_is = theta_is + update
-            delta_c = theta_is - theta_ps
-            if not np.isfinite(delta_c).all():
-                raise ValueError(f"cluster {c} update is not finite at "
-                                 f"t={t + 1}")
-            cluster_delta[c] = delta_c
+            if betas is None:
+                theta_is += diffs[:, i].sum(axis=1) / M
 
-        theta_ps = theta_ps + cluster_delta.sum(axis=0) / C
+        delta = theta_is - theta_ps
+        bad = ~np.isfinite(delta).all(axis=1)
+        if bad.any():
+            raise ValueError(f"cluster {bad.argmax()} update is not finite "
+                             f"at t={t + 1}")
+        theta_ps = theta_ps + delta.sum(axis=0) / C
 
         loss = learner.loss(theta_ps, eval_feats, eval_labels,
                             cfg.num_classes, cfg.l2_reg)
@@ -286,9 +285,9 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
         out["eta"][t] = eta
         out["power"][t] = p_t
         if record_models:
-            models.append(theta_ps.copy())
+            models.append(theta_ps)     # rebound above, never written in place
         if collect_diffs:
-            all_diffs.append(diffs_t)
+            all_diffs.append(diffs.copy())
 
     checksum = hashlib.sha256(np.ascontiguousarray(theta_ps).tobytes()).hexdigest()
     return RunMetrics(cfg.scenario, np.arange(1, cfg.T + 1), out["train_loss"],

@@ -6,7 +6,7 @@ import pytest
 
 from dataclasses import FrozenInstanceError, replace
 
-from airfed import channel, learner, protocol, rng, topology
+from airfed import bounds, channel, learner, protocol, rng, topology
 from oracles import coherent_mrc_statistic
 
 
@@ -109,6 +109,50 @@ def test_recursion_identity_ideal():
         flat_sum = m.user_diffs[t].sum(axis=(0, 1, 2)) / (cfg.M * cfg.C)
         assert np.max(np.abs(global_delta - flat_sum)) < 1e-10
         prev = m.models[t]
+
+
+# Seed and band fixed before the first run.  The per-iteration ratio of the
+# measured to the predicted error pins the power, K and noise the engine
+# hands to channel.ota_aggregate: without the noise it reads about 0.016,
+# and with K/2 it leaves the band (1.3-2.1) in every sigma_z2 = 1 case but
+# hotafl at K = 10^4.  Where the noise is small, the recovery bias, which
+# does not depend on K, dominates.  It does not pin which betas row a
+# cluster gets: rotating the rows across clusters stays in the band.
+_AGG_ERR_BAND = (0.85, 1.15)
+
+
+@pytest.mark.parametrize("K", [10, 100, 1000, 10_000])
+@pytest.mark.parametrize("sigma_z2", [0.0, 1.0])
+@pytest.mark.parametrize("scenario", ["hotafl", "flat_ota"])
+def test_aggregation_error_matches_lemma_oracle(scenario, sigma_z2, K):
+    cfg = protocol.ScenarioConfig(
+        scenario=scenario, C=2, M=3, K=K, T=6, sigma_z2=sigma_z2,
+        feature_dim=64, train_samples=3000, test_samples=300, batch_size=50,
+        seed=3)
+    m = protocol.run_scenario(cfg, record_models=True, collect_diffs=True)
+    topo = protocol.build_topology(cfg)
+    if scenario == "hotafl":
+        betas, I, base, slope = (topo.beta, cfg.I, cfg.power_base,
+                                 cfg.power_slope)
+    else:                       # one cluster of all users, as run_scenario
+        betas, I, base, slope = (topo.ps_beta.reshape(1, -1), 1,
+                                 cfg.flat_power_base, cfg.flat_power_slope)
+    p = bounds.BoundParams(
+        L=1.0, mu=1.0, G2=1.0, Gamma=0.0, init_dist=1.0,
+        N=m.final_model.size // 2, tau=cfg.tau, I=I, T=cfg.T, K=cfg.K,
+        sigma_z2=cfg.sigma_z2, sigma_h2=cfg.sigma_h2, betas=betas,
+        lr_base=cfg.lr_base, lr_slope=cfg.lr_slope, power_base=base,
+        power_slope=slope)
+    lo, hi = _AGG_ERR_BAND
+    prev = np.zeros_like(m.final_model)
+    for t, (model, diffs) in enumerate(zip(m.models, m.user_diffs)):
+        err = model - prev - diffs.mean(axis=(0, 1, 2))
+        # a = t: the oracle's power schedule is the engine's 0-based one
+        predicted = sum(bounds.lemma_variance_oracle(w, p, a=t, diffs=diffs)
+                        for w in bounds.Y_TERMS[:3])
+        ratio = float(err @ err) / predicted
+        assert lo <= ratio <= hi, f"t={t + 1}: ratio {ratio:.3f}"
+        prev = model
 
 
 def test_flat_is_one_level_specialization(monkeypatch):
@@ -221,8 +265,9 @@ def test_run_data_is_read_only():
     assert train.features.base is test.features.base  # views of one matrix
 
 
-# A run whose data (11000 x 64 float64) dominates its memory; three
-# scenarios that cover both partitions and both aggregation paths.
+# A run whose data (11000 x 64 float64) dominates its memory; scenarios
+# that cover both partitions, both aggregation paths and I > 1, where the
+# order of the engine's local-step and cluster loops could show.
 _DATA_SHAPE = dict(C=2, M=2, K=8, T=2, train_samples=10000,
                    test_samples=1000, feature_dim=64, batch_size=50, seed=3)
 _DATA_RUNS = {
@@ -230,6 +275,9 @@ _DATA_RUNS = {
     "flat_iid": dict(scenario="flat_ota", partition="iid"),
     "ideal_noniid_tau3": dict(scenario="ideal_hier", partition="noniid",
                               tau=3),
+    "hotafl_iid_I3": dict(scenario="hotafl", partition="iid", I=3),
+    "ideal_noniid_tau3_I2": dict(scenario="ideal_hier", partition="noniid",
+                                 tau=3, I=2),
 }
 
 
@@ -261,6 +309,10 @@ _GOLDEN_CHECKSUMS = {
         "e518088381f183bbde1b29517049a2a02fc9bd97f6f471e652e44647cf311ebf",
     "ideal_noniid_tau3":
         "f8c7b7c23ebfa0230c1e696ccae5ff9a6d78036e2b93508a0f29e58f642ee3c3",
+    "hotafl_iid_I3":
+        "d17efc3a32d73f1d3bc7e4172e2005974d2051e677d0d19b6f94132c52c7c6a8",
+    "ideal_noniid_tau3_I2":
+        "cade99dc21843cf4bec21e5d04d1b6bce9715887a5c2aea11687f5f3f3a49b6e",
 }
 
 
