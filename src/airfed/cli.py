@@ -264,7 +264,11 @@ def _cmd_run(args):
     outputs = []
     run_csvs = []
     for run_cfg in runs:
-        metrics = protocol.run_scenario(run_cfg)
+        try:
+            metrics = protocol.run_scenario(run_cfg)
+        except ValueError as exc:
+            raise ConfigError(f"{args.config}: {run_cfg.scenario} seed "
+                              f"{run_cfg.seed}: {exc}")
         name = f"{run_cfg.scenario}_seed{run_cfg.seed}.csv"
         metrics.to_csv(os.path.join(args.out, name))
         outputs.append(name)

@@ -135,6 +135,7 @@ def partition_noniid(data: Dataset, C: int, M: int, rng):
     (largest remainder), each label's samples are split into near-equal
     single-label groups, and a random permutation deals 5 groups to every
     user.  Returns a (C, M) nested list of sorted row-index arrays into data.
+    ScenarioConfig checks that there are at least as many groups as classes.
     """
     n_groups = 5 * M * C
     counts = np.bincount(data.labels, minlength=data.num_classes)
@@ -142,9 +143,6 @@ def partition_noniid(data: Dataset, C: int, M: int, rng):
         raise ValueError("every class needs at least one sample")
     if len(data) < n_groups:
         raise ValueError("fewer samples than groups")
-    if n_groups < data.num_classes:
-        raise ValueError(f"{n_groups} label groups (5*C*M) cannot cover "
-                         f"{data.num_classes} classes")
     # largest-remainder apportionment of groups to labels
     quota = counts / counts.sum() * n_groups
     alloc = np.floor(quota).astype(int)

@@ -111,6 +111,10 @@ class ScenarioConfig:
                      "l2_reg"):
             if (getattr(self, name) or 0) < 0:    # data_seed may be None
                 raise ValueError(f"{name} must be nonnegative")
+        groups = 5 * self.C * self.M
+        if self.partition == "noniid" and groups < self.num_classes:
+            raise ValueError(f"{groups} label groups (5*C*M) cannot cover "
+                             f"{self.num_classes} classes")
         if not 0 < self.target_alpha < 1:
             raise ValueError("target_alpha must be in (0, 1)")
         for base, slope in ((self.power_base, self.power_slope),

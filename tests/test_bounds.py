@@ -27,16 +27,6 @@ def test_a1_single_user_cluster_is_zero():
     assert a1_term(2.0, 2.0, 2.0, 2.0) == pytest.approx(0.0)
 
 
-def test_a1_factored_identity():
-    gen = rng.substream(4, 0)
-    for _ in range(100):
-        b1, b2 = gen.uniform(0.1, 5, 2)
-        bb1, bb2 = b1 + gen.uniform(0.1, 5), b2 + gen.uniform(0.1, 5)
-        expanded = a1_term(b1, bb1, b2, bb2)
-        factored = (1 - b1 / bb1) * (1 - b2 / bb2)
-        assert abs(expanded - factored) <= 1e-14
-
-
 def test_contraction_examples():
     assert bounds.contraction_x(1.0, 1.0, 1, 1) == 0.0
     assert bounds.contraction_x(0.0, 1.0, 3, 2) == 1.0

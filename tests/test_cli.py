@@ -187,54 +187,6 @@ def test_parse_rejects_out_of_range_value(tmp_path, kind, key, val):
         cli.parse_config(_write(tmp_path, text))
 
 
-def test_manifest_rejects_booleans_for_numbers(tmp_path, capsys):
-    first = str(tmp_path / "first")
-    assert cli.main(["run", "--config", _write(tmp_path, SMOKE),
-                     "--out", first, "--scenarios", "ideal"]) == 0
-    manifest = os.path.join(first, "manifest.json")
-    man = json.load(open(manifest))
-    for key, val in (("T", True), ("sigma_z2", False)):
-        json.dump({**man, "config": {**man["config"], key: val}},
-                  open(manifest, "w"))
-        out = str(tmp_path / "o")
-        assert cli.main(["run", "--config", manifest, "--out", out]) == 1
-        assert capsys.readouterr().err == (
-            f"airfed: error: {manifest}:0: bad value for {key!r}: {val!r}\n")
-        assert not os.path.exists(out)
-
-
-def test_bound_rejects_empty_betas(tmp_path, capsys):
-    first = str(tmp_path / "first")
-    assert cli.main(["bound", "--config", _write(tmp_path, BOUND),
-                     "--out", first]) == 0
-    manifest = os.path.join(first, "manifest.json")
-    man = json.load(open(manifest))
-    man["config"]["betas"] = [[]]
-    json.dump(man, open(manifest, "w"))
-    out = str(tmp_path / "o")
-    assert cli.main(["bound", "--config", manifest, "--out", out]) == 1
-    assert capsys.readouterr().err == (
-        f"airfed: error: {manifest}: betas must be non-empty, positive "
-        "and finite\n")
-    assert not os.path.exists(out)
-
-
-def test_bound_rejects_booleans_in_betas(tmp_path, capsys):
-    first = str(tmp_path / "first")
-    assert cli.main(["bound", "--config", _write(tmp_path, BOUND),
-                     "--out", first]) == 0
-    manifest = os.path.join(first, "manifest.json")
-    man = json.load(open(manifest))
-    betas = man["config"]["betas"]
-    betas[0][0] = True
-    json.dump(man, open(manifest, "w"))
-    out = str(tmp_path / "o")
-    assert cli.main(["bound", "--config", manifest, "--out", out]) == 1
-    assert capsys.readouterr().err == (
-        f"airfed: error: {manifest}:0: bad value for 'betas': {betas!r}\n")
-    assert not os.path.exists(out)
-
-
 @pytest.mark.parametrize("label", ("../escaped", "a,b", ".hidden", "a/b"))
 def test_bound_label_must_be_a_file_stem(tmp_path, capsys, label):
     # the label names the output CSV and fills its last column, so it
@@ -316,29 +268,47 @@ def test_run_rejects_nonpositive_seeds(tmp_path, capsys):
             assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("key, val, reason", [
-    ("seeds", [], "seeds must be a non-empty list of nonnegative integers, "
-                  "got []"),
-    ("seeds", "ab", "seeds must be a non-empty list of nonnegative "
-                    "integers, got 'ab'"),
-    ("seeds", [1.5], "seeds must be a non-empty list of nonnegative "
-                     "integers, got [1.5]"),
-    ("seeds", [True], "seeds must be a non-empty list of nonnegative "
-                      "integers, got [True]"),
-    ("scenarios", 5, "scenarios must be a list or a comma string of names, "
-                     "got 5"),
-], ids=["empty", "string", "float", "bool", "scenarios-int"])
-def test_manifest_rejects_bad_seeds_and_scenarios(tmp_path, capsys, key, val,
-                                                  reason):
+_SEED_LIST = "seeds must be a non-empty list of nonnegative integers, got "
+_BOOL_BETAS = [[True] + [3.0] * 4] + [[3.0] * 5] * 3
+
+
+# A bad entry at the top level of a manifest or in its config: (command,
+# place, key, value, what stderr says after the manifest path).  Each ends
+# in that one line and leaves no --out.
+@pytest.mark.parametrize("command, place, key, val, reason", [
+    ("run", "top", "seeds", [], f": {_SEED_LIST}[]"),
+    ("run", "top", "seeds", "ab", f": {_SEED_LIST}'ab'"),
+    ("run", "top", "seeds", [1.5], f": {_SEED_LIST}[1.5]"),
+    ("run", "top", "seeds", [True], f": {_SEED_LIST}[True]"),
+    ("run", "top", "scenarios", 5,
+     ": scenarios must be a list or a comma string of names, got 5"),
+    ("run", "top", "seeds", [3, 3], ": seeds must not repeat, got [3, 3]"),
+    ("run", "top", "scenarios", ["flat", "flat_ota"],
+     ": scenarios name 'flat_ota' twice"),
+    ("run", "config", "T", True, ":0: bad value for 'T': True"),
+    ("run", "config", "sigma_z2", False,
+     ":0: bad value for 'sigma_z2': False"),
+    ("bound", "config", "betas", [[]],
+     ": betas must be non-empty, positive and finite"),
+    ("bound", "config", "betas", _BOOL_BETAS,
+     f":0: bad value for 'betas': {_BOOL_BETAS!r}"),
+], ids=["empty", "string", "float", "bool", "scenarios-int", "seeds-repeat",
+        "scenarios-repeat", "T-bool", "sigma_z2-bool", "betas-empty",
+        "betas-bool"])
+def test_manifest_rejects_bad_seeds_and_scenarios(tmp_path, capsys, command,
+                                                  place, key, val, reason):
+    text, only = (SMOKE, ["--scenarios", "ideal"]) if command == "run" \
+        else (BOUND, [])
     first = str(tmp_path / "first")
-    assert cli.main(["run", "--config", _write(tmp_path, SMOKE),
-                     "--out", first, "--scenarios", "ideal"]) == 0
+    assert cli.main([command, "--config", _write(tmp_path, text),
+                     "--out", first, *only]) == 0
     manifest = os.path.join(first, "manifest.json")
     man = json.load(open(manifest))
-    json.dump({**man, key: val}, open(manifest, "w"))
+    (man if place == "top" else man["config"])[key] = val
+    json.dump(man, open(manifest, "w"))
     out = str(tmp_path / "o")
-    assert cli.main(["run", "--config", manifest, "--out", out]) == 1
-    assert capsys.readouterr().err == f"airfed: error: {manifest}: {reason}\n"
+    assert cli.main([command, "--config", manifest, "--out", out]) == 1
+    assert capsys.readouterr().err == f"airfed: error: {manifest}{reason}\n"
     assert not os.path.exists(out)
 
 
@@ -378,8 +348,8 @@ def test_mnist_shape_must_match_config(tmp_path, capsys, monkeypatch,
                            f"num_classes = {num_classes}\n")
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--scenarios", "ideal"]) == 1
-    assert capsys.readouterr().err == \
-        f"airfed: error: MNIST {reason.format(tmp_path)}\n"
+    assert capsys.readouterr().err == f"airfed: error: {cfg}: ideal_hier " \
+        f"seed 0: MNIST {reason.format(tmp_path)}\n"
 
 
 def test_failed_config_leaves_no_output_dir(tmp_path, capsys):
@@ -401,26 +371,13 @@ def test_repeated_scenario_or_seed_leaves_no_output_dir(tmp_path, capsys):
     assert capsys.readouterr().err == \
         "airfed: error: scenarios name 'ideal_hier' twice\n"
     assert not os.path.exists(out)
-    first = str(tmp_path / "first")
-    assert cli.main(["run", "--config", cfg, "--out", first,
-                     "--scenarios", "ideal"]) == 0
-    manifest = os.path.join(first, "manifest.json")
-    man = json.load(open(manifest))
-    for key, val, reason in (
-            ("seeds", [3, 3], "seeds must not repeat, got [3, 3]"),
-            ("scenarios", ["flat", "flat_ota"],
-             "scenarios name 'flat_ota' twice")):
-        json.dump({**man, key: val}, open(manifest, "w"))
-        assert cli.main(["run", "--config", manifest, "--out", out]) == 1
-        assert capsys.readouterr().err == \
-            f"airfed: error: {manifest}: {reason}\n"
-        assert not os.path.exists(out)
 
 
 def test_bad_run_list_or_bound_schedule_leaves_no_output_dir(tmp_path,
                                                              capsys):
-    # each config is fine on its own; the error shows only for a scenario
-    # the run list adds or at an iteration the bound recursion reaches
+    # each error depends on more than one key: a scenario the run list
+    # adds, an iteration the bound recursion reaches, or a non-i.i.d. split
+    # into fewer label groups than classes
     here = os.path.join(os.path.dirname(__file__), "..", "configs")
     text = open(os.path.join(here, "bound_fig4_hotafl.cfg")).read()
     cases = [
@@ -431,7 +388,9 @@ def test_bad_run_list_or_bound_schedule_leaves_no_output_dir(tmp_path,
          "power schedule non-positive at t=1: -0.99"),
         (["bound"], text.replace("lr_base = 0.05", "lr_base = 2"),
          "eta=1.99998 outside [0, 1.0] where the contraction factor is "
-         "valid")]
+         "valid"),
+        (["run"], "scenario = hotafl\nC = 1\nM = 1\npartition = noniid\n",
+         "5 label groups (5*C*M) cannot cover 10 classes")]
     for args, cfg_text, reason in cases:
         cfg = _write(tmp_path, cfg_text)
         out = str(tmp_path / "o")
@@ -581,4 +540,21 @@ def test_run_non_finite_is_one_line_error(tmp_path, capsys):
                      + f"power_base = {power}\npower_slope = 0\n")
         assert cli.main(["run", "--config", cfg, "--out",
                          str(tmp_path / "o"), "--scenarios", "hotafl"]) == 1
-        assert capsys.readouterr().err == f"airfed: error: {msg}\n"
+        assert capsys.readouterr().err == \
+            f"airfed: error: {cfg}: hotafl seed 5: {msg}\n"
+
+
+def test_run_error_names_config_and_run(tmp_path, capsys):
+    # 600 rows over C*M = 6 users leave 100-row shards, fewer than a batch;
+    # --out is made before the first run and keeps what was written
+    cfg = _write(tmp_path, SMOKE.replace("M = 2", "M = 3")
+                 .replace("train_samples = 300", "train_samples = 600")
+                 .replace("batch_size = 20", "batch_size = 200")
+                 .replace("seed = 5", "seed = 7"))
+    out = str(tmp_path / "o")
+    assert cli.main(["run", "--config", cfg, "--out", out,
+                     "--scenarios", "hotafl"]) == 1
+    assert capsys.readouterr().err == (
+        f"airfed: error: {cfg}: hotafl seed 7: batch_size 200 not in "
+        "[1, 100]\n")
+    assert os.listdir(out) == []

@@ -1,7 +1,8 @@
-"""Every name a module in src/airfed imports is used in that module, every
-top-level name it defines is referenced from the package or perfbench (code
-that only tests use belongs in tests/), and every ScenarioConfig option is
-read somewhere in the package."""
+"""Every name a module in src/airfed or tests/ imports is used in that
+module, every top-level name a package module defines is referenced from the
+package or perfbench (code that only tests use belongs in tests/), every
+top-level name in tests/ other than a test is referenced from tests/, and
+every ScenarioConfig option is read somewhere in the package."""
 
 import ast
 from dataclasses import fields
@@ -11,6 +12,7 @@ from airfed.protocol import ScenarioConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "airfed"
+TESTS = ROOT / "tests"
 
 
 def _unused_imports(path):
@@ -27,7 +29,8 @@ def _unused_imports(path):
 
 
 def test_every_import_is_used():
-    unused = [u for path in sorted(PACKAGE.glob("*.py"))
+    unused = [u for folder in (PACKAGE, TESTS)
+              for path in sorted(folder.glob("*.py"))
               for u in _unused_imports(path)]
     assert unused == []
 
@@ -69,6 +72,16 @@ def test_every_definition_is_referenced():
     dead = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
             for name in sorted(_definitions(ast.parse(path.read_text("utf-8"))))
             if name not in referenced]
+    assert dead == []
+
+
+def test_every_test_helper_is_referenced():
+    modules = {path.name: ast.parse(path.read_text("utf-8"))
+               for path in sorted(TESTS.glob("*.py"))}
+    referenced = set().union(*map(_references, modules.values()))
+    dead = [f"{name}: {d}" for name, tree in modules.items()
+            for d in sorted(_definitions(tree))
+            if not d.startswith("test_") and d not in referenced]
     assert dead == []
 
 

@@ -111,13 +111,6 @@ def test_partition_noniid_rejects_missing_class():
         learner.partition_noniid(data, 2, 2, rng.substream(0, 0))
 
 
-def test_partition_noniid_rejects_fewer_groups_than_classes():
-    # C = M = 1 gives 5 single-label groups for 10 classes
-    data = _data(n=200, d=4, k=10)
-    with pytest.raises(ValueError, match="5 label groups .* 10 classes"):
-        learner.partition_noniid(data, 1, 1, rng.substream(0, 0))
-
-
 def test_user_state_epoch_reshuffle():
     data = _data(n=10)
     rows = np.arange(10)

@@ -7,7 +7,6 @@ import pytest
 from dataclasses import FrozenInstanceError, replace
 
 from airfed import bounds, channel, learner, protocol, rng, topology
-from oracles import coherent_mrc_statistic
 
 
 def _cfg(**kw):
@@ -44,6 +43,9 @@ def test_config_validation_errors():
         _cfg(power_base=-1.0)
     with pytest.raises(ValueError, match="even"):
         _cfg(feature_dim=8, num_classes=3)  # dim 27, odd
+    with pytest.raises(ValueError, match=r"^5 label groups \(5\*C\*M\) "
+                       "cannot cover 10 classes$"):
+        _cfg(C=1, M=1, partition="noniid", num_classes=10)
     # ideal runs tolerate odd model dimensions
     _cfg(scenario="ideal_hier", feature_dim=8, num_classes=3)
 
@@ -97,18 +99,6 @@ def test_ideal_matches_centralized_sgd():
         eta = protocol.lr_schedule(t, cfg.lr_base, cfg.lr_slope)
         theta = learner.sgd_user_iterations(state, theta, 1, eta)
         assert np.array_equal(theta, m.models[t])
-
-
-def test_recursion_identity_ideal():
-    cfg = _cfg(scenario="ideal_hier", C=2, M=3, I=2, tau=2, T=5,
-               train_samples=600)
-    m = protocol.run_scenario(cfg, record_models=True, collect_diffs=True)
-    prev = learner.zero_model(cfg.feature_dim, cfg.num_classes)
-    for t in range(cfg.T):
-        global_delta = m.models[t] - prev
-        flat_sum = m.user_diffs[t].sum(axis=(0, 1, 2)) / (cfg.M * cfg.C)
-        assert np.max(np.abs(global_delta - flat_sum)) < 1e-10
-        prev = m.models[t]
 
 
 # Seed and band fixed before the first run.  The per-iteration ratio of the
@@ -169,17 +159,6 @@ def test_flat_is_one_level_specialization(monkeypatch):
     b = protocol.run_scenario(cfg_flat)
     assert a.final_checksum == b.final_checksum
     assert np.array_equal(a.test_acc, b.test_acc)
-
-
-def test_degenerate_channel_equals_ideal(monkeypatch):
-    monkeypatch.setattr(channel, "draw_mrc_statistic", coherent_mrc_statistic)
-    cfg = _cfg(tau=2, I=2, sigma_z2=0.0, power_base=1.0, power_slope=0.0,
-               feature_dim=7, num_classes=5, T=8)
-    topo = topology.SystemTopology(np.ones((2, 2)), np.ones(4), 4.0)
-    monkeypatch.setattr(protocol, "build_topology", lambda cfg: topo)
-    a = protocol.run_scenario(replace(cfg, scenario="ideal_hier"))
-    b = protocol.run_scenario(cfg)
-    assert a.final_checksum == b.final_checksum
 
 
 def test_setup_calls_once_per_run(monkeypatch):
