@@ -6,10 +6,14 @@ laid out as an augmented-input weight matrix).  The flat vector is what
 travels over the air, so its length must be even for complex packing.
 """
 
+import ctypes
+import functools
+import glob
 import gzip
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,12 +218,7 @@ def sgd_user_iterations(state: UserLearnerState, start, tau: int, eta: float,
 
 
 # ---------------------------------------------------------------------------
-# data sources
-
-# Rows per block of the synthetic draw.  The values depend on this and
-# never on how many threads fill the blocks.
-SYNTHETIC_BLOCK_ROWS = 2048
-
+# threads
 
 def _cpu_count():
     """CPUs this process may run on."""
@@ -227,6 +226,70 @@ def _cpu_count():
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy's wheels
+    bundle in numpy.libs (scipy-openblas), or None when it is not found.
+    Opening the file numpy already loaded returns that same library."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*scipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            return (lib.scipy_openblas_get_num_threads64_,
+                    lib.scipy_openblas_set_num_threads64_)
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+@contextmanager
+def blas_single_thread():
+    """Hold numpy's bundled OpenBLAS at one thread, then restore the count
+    it had, also on an exception.  Without that library BLAS is left as it
+    is.  At one thread a matrix product's bits do not depend on the core
+    count, and concurrent SGD calls do not oversubscribe the CPUs."""
+    api = _openblas_threads()
+    if api is None:
+        yield
+        return
+    get, set_threads = api
+    before = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
+# One gradient's multiply-adds (batch_size * (feature_dim + 1) *
+# num_classes) from which a local step's users run on a thread pool.  An
+# ideal_hier engine run (C*M = 20, tau = 1, T = 8, BLAS at one thread) on
+# 2 workers took, as a median multiple of the serial run over 5 pairs on
+# 2 cores (numpy 2.4.6): 1.09-1.10 at 64 features and batch 100,
+# 1.04-1.09 at 128 x 500 (0.65e6), 0.87 at 192 x 500 (0.96e6), 0.75-0.77
+# at 256 x 500 and 0.62-0.65 at 784 x 500 (the paper's width).
+SGD_POOL_MIN_MACS = 1_000_000
+
+
+def sgd_workers(n_users: int, batch_size: int, feature_dim: int,
+                num_classes: int) -> int:
+    """Threads for one local step's n_users SGD calls: one per usable CPU
+    when BLAS can be held at one thread and one gradient reaches
+    SGD_POOL_MIN_MACS, else 1 (the calls run in the caller's thread)."""
+    macs = batch_size * model_dim(feature_dim, num_classes)
+    if _openblas_threads() is None or macs < SGD_POOL_MIN_MACS:
+        return 1
+    return min(_cpu_count(), n_users)
+
+
+# ---------------------------------------------------------------------------
+# data sources
+
+# Rows per block of the synthetic draw.  The values depend on this and
+# never on how many threads fill the blocks.
+SYNTHETIC_BLOCK_ROWS = 2048
 
 
 def make_synthetic(num_samples: int, feature_dim: int, num_classes: int,

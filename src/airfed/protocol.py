@@ -4,16 +4,20 @@ One engine drives all three scenarios.  A global iteration t broadcasts the
 PS model to every cluster, runs I local iterations i (each: tau SGD steps
 by user m of each cluster c, then a local aggregation per cluster that is
 either an exact mean or an over-the-air uplink), and averages the cluster
-updates at the PS over an error-free link.  The loops run t -> i -> c -> m;
-batch streams are keyed by (c, m) and channel and noise streams by
-(t, i, c), so the order cannot change the outputs.  Flat OTA FL is the
+updates at the PS over an error-free link.  The loops run t -> i -> c, the
+C*M users of a local step running on a thread pool; batch streams are
+keyed by (c, m) and channel and noise streams by (t, i, c), so neither the
+order nor the worker count can change the outputs.  Flat OTA FL is the
 C=1, I=1 specialization with gains from the direct user-to-PS distances.
 """
 
 import hashlib
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -214,17 +218,27 @@ def build_topology(cfg: ScenarioConfig) -> topology.SystemTopology:
 # engine
 
 # Overflow and log(0) are reported by the finiteness checks below, which
-# name the iteration and cluster, not as numpy warnings.
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+# name the iteration and cluster, not as numpy warnings.  numpy's error
+# state is per thread, so the pool's tasks set it too.
+_QUIET = dict(over="ignore", divide="ignore", invalid="ignore")
+
+
+@np.errstate(**_QUIET)
 def _run_engine(cfg, shards, betas, train, test, record_models,
                 collect_diffs):
-    """Shared loop for all scenarios, in the order t -> i -> c -> m.
+    """Shared loop for all scenarios, in the order t -> i -> c.
 
     shards: nested (cfg.C, cfg.M) list of row-index arrays into train.
     betas: (cfg.C, cfg.M) large-scale gains for over-the-air local
     aggregation, or None for exact means.  User (c, m) draws its batches
     from substream (seed, BATCH, c, m) and aggregation (t, i, c) from
     (seed, CHANNEL | NOISE, t, i, c), so no loop order changes the outputs.
+
+    A local step's C*M users run on learner.sgd_workers threads, worker k
+    taking users k, k + workers, ... of the row-major list, so each user's
+    state is only touched by one thread.  The pool also computes the train
+    loss while this thread runs learner.evaluate.  BLAS is held at one
+    thread for the whole loop (learner.blas_single_thread).
     """
     C, M, I = cfg.C, cfg.M, cfg.I
 
@@ -232,6 +246,10 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
         train, shards[c][m], cfg.batch_size,
         rng.substream(cfg.seed, rng.BATCH, c, m))
         for m in range(M)] for c in range(C)]
+    users = [(c, m) for c in range(C) for m in range(M)]
+    workers = learner.sgd_workers(C * M, cfg.batch_size, cfg.feature_dim,
+                                  cfg.num_classes)
+    groups = [users[k::workers] for k in range(workers)]
 
     eval_gen = rng.substream(cfg.effective_data_seed, rng.EVAL)
     n_eval = min(EVAL_TRAIN_SAMPLES, len(train))
@@ -247,20 +265,34 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
     models = [] if record_models else None
     all_diffs = [] if collect_diffs else None
 
-    for t in range(cfg.T):
-        eta = lr_schedule(t, cfg.lr_base, cfg.lr_slope)
-        p_t = power_schedule(t, cfg.power_base, cfg.power_slope)
-        tx_energy, tx_count = 0.0, 0
-        theta_is[:] = theta_ps
+    def train_users(group, i, eta):
+        with np.errstate(**_QUIET):
+            for c, m in group:
+                end = learner.sgd_user_iterations(
+                    states[c][m], theta_is[c], cfg.tau, eta, l2=cfg.l2_reg)
+                diffs[c, i, m] = end - theta_is[c]
 
-        for i in range(I):
-            for c in range(C):
-                for m in range(M):
-                    end = learner.sgd_user_iterations(
-                        states[c][m], theta_is[c], cfg.tau, eta,
-                        l2=cfg.l2_reg)
-                    diffs[c, i, m] = end - theta_is[c]
-                if betas is not None:
+    def train_loss(model):
+        with np.errstate(**_QUIET):
+            return learner.loss(model, eval_feats, eval_labels,
+                                cfg.num_classes, cfg.l2_reg)
+
+    with learner.blas_single_thread(), \
+            (ThreadPoolExecutor(workers) if workers > 1
+             else nullcontext()) as pool:
+        run = pool.map if pool else map
+        for t in range(cfg.T):
+            eta = lr_schedule(t, cfg.lr_base, cfg.lr_slope)
+            p_t = power_schedule(t, cfg.power_base, cfg.power_slope)
+            tx_energy, tx_count = 0.0, 0
+            theta_is[:] = theta_ps
+
+            for i in range(I):
+                list(run(partial(train_users, i=i, eta=eta), groups))
+                if betas is None:
+                    theta_is += diffs[:, i].sum(axis=1) / M
+                    continue
+                for c in range(C):
                     update, energy, sent = channel.ota_aggregate(
                         diffs[c, i], betas[c], p_t, cfg.K, cfg.sigma_h2,
                         cfg.sigma_z2,
@@ -269,29 +301,28 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
                     theta_is[c] += update
                     tx_energy += energy
                     tx_count += sent
-            if betas is None:
-                theta_is += diffs[:, i].sum(axis=1) / M
 
-        delta = theta_is - theta_ps
-        bad = ~np.isfinite(delta).all(axis=1)
-        if bad.any():
-            raise ValueError(f"cluster {bad.argmax()} update is not finite "
-                             f"at t={t + 1}")
-        theta_ps = theta_ps + delta.sum(axis=0) / C
+            delta = theta_is - theta_ps
+            bad = ~np.isfinite(delta).all(axis=1)
+            if bad.any():
+                raise ValueError(f"cluster {bad.argmax()} update is not "
+                                 f"finite at t={t + 1}")
+            theta_ps = theta_ps + delta.sum(axis=0) / C
 
-        loss = learner.loss(theta_ps, eval_feats, eval_labels,
-                            cfg.num_classes, cfg.l2_reg)
-        if not np.isfinite(loss):
-            raise ValueError(f"train loss is not finite at t={t + 1}")
-        out["train_loss"][t] = loss
-        out["test_acc"][t] = learner.evaluate(theta_ps, test)
-        out["avg_tx_power"][t] = tx_energy / tx_count if tx_count else 0.0
-        out["eta"][t] = eta
-        out["power"][t] = p_t
-        if record_models:
-            models.append(theta_ps)     # rebound above, never written in place
-        if collect_diffs:
-            all_diffs.append(diffs.copy())
+            # evaluate stays in this thread: a profiler may clock on it
+            pending = pool.submit(train_loss, theta_ps) if pool else None
+            out["test_acc"][t] = learner.evaluate(theta_ps, test)
+            loss = pending.result() if pool else train_loss(theta_ps)
+            if not np.isfinite(loss):
+                raise ValueError(f"train loss is not finite at t={t + 1}")
+            out["train_loss"][t] = loss
+            out["avg_tx_power"][t] = tx_energy / tx_count if tx_count else 0.0
+            out["eta"][t] = eta
+            out["power"][t] = p_t
+            if record_models:
+                models.append(theta_ps)  # rebound above, never written in place
+            if collect_diffs:
+                all_diffs.append(diffs.copy())
 
     checksum = hashlib.sha256(np.ascontiguousarray(theta_ps).tobytes()).hexdigest()
     return RunMetrics(cfg.scenario, np.arange(1, cfg.T + 1), out["train_loss"],

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -300,3 +303,111 @@ def test_golden_checksums(name):
     # pinned at 0.5.0; a change here changes every output of the scenario
     cfg = protocol.ScenarioConfig(**_DATA_SHAPE, **_DATA_RUNS[name])
     assert protocol.run_scenario(cfg).final_checksum == _GOLDEN_CHECKSUMS[name]
+
+
+# One gradient of this shape, 400 * 257 * 10 multiply-adds, reaches
+# learner.SGD_POOL_MIN_MACS, so its local steps run on the user pool.
+_POOL_SHAPE = dict(C=2, M=2, K=8, tau=2, I=2, T=2, feature_dim=256,
+                   batch_size=400, train_samples=2000, test_samples=500,
+                   seed=4)
+_NO_BLAS_SETTER = "numpy's bundled OpenBLAS thread setter not found"
+
+
+@pytest.mark.parametrize("scenario", ["hotafl", "ideal_hier"])
+def test_outputs_independent_of_worker_count(scenario, monkeypatch):
+    cfg = protocol.ScenarioConfig(scenario=scenario, **_POOL_SHAPE)
+    pinned = learner._openblas_threads() is not None
+    sgd = learner.sgd_user_iterations
+    threads = set()
+
+    def traced(*args, **kw):
+        threads.add(threading.get_ident())
+        return sgd(*args, **kw)
+
+    monkeypatch.setattr(learner, "sgd_user_iterations", traced)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # interleave the workers finely
+    try:
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(learner, "_cpu_count", lambda: cpus)
+            threads.clear()
+            before = threading.active_count()
+            runs.append(protocol.run_scenario(cfg))
+            assert threading.active_count() == before   # the pool is joined
+            assert len(threads) == (cpus if pinned else 1)
+    finally:
+        sys.setswitchinterval(interval)
+    for m in runs[1:]:
+        assert m.final_checksum == runs[0].final_checksum
+        for key in ("train_loss", "test_acc", "avg_tx_power"):
+            assert np.array_equal(getattr(m, key), getattr(runs[0], key))
+
+    monkeypatch.setattr(learner, "_cpu_count", lambda: 2)
+    assert learner.sgd_workers(20, 500, 784, 10) == (2 if pinned else 1)
+    assert learner.sgd_workers(20, 100, 64, 10) == 1   # criteria 4s and 5s
+
+
+def test_run_holds_blas_at_one_thread_and_restores_it(monkeypatch):
+    api = learner._openblas_threads()
+    if api is None:
+        pytest.skip(_NO_BLAS_SETTER)
+    get, set_threads = api
+    seen = []
+    evaluate = learner.evaluate
+
+    def watched(*args):
+        seen.append(get())
+        return evaluate(*args)
+
+    monkeypatch.setattr(learner, "evaluate", watched)
+    monkeypatch.setattr(learner, "_cpu_count", lambda: 2)
+    cfg = protocol.ScenarioConfig(scenario="hotafl", **_POOL_SHAPE)
+    # P_t = 1e-310 overflows the recovered update inside the pooled run
+    blowup = replace(cfg, sigma_z2=100.0, power_base=1e-310, power_slope=0)
+    saved = get()
+    set_threads(2)
+    try:
+        protocol.run_scenario(cfg)
+        assert seen == [1, 1] and get() == 2
+        with pytest.raises(ValueError, match="update is not finite at t=1"):
+            protocol.run_scenario(blowup)
+        assert get() == 2
+        # without the setter the run leaves BLAS as it is
+        monkeypatch.setattr(learner, "_openblas_threads", lambda: None)
+        seen.clear()
+        protocol.run_scenario(cfg)
+        assert seen == [2, 2] and get() == 2
+    finally:
+        set_threads(saved)
+
+
+_BLAS_RUN = """
+import sys
+from airfed import protocol
+cfg = protocol.ScenarioConfig(scenario="hotafl", C=2, M=1, K=4, T=2,
+                              feature_dim=784, batch_size=500,
+                              train_samples=1000, test_samples=1000, seed=1)
+m = protocol.run_scenario(cfg)
+m.to_csv(sys.argv[1])
+print(m.final_checksum)
+"""
+
+
+def test_paper_width_outputs_independent_of_blas_threads(tmp_path):
+    # 784 features and batch 500: above OpenBLAS's threading threshold, so
+    # without the pin the products' bits depend on the thread count
+    if learner._openblas_threads() is None:
+        pytest.skip(_NO_BLAS_SETTER)
+    src = os.path.dirname(os.path.dirname(protocol.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        csv = tmp_path / f"{threads}.csv"
+        done = subprocess.run([sys.executable, "-c", _BLAS_RUN, str(csv)],
+                              env=env, capture_output=True, text=True,
+                              check=True, timeout=300)
+        outs.append((done.stdout, csv.read_bytes()))
+    assert outs[0] == outs[1]
