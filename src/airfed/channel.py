@@ -25,14 +25,12 @@ import numpy as np
 
 def pack_complex(delta: np.ndarray) -> np.ndarray:
     """First half -> real parts, second half -> imaginary (last axis)."""
-    delta = np.asarray(delta, dtype=np.float64)
     n = delta.shape[-1] // 2
     return delta[..., :n] + 1j * delta[..., n:]
 
 
 def unpack_complex(symbols: np.ndarray) -> np.ndarray:
     """Exact inverse of pack_complex."""
-    symbols = np.asarray(symbols, dtype=np.complex128)
     return np.concatenate([symbols.real, symbols.imag], axis=-1)
 
 
@@ -90,7 +88,7 @@ def uplink_and_combine(symbols, h, p_t, z):
 def recover_cluster_update(combined, p_t, M, sigma_h2, beta_bar) -> np.ndarray:
     """Divide out the nominal gain and unpack back to a 2N real vector."""
     denom = p_t * M * sigma_h2 * beta_bar
-    return unpack_complex(np.asarray(combined, dtype=np.complex128)) / denom
+    return unpack_complex(combined) / denom
 
 
 def draw_mrc_statistic(betas, K, x, sigma_h2, rng):
@@ -102,7 +100,7 @@ def draw_mrc_statistic(betas, K, x, sigma_h2, rng):
     S = s_ac * g + sqrt(l2 * R) * n, with g ~ Gamma(K), n ~ CN(0, 1) and
     l2 = s_cc - |s_ac|^2 / s_aa (clamped at 0 against rounding).
     """
-    b = sigma_h2 * np.asarray(betas, dtype=np.float64)
+    b = sigma_h2 * betas
     s_aa = b.sum()
     s_ac = (b @ x.real) + 1j * (b @ x.imag)   # float @ complex is far slower
     s_cc = b @ (x.real ** 2 + x.imag ** 2)

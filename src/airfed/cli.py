@@ -100,25 +100,12 @@ def _from_fields(cls, kv, path):
         raise ConfigError(f"{path}: {exc}")
 
 
-# Retired ScenarioConfig keys and their old defaults, the only behaviour
-# left: manifests written while the options existed still load.
-_RETIRED_KEYS = {"optimizer": "sgd", "channel_mode": "rayleigh",
-                 "max_place_retries": 10000, "eval_train_samples": 2000}
-
-
 def _scenario_from_dict(kv, path):
-    """ScenarioConfig; aliases resolved, retired keys at default dropped."""
+    """ScenarioConfig with scenario aliases resolved."""
     if "scenario" in kv:
         name, lineno = kv["scenario"]
         kv = {**kv, "scenario": (SCENARIO_ALIASES.get(str(name), name),
                                  lineno)}
-    for key, old in _RETIRED_KEYS.items():
-        # typed like the old field: text gives "10000", a manifest 10000
-        if key in kv and _typed(type(old), key, kv[key], path) != old:
-            val, lineno = kv[key]
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: "
-                              f"{val!r} (only {old!r} is supported)")
-    kv = {k: v for k, v in kv.items() if k not in _RETIRED_KEYS}
     return _from_fields(protocol.ScenarioConfig, kv, path)
 
 
@@ -192,8 +179,6 @@ def _write_manifest(out_dir, kind, cfg, outputs, start, **runs):
 
 def summarize(csv_paths, out_path):
     """Per-scenario final-accuracy stats plus the scenario-ordering flag."""
-    if not csv_paths:
-        raise ConfigError("summarize needs at least one input CSV")
     finals = {}
     for path in csv_paths:
         with open(path, encoding="utf-8") as fh:

@@ -30,12 +30,8 @@ class Dataset:
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.labels.ndim != 1:
-            raise ValueError("features must be (n, d), labels (n,)")
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels disagree on sample count")
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be positive")
         if self.labels.size and (self.labels.min() < 0
                                  or self.labels.max() >= self.num_classes):
             raise ValueError("labels out of range")
@@ -67,7 +63,7 @@ def _softmax_loss(model, features, labels, num_classes, l2):
     """(W, probs, loss) of the linear softmax classifier on one batch."""
     if features.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    W = _unflatten(np.asarray(model, dtype=np.float64), features.shape[1], num_classes)
+    W = _unflatten(model, features.shape[1], num_classes)
     logits = features @ W[:-1] + W[-1]
     logits -= logits.max(axis=1, keepdims=True)
     expz = np.exp(logits)
@@ -80,8 +76,7 @@ def _softmax_loss(model, features, labels, num_classes, l2):
 
 def loss(model, features, labels, num_classes, l2: float = 0.0) -> float:
     """The loss of loss_and_gradient, without computing the gradient."""
-    return _softmax_loss(model, np.asarray(features, dtype=np.float64),
-                         np.asarray(labels), num_classes, l2)[2]
+    return _softmax_loss(model, features, labels, num_classes, l2)[2]
 
 
 def loss_and_gradient(model, features, labels, num_classes, l2: float = 0.0):
@@ -90,8 +85,6 @@ def loss_and_gradient(model, features, labels, num_classes, l2: float = 0.0):
     With l2 > 0 the objective gains (l2/2)*||model||^2, which makes every
     per-user loss l2-strongly convex.
     """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
     W, delta, value = _softmax_loss(model, features, labels, num_classes, l2)
     n = features.shape[0]
     delta[np.arange(n), labels] -= 1.0
@@ -108,8 +101,7 @@ def evaluate(model, test: Dataset) -> float:
     """Fraction of argmax-correct predictions; ties go to the lowest class."""
     if len(test) == 0:
         raise ValueError("test set must be non-empty")
-    W = _unflatten(np.asarray(model, dtype=np.float64), test.feature_dim,
-                   test.num_classes)
+    W = _unflatten(model, test.feature_dim, test.num_classes)
     logits = test.features @ W[:-1] + W[-1]
     return float(np.mean(np.argmax(logits, axis=1) == test.labels))
 
@@ -264,12 +256,13 @@ def blas_single_thread():
 
 
 # One gradient's multiply-adds (batch_size * (feature_dim + 1) *
-# num_classes) from which a local step's users run on a thread pool.  An
-# ideal_hier engine run (C*M = 20, tau = 1, T = 8, BLAS at one thread) on
-# 2 workers took, as a median multiple of the serial run over 5 pairs on
-# 2 cores (numpy 2.4.6): 1.09-1.10 at 64 features and batch 100,
-# 1.04-1.09 at 128 x 500 (0.65e6), 0.87 at 192 x 500 (0.96e6), 0.75-0.77
-# at 256 x 500 and 0.62-0.65 at 784 x 500 (the paper's width).
+# num_classes) from which a local step's users run on more than one
+# worker.  An ideal_hier engine run (C*M = 20, tau = 1, T = 8, BLAS at
+# one thread) on 2 workers took, as a median multiple of the serial run
+# over 5 pairs on 2 cores (numpy 2.4.6): 1.09-1.10 at 64 features and
+# batch 100, 1.04-1.09 at 128 x 500 (0.65e6), 0.87 at 192 x 500
+# (0.96e6), 0.75-0.77 at 256 x 500 and 0.62-0.65 at 784 x 500 (the
+# paper's width).
 SGD_POOL_MIN_MACS = 1_000_000
 
 
@@ -277,7 +270,7 @@ def sgd_workers(n_users: int, batch_size: int, feature_dim: int,
                 num_classes: int) -> int:
     """Threads for one local step's n_users SGD calls: one per usable CPU
     when BLAS can be held at one thread and one gradient reaches
-    SGD_POOL_MIN_MACS, else 1 (the calls run in the caller's thread)."""
+    SGD_POOL_MIN_MACS, else 1 (the calls run on one worker thread)."""
     macs = batch_size * model_dim(feature_dim, num_classes)
     if _openblas_threads() is None or macs < SGD_POOL_MIN_MACS:
         return 1

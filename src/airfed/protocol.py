@@ -15,7 +15,6 @@ import hashlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Optional
@@ -234,11 +233,12 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
     from substream (seed, BATCH, c, m) and aggregation (t, i, c) from
     (seed, CHANNEL | NOISE, t, i, c), so no loop order changes the outputs.
 
-    A local step's C*M users run on learner.sgd_workers threads, worker k
-    taking users k, k + workers, ... of the row-major list, so each user's
-    state is only touched by one thread.  The pool also computes the train
-    loss while this thread runs learner.evaluate.  BLAS is held at one
-    thread for the whole loop (learner.blas_single_thread).
+    A local step's C*M users run on a pool of learner.sgd_workers threads
+    (one at small shapes), worker k taking users k, k + workers, ... of the
+    row-major list, so each user's state is only touched by one thread.
+    The pool also computes the train loss while this thread runs
+    learner.evaluate.  BLAS is held at one thread for the whole loop
+    (learner.blas_single_thread).
     """
     C, M, I = cfg.C, cfg.M, cfg.I
 
@@ -277,10 +277,7 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
             return learner.loss(model, eval_feats, eval_labels,
                                 cfg.num_classes, cfg.l2_reg)
 
-    with learner.blas_single_thread(), \
-            (ThreadPoolExecutor(workers) if workers > 1
-             else nullcontext()) as pool:
-        run = pool.map if pool else map
+    with learner.blas_single_thread(), ThreadPoolExecutor(workers) as pool:
         for t in range(cfg.T):
             eta = lr_schedule(t, cfg.lr_base, cfg.lr_slope)
             p_t = power_schedule(t, cfg.power_base, cfg.power_slope)
@@ -288,7 +285,7 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
             theta_is[:] = theta_ps
 
             for i in range(I):
-                list(run(partial(train_users, i=i, eta=eta), groups))
+                list(pool.map(partial(train_users, i=i, eta=eta), groups))
                 if betas is None:
                     theta_is += diffs[:, i].sum(axis=1) / M
                     continue
@@ -310,9 +307,9 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
             theta_ps = theta_ps + delta.sum(axis=0) / C
 
             # evaluate stays in this thread: a profiler may clock on it
-            pending = pool.submit(train_loss, theta_ps) if pool else None
+            pending = pool.submit(train_loss, theta_ps)
             out["test_acc"][t] = learner.evaluate(theta_ps, test)
-            loss = pending.result() if pool else train_loss(theta_ps)
+            loss = pending.result()
             if not np.isfinite(loss):
                 raise ValueError(f"train loss is not finite at t={t + 1}")
             out["train_loss"][t] = loss

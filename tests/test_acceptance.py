@@ -362,9 +362,8 @@ def test_criterion_9_reproducibility(tmp_path):
                     "--out", out2]) == 0
     for name in sorted(os.listdir(out1)):
         if name.endswith(".csv"):
-            a = open(os.path.join(out1, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
-            ok &= a == b
+            ok &= (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
 
     # in-process reruns of one config are bit-identical
     cfg = cli.parse_config(str(cfg_path))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,13 +153,13 @@ def test_parse_bound_rejects_bad_values(tmp_path):
     assert cli.main(["bound", "--config", _write(tmp_path, BOUND),
                      "--out", out]) == 0
     man_path = os.path.join(out, "manifest.json")
-    man = json.load(open(man_path))
+    man = json.loads(Path(man_path).read_text())
     man["config"]["N"] = 3925.7
-    json.dump(man, open(man_path, "w"))
+    Path(man_path).write_text(json.dumps(man))
     with pytest.raises(cli.ConfigError, match=r"manifest.json:0: .*'N'"):
         cli._load_config(man_path, "bound")
     for bad in ([1], {"kind": "bound", "config": [1]}, {"kind": "run"}):
-        json.dump(bad, open(man_path, "w"))
+        Path(man_path).write_text(json.dumps(bad))
         with pytest.raises(cli.ConfigError, match="not a bound manifest"):
             cli._load_config(man_path, "bound")
 
@@ -204,9 +205,9 @@ def test_bound_label_must_be_a_file_stem(tmp_path, capsys, label):
     assert cli.main(["bound", "--config", _write(tmp_path, BOUND),
                      "--out", first]) == 0
     manifest = os.path.join(first, "manifest.json")
-    man = json.load(open(manifest))
+    man = json.loads(Path(manifest).read_text())
     man["config"]["label"] = label
-    json.dump(man, open(manifest, "w"))
+    Path(manifest).write_text(json.dumps(man))
     assert cli.main(["bound", "--config", manifest, "--out", out]) == 1
     assert capsys.readouterr().err.startswith(
         f"airfed: error: {manifest}: label must be a plain file stem")
@@ -235,7 +236,7 @@ def test_run_command_three_scenarios(tmp_path):
             rows = [l.split(",")[0] for l in fh.read().splitlines()[1:]]
         cols.append(rows)
     assert cols[0] == cols[1] == cols[2] == ["1", "2", "3", "4"]
-    man = json.load(open(os.path.join(out, "manifest.json")))
+    man = json.loads(Path(out, "manifest.json").read_text())
     assert man["kind"] == "run" and man["tool_version"]
     assert man["seeds"] == [5]
 
@@ -292,9 +293,13 @@ _BOOL_BETAS = [[True] + [3.0] * 4] + [[3.0] * 5] * 3
      ": betas must be non-empty, positive and finite"),
     ("bound", "config", "betas", _BOOL_BETAS,
      f":0: bad value for 'betas': {_BOOL_BETAS!r}"),
+    # options retired by 0.2.0, which 0.1.x manifests carry at their default
+    ("run", "config", "optimizer", "sgd", ":0: unknown key 'optimizer'"),
+    ("run", "config", "eval_train_samples", 2000,
+     ":0: unknown key 'eval_train_samples'"),
 ], ids=["empty", "string", "float", "bool", "scenarios-int", "seeds-repeat",
         "scenarios-repeat", "T-bool", "sigma_z2-bool", "betas-empty",
-        "betas-bool"])
+        "betas-bool", "retired-optimizer", "retired-eval_train_samples"])
 def test_manifest_rejects_bad_seeds_and_scenarios(tmp_path, capsys, command,
                                                   place, key, val, reason):
     text, only = (SMOKE, ["--scenarios", "ideal"]) if command == "run" \
@@ -303,9 +308,9 @@ def test_manifest_rejects_bad_seeds_and_scenarios(tmp_path, capsys, command,
     assert cli.main([command, "--config", _write(tmp_path, text),
                      "--out", first, *only]) == 0
     manifest = os.path.join(first, "manifest.json")
-    man = json.load(open(manifest))
+    man = json.loads(Path(manifest).read_text())
     (man if place == "top" else man["config"])[key] = val
-    json.dump(man, open(manifest, "w"))
+    Path(manifest).write_text(json.dumps(man))
     out = str(tmp_path / "o")
     assert cli.main([command, "--config", manifest, "--out", out]) == 1
     assert capsys.readouterr().err == f"airfed: error: {manifest}{reason}\n"
@@ -379,7 +384,7 @@ def test_bad_run_list_or_bound_schedule_leaves_no_output_dir(tmp_path,
     # adds, an iteration the bound recursion reaches, or a non-i.i.d. split
     # into fewer label groups than classes
     here = os.path.join(os.path.dirname(__file__), "..", "configs")
-    text = open(os.path.join(here, "bound_fig4_hotafl.cfg")).read()
+    text = Path(here, "bound_fig4_hotafl.cfg").read_text()
     cases = [
         (["run", "--scenarios", "ideal,hotafl"],
          "scenario = ideal\nfeature_dim = 8\nnum_classes = 3\n",
@@ -406,11 +411,11 @@ def test_manifest_top_level_keys(tmp_path):
         out = str(tmp_path / command)
         assert cli.main([command, "--config", _write(tmp_path, text),
                          "--out", out]) == 0
-        man = json.load(open(os.path.join(out, "manifest.json")))
+        man = json.loads(Path(out, "manifest.json").read_text())
         assert set(man) == common | extra
 
 
-def test_manifest_rerun_byte_identical(tmp_path, capsys):
+def test_manifest_rerun_byte_identical(tmp_path):
     cfg = _write(tmp_path, SMOKE)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert cli.main(["run", "--config", cfg, "--out", out1,
@@ -419,35 +424,9 @@ def test_manifest_rerun_byte_identical(tmp_path, capsys):
     assert cli.main(["run", "--config", manifest, "--out", out2]) == 0
     for name in os.listdir(out1):
         if name.endswith(".csv"):
-            a = open(os.path.join(out1, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
+            a = Path(out1, name).read_bytes()
+            b = Path(out2, name).read_bytes()
             assert a == b, name
-    # manifests written while the optimizer, channel_mode,
-    # max_place_retries and eval_train_samples options existed carry their
-    # defaults
-    man = json.load(open(manifest))
-    man["config"].update(optimizer="sgd", channel_mode="rayleigh",
-                         max_place_retries=10000, eval_train_samples=2000)
-    json.dump(man, open(manifest, "w"))
-    out3 = str(tmp_path / "c")
-    assert cli.main(["run", "--config", manifest, "--out", out3]) == 0
-    for name in man["outputs"]:
-        assert open(os.path.join(out1, name), "rb").read() == \
-            open(os.path.join(out3, name), "rb").read(), name
-    # a text config spells the same default as a string
-    text = _write(tmp_path, SMOKE + "max_place_retries = 10000\n"
-                  "eval_train_samples = 2000\n", "old.cfg")
-    assert cli.parse_config(text) == cli.parse_config(cfg)
-    for key, val in (("optimizer", "adam"), ("channel_mode", "unit"),
-                     ("max_place_retries", 3), ("eval_train_samples", 0)):
-        json.dump({**man, "config": {**man["config"], key: val}},
-                  open(manifest, "w"))
-        text = _write(tmp_path, f"{SMOKE}{key} = {val}\n", "old.cfg")
-        for config in (manifest, text):
-            assert cli.main(["run", "--config", config,
-                             "--out", str(tmp_path / "d")]) == 1
-            err = capsys.readouterr().err
-            assert f"'{key}'" in err and err.count("\n") == 1
 
 
 def test_bound_command_and_rerun(tmp_path):
@@ -462,13 +441,13 @@ def test_bound_command_and_rerun(tmp_path):
     assert header == "t,bound_value,config_label"
     assert len(rows) == 200
     assert rows[0].split(",")[2] == "hotafl_bound"
-    man = json.load(open(os.path.join(out1, "manifest.json")))
+    man = json.loads(Path(out1, "manifest.json").read_text())
     assert sorted(man["config"]) == sorted(
         f.name for f in dataclasses.fields(bounds.BoundParams) if f.init)
     assert cli.main(["bound", "--config", os.path.join(out1, "manifest.json"),
                      "--out", out2]) == 0
-    assert open(csv_path, "rb").read() == \
-        open(os.path.join(out2, "hotafl_bound.csv"), "rb").read()
+    assert Path(csv_path).read_bytes() == \
+        Path(out2, "hotafl_bound.csv").read_bytes()
 
 
 def _fake_run_csv(path, scenario, acc):
@@ -485,10 +464,10 @@ def test_summarize_identity_and_mean(tmp_path):
     _fake_run_csv(b, "hotafl", 0.9)
     out = str(tmp_path / "s.csv")
     assert cli.main(["summarize", a, "--out", out]) == 0
-    line = open(out).read().splitlines()[1].split(",")
+    line = Path(out).read_text().splitlines()[1].split(",")
     assert line[:3] == ["hotafl", "1", "0.8"]
     assert cli.main(["summarize", a, b, "--out", out]) == 0
-    line = open(out).read().splitlines()[1].split(",")
+    line = Path(out).read_text().splitlines()[1].split(",")
     assert float(line[2]) == pytest.approx(0.85)
     assert line[3] == "0.8" and line[4] == "0.9"
 
@@ -500,7 +479,7 @@ def test_summarize_ordering_flag(tmp_path):
     _fake_run_csv(flat, "flat_ota", 0.9)   # flat beats hotafl -> flag false
     out = str(tmp_path / "s.csv")
     assert cli.main(["summarize", hot, flat, "--out", out]) == 0
-    rows = open(out).read().splitlines()[1:]
+    rows = Path(out).read_text().splitlines()[1:]
     assert all(r.endswith(",false") for r in rows)
     assert rows[0].startswith("hotafl,") and rows[1].startswith("flat_ota,")
 
@@ -518,7 +497,7 @@ def test_summarize_malformed_csv(tmp_path, capsys):
              "last row's test_acc 'nan' is not finite"),
             ("scenario,test_acc\nhotafl,inf\n",
              "last row's test_acc 'inf' is not finite")):
-        open(bad, "w").write(text)
+        Path(bad).write_text(text)
         assert cli.main(["summarize", bad,
                          "--out", str(tmp_path / "s.csv")]) == 1
         assert capsys.readouterr().err == f"airfed: error: {bad}: {reason}\n"

@@ -313,18 +313,26 @@ _POOL_SHAPE = dict(C=2, M=2, K=8, tau=2, I=2, T=2, feature_dim=256,
 _NO_BLAS_SETTER = "numpy's bundled OpenBLAS thread setter not found"
 
 
-@pytest.mark.parametrize("scenario", ["hotafl", "ideal_hier"])
-def test_outputs_independent_of_worker_count(scenario, monkeypatch):
-    cfg = protocol.ScenarioConfig(scenario=scenario, **_POOL_SHAPE)
+# The run below the pool's threshold runs at the criteria-4s width (64
+# features), so its local steps get one worker whatever the CPU count.
+@pytest.mark.parametrize("scenario, shape", [
+    ("hotafl", _POOL_SHAPE), ("ideal_hier", _POOL_SHAPE),
+    ("hotafl", _DATA_SHAPE)], ids=["hotafl", "ideal_hier", "one_worker"])
+def test_outputs_independent_of_worker_count(scenario, shape, monkeypatch):
+    cfg = protocol.ScenarioConfig(scenario=scenario, **shape)
     pinned = learner._openblas_threads() is not None
-    sgd = learner.sgd_user_iterations
-    threads = set()
+    pooled = pinned and shape is _POOL_SHAPE
+    caller = threading.get_ident()
+    threads = set()     # the threads of every SGD and train-loss call
 
-    def traced(*args, **kw):
-        threads.add(threading.get_ident())
-        return sgd(*args, **kw)
+    def traced(fn):
+        def call(*args, **kw):
+            threads.add(threading.get_ident())
+            return fn(*args, **kw)
+        return call
 
-    monkeypatch.setattr(learner, "sgd_user_iterations", traced)
+    for name in ("sgd_user_iterations", "loss"):
+        monkeypatch.setattr(learner, name, traced(getattr(learner, name)))
     runs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)     # interleave the workers finely
@@ -335,7 +343,8 @@ def test_outputs_independent_of_worker_count(scenario, monkeypatch):
             before = threading.active_count()
             runs.append(protocol.run_scenario(cfg))
             assert threading.active_count() == before   # the pool is joined
-            assert len(threads) == (cpus if pinned else 1)
+            assert len(threads) == (cpus if pooled else 1)
+            assert caller not in threads    # one path: always the pool
     finally:
         sys.setswitchinterval(interval)
     for m in runs[1:]:
