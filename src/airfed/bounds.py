@@ -9,9 +9,8 @@ aggregations.  Iteration indices here are 1-based: dist(1) is the initial
 distance and schedules are evaluated at a = 1..T-1.
 """
 
-import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -58,18 +57,9 @@ class BoundParams:
                 or not np.all((self.betas > 0) & np.isfinite(self.betas)):
             raise ValueError("betas must be non-empty, positive and finite")
         self.C, self.M = self.betas.shape
-        for f in fields(self):
-            if f.type is float and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
-        for name in ("L", "mu", "G2", "init_dist", "sigma_h2"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("Gamma", "sigma_z2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        for name in ("N", "tau", "I", "T", "K"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
+        protocol.check_numbers(
+            self, positive=("L", "mu", "G2", "init_dist", "sigma_h2"),
+            nonnegative=("Gamma", "sigma_z2"))
         # the recursion evaluates both schedules at a = 1..T-1; each is
         # monotone in a, so its two ends bound every value it takes
         for a in ((1, self.T - 1) if self.T > 1 else ()):

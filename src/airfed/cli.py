@@ -23,11 +23,8 @@ import numpy as np
 
 from . import __version__, bounds, protocol
 
-SCENARIO_ALIASES = {
-    "ideal": "ideal_hier", "ideal_hier": "ideal_hier",
-    "hotafl": "hotafl",
-    "flat": "flat_ota", "flat_ota": "flat_ota",
-}
+SCENARIO_ALIASES = {**{s: s for s in protocol.SCENARIOS},
+                    "ideal": "ideal_hier", "flat": "flat_ota"}
 
 
 class ConfigError(ValueError):
@@ -236,9 +233,10 @@ def _cmd_run(args):
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"{args.config}: seeds must not repeat, "
                           f"got {seeds!r}")
+    given = args.scenarios is not None
     scenarios = _parse_scenarios(
-        args.scenarios or man.get("scenarios", protocol.SCENARIOS),
-        "" if args.scenarios else f"{args.config}: ")
+        args.scenarios if given else man.get("scenarios", protocol.SCENARIOS),
+        "" if given else f"{args.config}: ")
     try:
         runs = [replace(cfg, scenario=scen, seed=seed)
                 for seed in seeds for scen in scenarios]

@@ -10,6 +10,7 @@ import ctypes
 import functools
 import glob
 import gzip
+import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -128,10 +129,11 @@ def partition_noniid(data: Dataset, C: int, M: int, rng):
     """Label-sorted shard assignment: 5*M*C single-label groups, 5 per user.
 
     Groups are allocated to labels proportionally to label frequency
-    (largest remainder), each label's samples are split into near-equal
-    single-label groups, and a random permutation deals 5 groups to every
-    user.  Returns a (C, M) nested list of sorted row-index arrays into data.
-    ScenarioConfig checks that there are at least as many groups as classes.
+    (largest remainder, at least one per label), each label's samples are
+    split into near-equal single-label groups, and a random permutation
+    deals 5 groups to every user.  Returns a (C, M) nested list of sorted
+    row-index arrays into data.  ScenarioConfig checks that there are at
+    least as many groups as classes.
     """
     n_groups = 5 * M * C
     counts = np.bincount(data.labels, minlength=data.num_classes)
@@ -144,11 +146,9 @@ def partition_noniid(data: Dataset, C: int, M: int, rng):
     alloc = np.floor(quota).astype(int)
     alloc = np.maximum(alloc, 1)
     while alloc.sum() > n_groups:
-        alloc[np.argmax(alloc - quota)] -= 1
-    rem = n_groups - alloc.sum()
-    if rem > 0:
-        order = np.argsort(-(quota - alloc))
-        alloc[order[:rem]] += 1
+        alloc[np.argmax(np.where(alloc > 1, alloc - quota, -np.inf))] -= 1
+    order = np.argsort(-(quota - alloc))
+    alloc[order[:n_groups - alloc.sum()]] += 1
     if np.any(alloc > counts):
         raise ValueError("a class has fewer samples than its group count")
 
@@ -319,31 +319,28 @@ def make_synthetic(num_samples: int, feature_dim: int, num_classes: int,
     return Dataset(feats, labels, num_classes)
 
 
-_IDX_IMAGES_MAGIC = 0x00000803
-_IDX_LABELS_MAGIC = 0x00000801
-
-
-def _read_idx(path):
-    """(magic, (n, rows*cols) images or (n,) labels) of one IDX file."""
+def _read_idx(path, ndim):
+    """(n, rows*cols) images (ndim 3) or (n,) labels (ndim 1) of an IDX
+    file of unsigned bytes, whose magic number must then be 0x800 + ndim."""
     opener = gzip.open if path.endswith(".gz") else open
     with opener(path, "rb") as fh:
         buf = fh.read()
-    magic = int.from_bytes(buf[:4], "big")
-    ndim = {_IDX_IMAGES_MAGIC: 3, _IDX_LABELS_MAGIC: 1}.get(magic, 0)
+    magic, want = int.from_bytes(buf[:4], "big"), 0x800 + ndim
+    if len(buf) >= 4 and magic != want:
+        raise ValueError(f"{path}: IDX magic 0x{magic:08x}, expected "
+                         f"0x{want:08x}")
     start = 4 + 4 * ndim
     if len(buf) < start:
         raise ValueError(f"{path}: truncated IDX header")
-    if not ndim:
-        raise ValueError(f"{path}: unrecognized IDX magic 0x{magic:08x}")
     dims = struct.unpack_from(f">{ndim}I", buf, 4)
-    count = int(np.prod(dims))
+    count = math.prod(dims)
     if len(buf) - start < count:
         raise ValueError(f"{path}: IDX payload has {len(buf) - start} "
                          f"bytes, its header says {count}")
     data = np.frombuffer(buf, dtype=np.uint8, count=count, offset=start)
     if ndim == 3:
         data = data.reshape(dims[0], dims[1] * dims[2])
-    return magic, data
+    return data
 
 
 def load_mnist(data_dir: str, split: str = "train") -> Dataset:
@@ -358,9 +355,7 @@ def load_mnist(data_dir: str, split: str = "train") -> Dataset:
             break
     if img_path is None:
         raise FileNotFoundError(f"no MNIST {split} IDX files under {data_dir}")
-    magic_i, images = _read_idx(img_path)
-    magic_l, labels = _read_idx(lbl_path)
-    if magic_i != _IDX_IMAGES_MAGIC or magic_l != _IDX_LABELS_MAGIC:
-        raise ValueError("image/label files swapped or corrupt")
+    images = _read_idx(img_path, 3)
+    labels = _read_idx(lbl_path, 1)
     return Dataset(images.astype(np.float64) / 255.0,
                    labels.astype(np.int64), 10)

@@ -45,6 +45,29 @@ def lr_schedule(t, base, slope) -> float:
     return max(base - slope * t, 0.0)
 
 
+def check_numbers(cfg, positive=(), nonnegative=()):
+    """Range checks of a config dataclass's number fields, by their types.
+
+    Every float field must be finite and every int field at least 1, except
+    that the fields named in positive must be > 0 and those in nonnegative
+    >= 0.  None values and init=False fields are skipped.
+    """
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if value is None or not f.init:
+            continue
+        if f.type in (float, Optional[float]) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite")
+        if f.name in positive:
+            if value <= 0:
+                raise ValueError(f"{f.name} must be positive")
+        elif f.name in nonnegative:
+            if value < 0:
+                raise ValueError(f"{f.name} must be nonnegative")
+        elif f.type in (int, Optional[int]) and value < 1:
+            raise ValueError(f"{f.name} must be a positive integer")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full experiment description for one run, checked when built."""
@@ -98,22 +121,9 @@ class ScenarioConfig:
             if getattr(self, name) not in choices:
                 raise ValueError(f"{name} must be one of {choices}, "
                                  f"got {getattr(self, name)!r}")
-        for name in ("C", "M", "K", "tau", "I", "T", "batch_size",
-                     "train_samples", "test_samples", "feature_dim",
-                     "num_classes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
-        for f in fields(self):
-            if f.type in (float, Optional[float]) \
-                    and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
-        for name in ("sigma_h2", "alpha_tolerance"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("seed", "data_seed", "sigma_z2", "path_loss_exp",
-                     "l2_reg"):
-            if (getattr(self, name) or 0) < 0:    # data_seed may be None
-                raise ValueError(f"{name} must be nonnegative")
+        check_numbers(self, positive=("sigma_h2", "alpha_tolerance"),
+                      nonnegative=("seed", "data_seed", "sigma_z2",
+                                   "path_loss_exp", "l2_reg"))
         groups = 5 * self.C * self.M
         if self.partition == "noniid" and groups < self.num_classes:
             raise ValueError(f"{groups} label groups (5*C*M) cannot cover "

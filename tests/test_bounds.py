@@ -161,6 +161,9 @@ def test_variance_oracle_trivial_cases():
         bounds.lemma_variance_oracle("bogus", p1, a=1)
     with pytest.raises(ValueError):
         bounds.lemma_variance_oracle("signal_distortion", p1)
+    with pytest.raises(ValueError,
+                       match="^the noise oracle needs the index a$"):
+        bounds.lemma_variance_oracle("noise", p1)
 
 
 def test_variance_oracle_worst_case_matches_drift_terms():

@@ -95,6 +95,9 @@ def test_parse_rejects_malformed_and_duplicate_lines(tmp_path):
         cli.parse_config(_write(tmp_path, "scenario hotafl\n"))
     with pytest.raises(cli.ConfigError, match="duplicate"):
         cli.parse_config(_write(tmp_path, "scenario = hotafl\nC = 1\nC = 2\n"))
+    with pytest.raises(cli.ConfigError, match="manifests are handled by the "
+                       "run/bound commands directly$"):
+        cli.parse_config(_write(tmp_path, "{}", "manifest.json"))
 
 
 def test_parse_reference_config():
@@ -148,6 +151,9 @@ def test_parse_bound_rejects_bad_values(tmp_path):
     with pytest.raises(cli.ConfigError, match=r"cfg.txt: betas must"):
         cli.parse_config(_write(tmp_path, BOUND.replace("beta = 3",
                                                         "beta = inf")))
+    with pytest.raises(cli.ConfigError,
+                       match=r"cfg.txt: beta, C and M must be positive$"):
+        cli.parse_config(_write(tmp_path, BOUND.replace("C = 4", "C = -1")))
     # a manifest float is not truncated into an int field
     out = str(tmp_path / "a")
     assert cli.main(["bound", "--config", _write(tmp_path, BOUND),
@@ -371,11 +377,14 @@ def test_failed_config_leaves_no_output_dir(tmp_path, capsys):
 def test_repeated_scenario_or_seed_leaves_no_output_dir(tmp_path, capsys):
     cfg = _write(tmp_path, SMOKE)
     out = str(tmp_path / "o")
-    assert cli.main(["run", "--config", cfg, "--out", out,
-                     "--scenarios", "ideal,ideal_hier"]) == 1
-    assert capsys.readouterr().err == \
-        "airfed: error: scenarios name 'ideal_hier' twice\n"
-    assert not os.path.exists(out)
+    for arg, reason in (("ideal,ideal_hier",
+                         "scenarios name 'ideal_hier' twice"),
+                        (",", "empty scenario list"),
+                        ("", "empty scenario list")):
+        assert cli.main(["run", "--config", cfg, "--out", out,
+                         "--scenarios", arg]) == 1
+        assert capsys.readouterr().err == f"airfed: error: {reason}\n"
+        assert not os.path.exists(out)
 
 
 def test_bad_run_list_or_bound_schedule_leaves_no_output_dir(tmp_path,
@@ -496,7 +505,8 @@ def test_summarize_malformed_csv(tmp_path, capsys):
             ("scenario,test_acc\nhotafl,0.5\nhotafl,nan\n",
              "last row's test_acc 'nan' is not finite"),
             ("scenario,test_acc\nhotafl,inf\n",
-             "last row's test_acc 'inf' is not finite")):
+             "last row's test_acc 'inf' is not finite"),
+            ("scenario,test_acc\n", "no data rows")):
         Path(bad).write_text(text)
         assert cli.main(["summarize", bad,
                          "--out", str(tmp_path / "s.csv")]) == 1

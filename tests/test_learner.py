@@ -83,6 +83,9 @@ def test_partition_iid_shapes_and_disjoint():
     assert all(np.array_equal(r, np.sort(r)) for r in rows)
     # disjoint and covering: the shards together are every row exactly once
     assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(61))
+    # train_samples below C*M
+    with pytest.raises(ValueError, match="^5 samples cannot cover 6 users$"):
+        learner.partition_iid(_data(n=5), 2, 3, rng.substream(4, 2))
 
 
 def test_partition_iid_flat_matches_nested():
@@ -103,6 +106,39 @@ def test_partition_noniid_label_concentration():
             total += len(rows)
             assert np.unique(data.labels[rows]).size <= 5
     assert total == 2000
+
+
+# (label counts, C, M, groups per label): MNIST's train set, which takes
+# the remainder branch, and two long tails where a class raised to one
+# group must keep it
+_NONIID_SPLITS = [
+    ([5923, 6742, 5958, 6131, 5842, 5421, 5918, 6265, 5851, 5949], 4, 5,
+     [10, 11, 10, 10, 10, 9, 10, 10, 10, 10]),
+    ([59000] + [100] * 9, 4, 5, [91] + [1] * 9),
+    ([5000] + [10] * 9, 1, 2, [1] * 10)]
+
+
+@pytest.mark.parametrize("counts, C, M, alloc", _NONIID_SPLITS,
+                         ids=["mnist-train", "long-tail-100", "long-tail-10"])
+def test_partition_noniid_groups_per_label(counts, C, M, alloc):
+    labels = np.repeat(np.arange(len(counts)), counts)
+    data = learner.Dataset(np.zeros((labels.size, 1)), labels, len(counts))
+    users = [rows for row in learner.partition_noniid(data, C, M,
+                                                      rng.substream(0, 2))
+             for rows in row]
+    # label l's groups hold counts[l] // alloc[l] rows or one more, so a
+    # user's rows of l are k such groups for k = rows // that size
+    held = np.zeros((len(users), len(counts)), dtype=int)
+    for u, rows in enumerate(users):
+        for label, n in enumerate(np.bincount(labels[rows],
+                                              minlength=len(counts))):
+            size = counts[label] // alloc[label]
+            held[u, label] = n // size
+            assert n <= held[u, label] * (size + 1)
+    assert held.sum(axis=0).tolist() == alloc
+    assert (held.sum(axis=1) == 5).all()
+    assert np.array_equal(np.sort(np.concatenate(users)),
+                          np.arange(labels.size))
 
 
 def test_partition_noniid_rejects_missing_class():
@@ -238,3 +274,31 @@ def test_load_mnist_truncated_idx_names_the_file(tmp_path):
         with pytest.raises(ValueError) as err:
             learner.load_mnist(str(tmp_path), "train")
         assert str(err.value) == f"{images}: {reason}"
+
+
+# (images file, labels file, error), each file as (magic, payload, dims);
+# {} in the error stands for the images file's path
+_LABELS = (0x801, np.arange(2) % 10, (2,))
+_BAD_IDX = [
+    # header products that wrap to 0 and to a negative number in int64
+    ((0x803, np.zeros(16), (2**21, 2**21, 2**22)), _LABELS,
+     "{}: IDX payload has 16 bytes, its header says 18446744073709551616"),
+    ((0x803, np.zeros(16), (2, 2**31, 2**31)), _LABELS,
+     "{}: IDX payload has 16 bytes, its header says 9223372036854775808"),
+    (_LABELS, (0x803, np.zeros(8), (2, 2, 2)),
+     "{}: IDX magic 0x00000801, expected 0x00000803"),
+    ((0x803, np.zeros(8), (2, 2, 2)), (0x801, np.array([3, 10]), (2,)),
+     "labels out of range")]
+
+
+@pytest.mark.parametrize("images, labels, reason", _BAD_IDX,
+                         ids=["dims-wrap-zero", "dims-wrap-negative",
+                              "swapped", "label-10"])
+def test_load_mnist_bad_idx(tmp_path, images, labels, reason):
+    paths = [tmp_path / "train-images-idx3-ubyte",
+             tmp_path / "train-labels-idx1-ubyte"]
+    for path, (magic, arr, dims) in zip(paths, (images, labels)):
+        _write_idx(path, magic, arr, dims)
+    with pytest.raises(ValueError) as err:
+        learner.load_mnist(str(tmp_path), "train")
+    assert str(err.value) == reason.format(paths[0])

@@ -7,9 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
+from typing import Optional
 
 from airfed import bounds, channel, learner, protocol, rng, topology
+from test_bounds import _params
 
 
 def _cfg(**kw):
@@ -51,6 +53,36 @@ def test_config_validation_errors():
         _cfg(C=1, M=1, partition="noniid", num_classes=10)
     # ideal runs tolerate odd model dimensions
     _cfg(scenario="ideal_hier", feature_dim=8, num_classes=3)
+
+
+def _number_cases():
+    """One case per number field of both config types: a float at nan, a
+    seed at -1 and any other int at 0 (K at -1: K = 0 picks 5*M*C)."""
+    cases = []
+    for build, cls in ((_cfg, protocol.ScenarioConfig),
+                       (_params, bounds.BoundParams)):
+        for f in fields(cls):
+            if not f.init:
+                continue
+            if f.type in (float, Optional[float]):
+                value, rule = float("nan"), "finite"
+            elif f.name in ("seed", "data_seed"):
+                value, rule = -1, "nonnegative"
+            elif f.type in (int, Optional[int]):
+                value, rule = -1 if f.name == "K" else 0, "a positive integer"
+            else:
+                continue
+            cases.append(pytest.param(build, f.name, value,
+                                      f"{f.name} must be {rule}",
+                                      id=f"{cls.__name__}-{f.name}"))
+    return cases
+
+
+@pytest.mark.parametrize("build, name, value, message", _number_cases())
+def test_every_number_field_is_range_checked(build, name, value, message):
+    with pytest.raises(ValueError) as err:
+        build(**{name: value})
+    assert str(err.value) == message
 
 
 def test_config_checked_when_built_and_frozen():
