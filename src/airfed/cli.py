@@ -6,9 +6,9 @@ bound sweep.  The keys, their types and which of them are required come
 from the ``ScenarioConfig`` and ``BoundParams`` dataclasses; unknown keys
 are hard errors.  Every ``run``/``bound`` invocation writes a manifest.json
 next to its outputs; passing that manifest back as --config reproduces the
-outputs byte for byte under the same ``tool_version``.  ``_load_config`` is
-the one reader of config files and manifests, ``_write_manifest`` the one
-manifest writer.
+outputs byte for byte under the same ``tool_version``.  ``_read`` reads
+all input text, ``_load_config`` parses config files and manifests, and
+``_write_manifest`` writes manifests.
 """
 
 import argparse
@@ -31,22 +31,31 @@ class ConfigError(ValueError):
     pass
 
 
+def _read(path, parse=str):
+    """parse of the UTF-8 text of a config, manifest or CSV file; text that
+    does not decode or parse fails naming path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}")
+
+
 def _read_kv(path):
     """Ordered {key: (raw value, line number)} from a key=value file."""
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', "
-                                  f"got {raw.strip()!r}")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key in out:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            out[key] = (val, lineno)
+    for lineno, raw in enumerate(_read(path).split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', "
+                              f"got {raw.strip()!r}")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = (val, lineno)
     return out
 
 
@@ -143,8 +152,7 @@ def _load_config(path, command=None):
         raise ConfigError(f"{path}: manifests are handled by the run/bound "
                           "commands directly")
     else:
-        with open(path, encoding="utf-8") as fh:
-            man = json.load(fh)
+        man = _read(path, json.loads)
         if not (isinstance(man, dict) and man.get("kind") == command
                 and isinstance(man.get("config"), dict)):
             raise ConfigError(f"{path}: not a {command} manifest")
@@ -178,31 +186,29 @@ def summarize(csv_paths, out_path):
     """Per-scenario final-accuracy stats plus the scenario-ordering flag."""
     finals = {}
     for path in csv_paths:
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            try:
-                si = header.index("scenario")
-                ai = header.index("test_acc")
-            except ValueError:
-                raise ConfigError(f"{path}: missing scenario/test_acc columns")
-            last = None
-            for line in fh:
-                if line.strip():
-                    last = line.strip().split(",")
-            if last is None:
-                raise ConfigError(f"{path}: no data rows")
-            if len(last) != len(header):
-                raise ConfigError(f"{path}: last row has {len(last)} "
-                                  f"fields, header has {len(header)}")
-            try:
-                acc = float(last[ai])
-            except ValueError:
-                raise ConfigError(f"{path}: last row's test_acc "
-                                  f"{last[ai]!r} is not a number")
-            if not np.isfinite(acc):
-                raise ConfigError(f"{path}: last row's test_acc "
-                                  f"{last[ai]!r} is not finite")
-            finals.setdefault(last[si], []).append(acc)
+        header, *rows = _read(path).split("\n")
+        header = header.strip().split(",")
+        try:
+            si = header.index("scenario")
+            ai = header.index("test_acc")
+        except ValueError:
+            raise ConfigError(f"{path}: missing scenario/test_acc columns")
+        rows = [row.strip() for row in rows if row.strip()]
+        if not rows:
+            raise ConfigError(f"{path}: no data rows")
+        last = rows[-1].split(",")
+        if len(last) != len(header):
+            raise ConfigError(f"{path}: last row has {len(last)} "
+                              f"fields, header has {len(header)}")
+        try:
+            acc = float(last[ai])
+        except ValueError:
+            raise ConfigError(f"{path}: last row's test_acc "
+                              f"{last[ai]!r} is not a number")
+        if not np.isfinite(acc):
+            raise ConfigError(f"{path}: last row's test_acc "
+                              f"{last[ai]!r} is not finite")
+        finals.setdefault(last[si], []).append(acc)
 
     means = {s: float(np.mean(v)) for s, v in finals.items()}
     chain = [s for s in protocol.SCENARIOS if s in means]

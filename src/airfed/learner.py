@@ -22,20 +22,12 @@ import numpy as np
 
 @dataclass
 class Dataset:
-    """Feature matrix plus integer labels."""
+    """Feature matrix plus integer labels in [0, num_classes), one per row,
+    held as the producer (make_synthetic, load_mnist, subset) built them."""
 
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray    # (n,) int64
     num_classes: int
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise ValueError("features and labels disagree on sample count")
-        if self.labels.size and (self.labels.min() < 0
-                                 or self.labels.max() >= self.num_classes):
-            raise ValueError("labels out of range")
 
     def __len__(self):
         return self.features.shape[0]
@@ -56,28 +48,30 @@ def zero_model(feature_dim: int, num_classes: int) -> np.ndarray:
     return np.zeros(model_dim(feature_dim, num_classes))
 
 
-def _unflatten(model, feature_dim, num_classes):
-    return model.reshape(feature_dim + 1, num_classes)
+def _logits(model, features, num_classes):
+    """(n, num_classes) scores of the flat model, read as the augmented
+    (feature_dim + 1, num_classes) weight matrix whose last row is the bias."""
+    W = model.reshape(features.shape[1] + 1, num_classes)
+    return features @ W[:-1] + W[-1]
 
 
 def _softmax_loss(model, features, labels, num_classes, l2):
-    """(W, probs, loss) of the linear softmax classifier on one batch."""
+    """(probs, loss) of the linear softmax classifier on one batch."""
     if features.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    W = _unflatten(model, features.shape[1], num_classes)
-    logits = features @ W[:-1] + W[-1]
+    logits = _logits(model, features, num_classes)
     logits -= logits.max(axis=1, keepdims=True)
     expz = np.exp(logits)
     probs = expz / expz.sum(axis=1, keepdims=True)
     loss = -np.log(probs[np.arange(features.shape[0]), labels]).mean()
     if l2:
         loss += 0.5 * l2 * float(model @ model)
-    return W, probs, float(loss)
+    return probs, float(loss)
 
 
 def loss(model, features, labels, num_classes, l2: float = 0.0) -> float:
     """The loss of loss_and_gradient, without computing the gradient."""
-    return _softmax_loss(model, features, labels, num_classes, l2)[2]
+    return _softmax_loss(model, features, labels, num_classes, l2)[1]
 
 
 def loss_and_gradient(model, features, labels, num_classes, l2: float = 0.0):
@@ -86,24 +80,24 @@ def loss_and_gradient(model, features, labels, num_classes, l2: float = 0.0):
     With l2 > 0 the objective gains (l2/2)*||model||^2, which makes every
     per-user loss l2-strongly convex.
     """
-    W, delta, value = _softmax_loss(model, features, labels, num_classes, l2)
-    n = features.shape[0]
+    delta, value = _softmax_loss(model, features, labels, num_classes, l2)
+    n, d = features.shape
     delta[np.arange(n), labels] -= 1.0
     delta /= n
-    grad = np.empty_like(W)
+    grad = np.empty((d + 1, num_classes))
     grad[:-1] = features.T @ delta
     grad[-1] = delta.sum(axis=0)
+    grad = grad.reshape(-1)
     if l2:
-        grad += l2 * W
-    return value, grad.reshape(-1)
+        grad += l2 * model
+    return value, grad
 
 
 def evaluate(model, test: Dataset) -> float:
     """Fraction of argmax-correct predictions; ties go to the lowest class."""
     if len(test) == 0:
         raise ValueError("test set must be non-empty")
-    W = _unflatten(model, test.feature_dim, test.num_classes)
-    logits = test.features @ W[:-1] + W[-1]
+    logits = _logits(model, test.features, test.num_classes)
     return float(np.mean(np.argmax(logits, axis=1) == test.labels))
 
 
@@ -149,8 +143,6 @@ def partition_noniid(data: Dataset, C: int, M: int, rng):
         alloc[np.argmax(np.where(alloc > 1, alloc - quota, -np.inf))] -= 1
     order = np.argsort(-(quota - alloc))
     alloc[order[:n_groups - alloc.sum()]] += 1
-    if np.any(alloc > counts):
-        raise ValueError("a class has fewer samples than its group count")
 
     groups = []
     for label in range(data.num_classes):
@@ -357,5 +349,11 @@ def load_mnist(data_dir: str, split: str = "train") -> Dataset:
         raise FileNotFoundError(f"no MNIST {split} IDX files under {data_dir}")
     images = _read_idx(img_path, 3)
     labels = _read_idx(lbl_path, 1)
+    if len(labels) != len(images):
+        raise ValueError(f"{lbl_path}: {len(labels)} labels for the "
+                         f"{len(images)} images of {img_path}")
+    if labels.size and labels.max() > 9:
+        raise ValueError(f"{lbl_path}: label {labels.max()}, MNIST labels "
+                         "are 0 to 9")
     return Dataset(images.astype(np.float64) / 255.0,
                    labels.astype(np.int64), 10)

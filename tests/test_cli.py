@@ -336,13 +336,14 @@ def test_allocation_failure_is_one_line_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("feature_dim, num_classes, test_side, reason", [
+    (16, 10, 4, None),
     (19, 10, 4, "train set under {} has feature_dim 16, the config has "
                 "feature_dim = 19"),
     (16, 4, 4, "train set under {} has num_classes 10, the config has "
                "num_classes = 4"),
     (16, 10, 3, "test set under {} has feature_dim 9, the config has "
                 "feature_dim = 16"),
-], ids=["feature_dim", "num_classes", "test-feature_dim"])
+], ids=["match", "feature_dim", "num_classes", "test-feature_dim"])
 def test_mnist_shape_must_match_config(tmp_path, capsys, monkeypatch,
                                        feature_dim, num_classes, test_side,
                                        reason):
@@ -357,20 +358,46 @@ def test_mnist_shape_must_match_config(tmp_path, capsys, monkeypatch,
                            "dataset = mnist\nbatch_size = 5\n"
                            f"feature_dim = {feature_dim}\n"
                            f"num_classes = {num_classes}\n")
-    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
-                     "--scenarios", "ideal"]) == 1
-    assert capsys.readouterr().err == f"airfed: error: {cfg}: ideal_hier " \
-        f"seed 0: MNIST {reason.format(tmp_path)}\n"
+    out = tmp_path / "o"
+    status = cli.main(["run", "--config", cfg, "--out", str(out),
+                       "--scenarios", "ideal,hotafl,flat"])
+    if reason is not None:
+        assert status == 1
+        assert capsys.readouterr().err == f"airfed: error: {cfg}: " \
+            f"ideal_hier seed 0: MNIST {reason.format(tmp_path)}\n"
+        return
+    # matching shapes: every scenario writes one row of finite numbers
+    assert status == 0
+    for scenario in protocol.SCENARIOS:
+        rows = (out / f"{scenario}_seed0.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1
+        values = rows[0].split(",")
+        assert values[1] == scenario
+        assert np.isfinite([float(v) for v in values[2:]]).all()
 
 
 def test_failed_config_leaves_no_output_dir(tmp_path, capsys):
     bad = _write(tmp_path, "scenario = hotafl\nC = two\n", "bad.cfg")
+    # text that is not UTF-8 and a manifest that is not JSON: the error
+    # names the file
+    named = {str(tmp_path / "latin1.cfg"): (
+                 b"scenario = hotafl\n\xff\n", "'utf-8' codec can't decode "
+                 "byte 0xff in position 18: invalid start byte"),
+             str(tmp_path / "cut.json"): (
+                 b'{"kind": "run", ', "Expecting property name enclosed "
+                 "in double quotes: line 1 column 17 (char 16)")}
+    for path, (text, _) in named.items():
+        Path(path).write_bytes(text)
     for command in ("run", "bound"):
         # a missing file, a directory, a bad value
-        for config in (str(tmp_path / "missing.cfg"), str(tmp_path), bad):
+        for config in (str(tmp_path / "missing.cfg"), str(tmp_path), bad,
+                       *named):
             out = str(tmp_path / "o")
             assert cli.main([command, "--config", config, "--out", out]) == 1
-            assert capsys.readouterr().err.count("\n") == 1
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            if config in named:
+                assert err == f"airfed: error: {config}: {named[config][1]}\n"
             assert not os.path.exists(out)
 
 
@@ -506,8 +533,11 @@ def test_summarize_malformed_csv(tmp_path, capsys):
              "last row's test_acc 'nan' is not finite"),
             ("scenario,test_acc\nhotafl,inf\n",
              "last row's test_acc 'inf' is not finite"),
-            ("scenario,test_acc\n", "no data rows")):
-        Path(bad).write_text(text)
+            ("scenario,test_acc\n", "no data rows"),
+            (b"scenario,test_acc\nhotafl,0.5\xff\n", "'utf-8' codec can't "
+             "decode byte 0xff in position 28: invalid start byte")):
+        Path(bad).write_bytes(text if isinstance(text, bytes)
+                              else text.encode())
         assert cli.main(["summarize", bad,
                          "--out", str(tmp_path / "s.csv")]) == 1
         assert capsys.readouterr().err == f"airfed: error: {bad}: {reason}\n"
@@ -535,15 +565,19 @@ def test_run_non_finite_is_one_line_error(tmp_path, capsys):
 
 def test_run_error_names_config_and_run(tmp_path, capsys):
     # 600 rows over C*M = 6 users leave 100-row shards, fewer than a batch;
+    # 19 rows cannot fill the 5*C*M = 20 label groups of a non-iid split;
     # --out is made before the first run and keeps what was written
-    cfg = _write(tmp_path, SMOKE.replace("M = 2", "M = 3")
-                 .replace("train_samples = 300", "train_samples = 600")
-                 .replace("batch_size = 20", "batch_size = 200")
-                 .replace("seed = 5", "seed = 7"))
-    out = str(tmp_path / "o")
-    assert cli.main(["run", "--config", cfg, "--out", out,
-                     "--scenarios", "hotafl"]) == 1
-    assert capsys.readouterr().err == (
-        f"airfed: error: {cfg}: hotafl seed 7: batch_size 200 not in "
-        "[1, 100]\n")
-    assert os.listdir(out) == []
+    for text, reason in (
+            (SMOKE.replace("M = 2", "M = 3")
+             .replace("train_samples = 300", "train_samples = 600")
+             .replace("batch_size = 20", "batch_size = 200"),
+             "batch_size 200 not in [1, 100]"),
+            (SMOKE.replace("train_samples = 300", "train_samples = 19")
+             + "partition = noniid\n", "fewer samples than groups")):
+        cfg = _write(tmp_path, text.replace("seed = 5", "seed = 7"))
+        out = str(tmp_path / "o")
+        assert cli.main(["run", "--config", cfg, "--out", out,
+                         "--scenarios", "hotafl"]) == 1
+        assert capsys.readouterr().err == \
+            f"airfed: error: {cfg}: hotafl seed 7: {reason}\n"
+        assert os.listdir(out) == []

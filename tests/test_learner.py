@@ -72,6 +72,8 @@ def test_evaluate_bounds_and_perfect_model():
         _, g = learner.loss_and_gradient(theta, data.features, data.labels, 3)
         theta -= 0.5 * g
     assert learner.evaluate(theta, data) >= 0.95
+    with pytest.raises(ValueError, match="^test set must be non-empty$"):
+        learner.evaluate(theta, data.subset(slice(0, 0)))
 
 
 def test_partition_iid_shapes_and_disjoint():
@@ -277,23 +279,27 @@ def test_load_mnist_truncated_idx_names_the_file(tmp_path):
 
 
 # (images file, labels file, error), each file as (magic, payload, dims);
-# {} in the error stands for the images file's path
+# {images} and {labels} in the error stand for the two files' paths
 _LABELS = (0x801, np.arange(2) % 10, (2,))
+_IMAGES = (0x803, np.zeros(8), (2, 2, 2))
 _BAD_IDX = [
     # header products that wrap to 0 and to a negative number in int64
     ((0x803, np.zeros(16), (2**21, 2**21, 2**22)), _LABELS,
-     "{}: IDX payload has 16 bytes, its header says 18446744073709551616"),
+     "{images}: IDX payload has 16 bytes, its header says "
+     "18446744073709551616"),
     ((0x803, np.zeros(16), (2, 2**31, 2**31)), _LABELS,
-     "{}: IDX payload has 16 bytes, its header says 9223372036854775808"),
-    (_LABELS, (0x803, np.zeros(8), (2, 2, 2)),
-     "{}: IDX magic 0x00000801, expected 0x00000803"),
-    ((0x803, np.zeros(8), (2, 2, 2)), (0x801, np.array([3, 10]), (2,)),
-     "labels out of range")]
+     "{images}: IDX payload has 16 bytes, its header says "
+     "9223372036854775808"),
+    (_LABELS, _IMAGES, "{images}: IDX magic 0x00000801, expected 0x00000803"),
+    (_IMAGES, (0x801, np.array([3, 10]), (2,)),
+     "{labels}: label 10, MNIST labels are 0 to 9"),
+    (_IMAGES, (0x801, np.arange(3), (3,)),
+     "{labels}: 3 labels for the 2 images of {images}")]
 
 
 @pytest.mark.parametrize("images, labels, reason", _BAD_IDX,
                          ids=["dims-wrap-zero", "dims-wrap-negative",
-                              "swapped", "label-10"])
+                              "swapped", "label-10", "count-mismatch"])
 def test_load_mnist_bad_idx(tmp_path, images, labels, reason):
     paths = [tmp_path / "train-images-idx3-ubyte",
              tmp_path / "train-labels-idx1-ubyte"]
@@ -301,4 +307,4 @@ def test_load_mnist_bad_idx(tmp_path, images, labels, reason):
         _write_idx(path, magic, arr, dims)
     with pytest.raises(ValueError) as err:
         learner.load_mnist(str(tmp_path), "train")
-    assert str(err.value) == reason.format(paths[0])
+    assert str(err.value) == reason.format(images=paths[0], labels=paths[1])
