@@ -13,6 +13,7 @@ import gzip
 import math
 import os
 import struct
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -104,32 +105,26 @@ def evaluate(model, test: Dataset) -> float:
 # ---------------------------------------------------------------------------
 # partitioning
 
-def partition_iid(data: Dataset, C: int, M: int, rng):
-    """Shuffle and split into C*M disjoint shards, sizes differing by <= 1.
-
-    Returns a (C, M) nested list of sorted row-index arrays into data;
-    flattening it row-major gives the same shards a flat C=1, M=C*M split
-    would, so hierarchical and flat runs see identical user data.
-    """
-    n_users = C * M
-    if len(data) < n_users:
-        raise ValueError(f"{len(data)} samples cannot cover {n_users} users")
+def partition_iid(data: Dataset, users: int, rng):
+    """Shuffle and split into `users` disjoint shards, sizes differing by
+    <= 1: a list of sorted row-index arrays into data, one per user."""
+    if len(data) < users:
+        raise ValueError(f"{len(data)} samples cannot cover {users} users")
     order = rng.permutation(len(data))
-    splits = np.array_split(order, n_users)
-    return [[np.sort(splits[c * M + m]) for m in range(M)] for c in range(C)]
+    return [np.sort(rows) for rows in np.array_split(order, users)]
 
 
-def partition_noniid(data: Dataset, C: int, M: int, rng):
-    """Label-sorted shard assignment: 5*M*C single-label groups, 5 per user.
+def partition_noniid(data: Dataset, users: int, rng):
+    """Label-sorted shard assignment: 5*users single-label groups, 5 per user.
 
     Groups are allocated to labels proportionally to label frequency
     (largest remainder, at least one per label), each label's samples are
     split into near-equal single-label groups, and a random permutation
-    deals 5 groups to every user.  Returns a (C, M) nested list of sorted
-    row-index arrays into data.  ScenarioConfig checks that there are at
-    least as many groups as classes.
+    deals 5 groups to every user.  Returns a list of sorted row-index arrays
+    into data, one per user.  ScenarioConfig checks that there are at least
+    as many groups as classes.
     """
-    n_groups = 5 * M * C
+    n_groups = 5 * users
     counts = np.bincount(data.labels, minlength=data.num_classes)
     if np.any(counts == 0):
         raise ValueError("every class needs at least one sample")
@@ -151,9 +146,8 @@ def partition_noniid(data: Dataset, C: int, M: int, rng):
         groups.extend(np.array_split(idx, alloc[label]))
     assert len(groups) == n_groups
     deal = rng.permutation(n_groups)
-    users = [np.sort(np.concatenate([groups[g] for g in picked]))
-             for picked in deal.reshape(C * M, 5)]
-    return [users[c * M:(c + 1) * M] for c in range(C)]
+    return [np.sort(np.concatenate([groups[g] for g in picked]))
+            for picked in deal.reshape(users, 5)]
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +307,14 @@ def make_synthetic(num_samples: int, feature_dim: int, num_classes: int,
 
 def _read_idx(path, ndim):
     """(n, rows*cols) images (ndim 3) or (n,) labels (ndim 1) of an IDX
-    file of unsigned bytes, whose magic number must then be 0x800 + ndim."""
+    file of unsigned bytes, whose magic number must then be 0x800 + ndim.
+    A .gz file that does not decode fails naming path."""
     opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "rb") as fh:
-        buf = fh.read()
+    try:
+        with opener(path, "rb") as fh:
+            buf = fh.read()
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+        raise ValueError(f"{path}: {exc}")
     magic, want = int.from_bytes(buf[:4], "big"), 0x800 + ndim
     if len(buf) >= 4 and magic != want:
         raise ValueError(f"{path}: IDX magic 0x{magic:08x}, expected "

@@ -209,12 +209,12 @@ def _read_only(data):
 
 
 def partition_for_run(cfg: ScenarioConfig, train):
-    """C x M user shards as row-index arrays into train; flat runs flatten
-    the same shards row-major."""
+    """The cfg.C * cfg.M user shards as row-index arrays into train, one
+    list that every scenario of the config trains on."""
     gen = rng.substream(cfg.effective_data_seed, rng.DATA, 1)
     if cfg.partition == "iid":
-        return learner.partition_iid(train, cfg.C, cfg.M, gen)
-    return learner.partition_noniid(train, cfg.C, cfg.M, gen)
+        return learner.partition_iid(train, cfg.C * cfg.M, gen)
+    return learner.partition_noniid(train, cfg.C * cfg.M, gen)
 
 
 def build_topology(cfg: ScenarioConfig) -> topology.SystemTopology:
@@ -237,7 +237,8 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
                 collect_diffs):
     """Shared loop for all scenarios, in the order t -> i -> c.
 
-    shards: nested (cfg.C, cfg.M) list of row-index arrays into train.
+    shards: the cfg.C * cfg.M users' row-index arrays into train; user u is
+    user m of cluster c for (c, m) = divmod(u, cfg.M).
     betas: (cfg.C, cfg.M) large-scale gains for over-the-air local
     aggregation, or None for exact means.  User (c, m) draws its batches
     from substream (seed, BATCH, c, m) and aggregation (t, i, c) from
@@ -245,20 +246,21 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
 
     A local step's C*M users run on a pool of learner.sgd_workers threads
     (one at small shapes), worker k taking users k, k + workers, ... of the
-    row-major list, so each user's state is only touched by one thread.
+    list, so each user's state is only touched by one thread.
     The pool also computes the train loss while this thread runs
     learner.evaluate.  BLAS is held at one thread for the whole loop
     (learner.blas_single_thread).
     """
     C, M, I = cfg.C, cfg.M, cfg.I
 
-    states = [[learner.UserLearnerState(
-        train, shards[c][m], cfg.batch_size,
-        rng.substream(cfg.seed, rng.BATCH, c, m))
-        for m in range(M)] for c in range(C)]
-    users = [(c, m) for c in range(C) for m in range(M)]
-    workers = learner.sgd_workers(C * M, cfg.batch_size, cfg.feature_dim,
-                                  cfg.num_classes)
+    users = []      # (c, m, state) of each user
+    for u, rows in enumerate(shards):
+        c, m = divmod(u, M)
+        users.append((c, m, learner.UserLearnerState(
+            train, rows, cfg.batch_size,
+            rng.substream(cfg.seed, rng.BATCH, c, m))))
+    workers = learner.sgd_workers(len(users), cfg.batch_size,
+                                  cfg.feature_dim, cfg.num_classes)
     groups = [users[k::workers] for k in range(workers)]
 
     eval_gen = rng.substream(cfg.effective_data_seed, rng.EVAL)
@@ -277,9 +279,9 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
 
     def train_users(group, i, eta):
         with np.errstate(**_QUIET):
-            for c, m in group:
+            for c, m, state in group:
                 end = learner.sgd_user_iterations(
-                    states[c][m], theta_is[c], cfg.tau, eta, l2=cfg.l2_reg)
+                    state, theta_is[c], cfg.tau, eta, l2=cfg.l2_reg)
                 diffs[c, i, m] = end - theta_is[c]
 
     def train_loss(model):
@@ -343,8 +345,8 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
 
     ideal_hier takes exact means and no topology.  hotafl aggregates over
     the air with the user-to-IS gains of build_topology(cfg).  flat_ota is
-    the one-cluster case: the same C*M shards in one row (flattened
-    row-major), the user-to-PS gains, I=1 and the flat_power_* schedule.
+    the one-cluster case: the same C*M shards as one cluster of C*M users,
+    the user-to-PS gains, I=1 and the flat_power_* schedule.
     """
     topo = None if cfg.scenario == "ideal_hier" else build_topology(cfg)
     train, test = load_run_data(cfg)
@@ -353,7 +355,6 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
     if cfg.scenario == "hotafl":
         betas = topo.beta
     elif cfg.scenario == "flat_ota":
-        shards = [[s for row in shards for s in row]]
         betas = topo.ps_beta.reshape(1, -1)
         cfg = replace(cfg, C=1, M=cfg.C * cfg.M, I=1,
                       power_base=cfg.flat_power_base,

@@ -7,6 +7,7 @@ properties at a comparable operating point.
 
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,12 @@ from oracles import (a1_term, coherent_mrc_statistic, decompose_terms,
                      measure_problem_constants)
 
 MNIST_DIR = os.environ.get(protocol.MNIST_DIR_ENV)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _config(name, **kw):
+    """The committed configs/<name>.cfg, with the fields in kw replaced."""
+    return replace(cli.parse_config(str(CONFIGS / f"{name}.cfg")), **kw)
 
 
 def _report(num, desc, ok, failed=()):
@@ -170,14 +177,10 @@ def test_criterion_3_degenerate_channel_equivalence(monkeypatch):
 # 4/5. scenario ordering (MNIST when available, synthetic stand-ins always)
 
 def _ordering_cfg(**kw):
-    base = dict(scenario="hotafl", C=4, M=5, K=100, tau=1, I=1,
-                T=60, sigma_z2=1.0, power_base=1.0,
-                power_slope=0.01, flat_power_base=1.5, lr_base=0.05,
-                lr_slope=2e-5, dataset="synthetic", partition="iid",
-                feature_dim=64, num_classes=10, train_samples=20000,
-                test_samples=4000, batch_size=100)
-    base.update(kw)
-    return protocol.ScenarioConfig(**base)
+    """The MNIST i.i.d. setup, shrunk to the synthetic stand-in."""
+    return _config("mnist_iid_hotafl", dataset="synthetic", T=60,
+                   sigma_z2=1.0, feature_dim=64, batch_size=100,
+                   train_samples=20000, test_samples=4000, **kw)
 
 
 def _final_accs(cfg, seeds, scenarios):
@@ -190,20 +193,10 @@ def _final_accs(cfg, seeds, scenarios):
     return {name: float(np.mean(v)) for name, v in out.items()}
 
 
-def _mnist_cfg(**kw):
-    base = dict(scenario="hotafl", C=4, M=5, K=100, tau=1, I=1,
-                T=200, sigma_z2=10.0, power_base=1.0,
-                power_slope=0.01, flat_power_base=1.5, lr_base=0.05,
-                lr_slope=2e-5, dataset="mnist", partition="iid",
-                feature_dim=784, num_classes=10, batch_size=500)
-    base.update(kw)
-    return protocol.ScenarioConfig(**base)
-
-
 @pytest.mark.skipif(not MNIST_DIR, reason="MNIST IDX files unavailable "
                     "(set AIRFED_MNIST_DIR)")
 def test_criterion_4_mnist_scenario_ordering():
-    accs = _final_accs(_mnist_cfg(), range(1, 6),
+    accs = _final_accs(_config("mnist_iid_hotafl"), range(1, 6),
                        {"ideal": "ideal_hier", "hotafl": "hotafl",
                         "flat": "flat_ota"})
     ok = (accs["ideal"] >= accs["hotafl"] - 0.005
@@ -227,7 +220,7 @@ def test_criterion_4_standin_synthetic_ordering():
 @pytest.mark.skipif(not MNIST_DIR, reason="MNIST IDX files unavailable "
                     "(set AIRFED_MNIST_DIR)")
 def test_criterion_5_mnist_noniid_ordering():
-    cfg = _mnist_cfg(tau=3, partition="noniid")
+    cfg = _config("mnist_noniid_hotafl")
     accs = _final_accs(cfg, range(1, 6),
                        {"ideal": "ideal_hier", "hotafl": "hotafl"})
     ok = accs["ideal"] >= accs["hotafl"] - 0.005
@@ -248,17 +241,8 @@ def test_criterion_5_standin_noniid_ordering():
 # 6. bound curves
 
 def test_criterion_6_bound_curves():
-    def params(C, M, I, beta, power_base, label):
-        return bounds.BoundParams(
-            L=10, mu=1, G2=1, Gamma=1, init_dist=1e3, N=3925, tau=1, I=I,
-            T=200, K=100, sigma_z2=10.0, sigma_h2=1.0,
-            betas=np.full((C, M), beta), lr_base=0.05, lr_slope=2e-5,
-            power_base=power_base, power_slope=0.01, label=label)
-
-    hot = bounds.bound_trajectory(params(4, 5, 1, 3.0, 1.0, "hotafl"))
-    hot5 = bounds.bound_trajectory(params(4, 5, 5, 3.0, 1.0, "hotafl_I5"))
-    flat = bounds.bound_trajectory(params(1, 20, 1, 3.0 * 0.4 ** 4, 1.5,
-                                          "flat"))
+    hot, hot5, flat = (bounds.bound_trajectory(_config(f"bound_fig4_{name}"))
+                       for name in ("hotafl", "hotafl_I5", "flat"))
     ok = (np.all(np.isfinite(hot)) and np.all(np.isfinite(flat))
           and np.all(np.isfinite(hot5)))
     # eventually non-increasing
@@ -284,8 +268,7 @@ def test_criterion_7_bound_vs_simulation():
     topo = protocol.build_topology(cfg)
     train, _ = protocol.load_run_data(cfg)
     shards = [train.subset(rows)
-              for row in protocol.partition_for_run(cfg, train)
-              for rows in row]
+              for rows in protocol.partition_for_run(cfg, train)]
     L, mu, theta_star, _ = measure_problem_constants(
         shards, cfg.num_classes, cfg.l2_reg)
 

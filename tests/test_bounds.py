@@ -211,8 +211,7 @@ def test_measure_problem_constants():
         batch_size=20, l2_reg=0.1, seed=5)
     train, _ = protocol.load_run_data(cfg)
     shards = [train.subset(rows)
-              for row in protocol.partition_for_run(cfg, train)
-              for rows in row]
+              for rows in protocol.partition_for_run(cfg, train)]
     L, mu, theta_star, f_star = measure_problem_constants(
         shards, 4, 0.1)
     assert mu == 0.1 and L > mu
@@ -230,8 +229,7 @@ def test_measure_gradient_bound_dominates_observations():
         batch_size=20, l2_reg=0.1, seed=5)
     train, _ = protocol.load_run_data(cfg)
     shards = [train.subset(rows)
-              for row in protocol.partition_for_run(cfg, train)
-              for rows in row]
+              for rows in protocol.partition_for_run(cfg, train)]
     samples = [learner.zero_model(9, 4)]
     g2 = measure_gradient_bound(shards, 4, 0.1, samples, 20,
                                 rng.substream(8, 0))

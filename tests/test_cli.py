@@ -122,6 +122,16 @@ def test_parse_bound_config():
     assert p.label == "hotafl_bound"
 
 
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).parent.parent / "configs").glob("*.cfg")),
+    ids=lambda path: path.stem)
+def test_committed_config_parses(path):
+    # the bound parameter sets are the bound_* files, the rest run configs
+    want = (bounds.BoundParams if path.stem.startswith("bound_")
+            else protocol.ScenarioConfig)
+    assert type(cli.parse_config(str(path))) is want
+
+
 def test_parse_bound_missing_key(tmp_path):
     with pytest.raises(cli.ConfigError, match="missing required"):
         cli.parse_config(_write(tmp_path, "L = 1\nmu = 0.5\n"))

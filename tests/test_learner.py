@@ -1,4 +1,5 @@
 import gzip
+import re
 import struct
 
 import numpy as np
@@ -78,56 +79,42 @@ def test_evaluate_bounds_and_perfect_model():
 
 def test_partition_iid_shapes_and_disjoint():
     data = _data(n=61)
-    shards = learner.partition_iid(data, 2, 3, rng.substream(4, 2))
-    rows = [r for row in shards for r in row]
+    rows = learner.partition_iid(data, 6, rng.substream(4, 2))
     sizes = [len(r) for r in rows]
     assert max(sizes) - min(sizes) <= 1
     assert all(np.array_equal(r, np.sort(r)) for r in rows)
     # disjoint and covering: the shards together are every row exactly once
     assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(61))
-    # train_samples below C*M
+    # fewer samples than users
     with pytest.raises(ValueError, match="^5 samples cannot cover 6 users$"):
-        learner.partition_iid(_data(n=5), 2, 3, rng.substream(4, 2))
-
-
-def test_partition_iid_flat_matches_nested():
-    data = _data(n=60)
-    nested = learner.partition_iid(data, 2, 3, rng.substream(4, 2))
-    flat = learner.partition_iid(data, 1, 6, rng.substream(4, 2))
-    nested_flat = [s for row in nested for s in row]
-    for a, b in zip(nested_flat, flat[0]):
-        assert np.array_equal(a, b)
+        learner.partition_iid(_data(n=5), 6, rng.substream(4, 2))
 
 
 def test_partition_noniid_label_concentration():
     data = _data(n=2000, d=4, k=10, seed=9)
-    shards = learner.partition_noniid(data, 2, 2, rng.substream(7, 2))
     total = 0
-    for row in shards:
-        for rows in row:
-            total += len(rows)
-            assert np.unique(data.labels[rows]).size <= 5
+    for rows in learner.partition_noniid(data, 4, rng.substream(7, 2)):
+        total += len(rows)
+        assert np.unique(data.labels[rows]).size <= 5
     assert total == 2000
 
 
-# (label counts, C, M, groups per label): MNIST's train set, which takes
+# (label counts, users, groups per label): MNIST's train set, which takes
 # the remainder branch, and two long tails where a class raised to one
 # group must keep it
 _NONIID_SPLITS = [
-    ([5923, 6742, 5958, 6131, 5842, 5421, 5918, 6265, 5851, 5949], 4, 5,
+    ([5923, 6742, 5958, 6131, 5842, 5421, 5918, 6265, 5851, 5949], 20,
      [10, 11, 10, 10, 10, 9, 10, 10, 10, 10]),
-    ([59000] + [100] * 9, 4, 5, [91] + [1] * 9),
-    ([5000] + [10] * 9, 1, 2, [1] * 10)]
+    ([59000] + [100] * 9, 20, [91] + [1] * 9),
+    ([5000] + [10] * 9, 2, [1] * 10)]
 
 
-@pytest.mark.parametrize("counts, C, M, alloc", _NONIID_SPLITS,
+@pytest.mark.parametrize("counts, n_users, alloc", _NONIID_SPLITS,
                          ids=["mnist-train", "long-tail-100", "long-tail-10"])
-def test_partition_noniid_groups_per_label(counts, C, M, alloc):
+def test_partition_noniid_groups_per_label(counts, n_users, alloc):
     labels = np.repeat(np.arange(len(counts)), counts)
     data = learner.Dataset(np.zeros((labels.size, 1)), labels, len(counts))
-    users = [rows for row in learner.partition_noniid(data, C, M,
-                                                      rng.substream(0, 2))
-             for rows in row]
+    users = learner.partition_noniid(data, n_users, rng.substream(0, 2))
     # label l's groups hold counts[l] // alloc[l] rows or one more, so a
     # user's rows of l are k such groups for k = rows // that size
     held = np.zeros((len(users), len(counts)), dtype=int)
@@ -146,7 +133,7 @@ def test_partition_noniid_groups_per_label(counts, C, M, alloc):
 def test_partition_noniid_rejects_missing_class():
     data = learner.Dataset(np.zeros((50, 2)), np.zeros(50, dtype=int), 3)
     with pytest.raises(ValueError):
-        learner.partition_noniid(data, 2, 2, rng.substream(0, 0))
+        learner.partition_noniid(data, 4, rng.substream(0, 0))
 
 
 def test_user_state_epoch_reshuffle():
@@ -276,6 +263,27 @@ def test_load_mnist_truncated_idx_names_the_file(tmp_path):
         with pytest.raises(ValueError) as err:
             learner.load_mnist(str(tmp_path), "train")
         assert str(err.value) == f"{images}: {reason}"
+
+    # gzip streams cut in half, with a flipped CRC byte and, after a bare
+    # 10-byte header, with a reserved deflate block type
+    gz = tmp_path / "gz"
+    gz.mkdir()
+    images = gz / "train-images-idx3-ubyte.gz"
+    _write_idx(gz / "train-labels-idx1-ubyte.gz", 0x801, labels, (10,), True)
+    _write_idx(images, 0x803, rng.substream(3, 0).integers(0, 256, 7840),
+               (10, 28, 28), True)
+    blob = images.read_bytes()
+    for damaged, reason in (
+            (blob[:len(blob) // 2], "Compressed file ended before the "
+             "end-of-stream marker was reached"),
+            (blob[:-8] + bytes([blob[-8] ^ 1]) + blob[-7:],
+             "CRC check failed 0x[0-9a-f]+ != 0x[0-9a-f]+"),
+            (gzip.compress(b"")[:10] + b"\xff" * 20,
+             "Error -3 while decompressing data: invalid block type")):
+        images.write_bytes(damaged)
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(images))}: {reason}$"):
+            learner.load_mnist(str(gz), "train")
 
 
 # (images file, labels file, error), each file as (magic, payload, dims);

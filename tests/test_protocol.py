@@ -1,8 +1,10 @@
+import ast
 import os
 import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,7 +128,7 @@ def test_ideal_matches_centralized_sgd():
     m = protocol.run_scenario(cfg, record_models=True)
 
     train, _ = protocol.load_run_data(cfg)
-    rows = protocol.partition_for_run(cfg, train)[0][0]
+    rows = protocol.partition_for_run(cfg, train)[0]
     state = learner.UserLearnerState(
         train, rows, cfg.batch_size, rng.substream(cfg.seed, rng.BATCH, 0, 0))
     theta = learner.zero_model(cfg.feature_dim, cfg.num_classes)
@@ -452,3 +454,38 @@ def test_paper_width_outputs_independent_of_blas_threads(tmp_path):
                               check=True, timeout=300)
         outs.append((done.stdout, csv.read_bytes()))
     assert outs[0] == outs[1]
+
+
+def _paper_shape():
+    """The keywords of perfbench/run.py's PAPER = dict(...), read without
+    importing the script, which sets OPENBLAS_NUM_THREADS."""
+    run = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    tree = ast.parse(run.read_text(encoding="utf-8"))
+    call = next(node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "PAPER")
+    return {kw.arg: ast.literal_eval(kw.value) for kw in call.keywords}
+
+
+# README's paper-shape checksums (perfbench's PAPER shape, T=3, seed 1).
+# At 784 features the products' bits hold only with BLAS at one thread.
+_PAPER_CHECKSUMS = {
+    "hotafl": (
+        dict(scenario="hotafl", partition="iid"),
+        "9a03c53546724124e66e3d84a6dfde37d8d73344e9f24fae1a9281d666232d38"),
+    "flat": (
+        dict(scenario="flat_ota", partition="iid"),
+        "8a7c4b5e348a0c4d380ba1caa8647bf2657ba68a753e903c2ee67e2095ac8648"),
+    "ideal_noniid_tau3": (
+        dict(scenario="ideal_hier", partition="noniid", tau=3),
+        "0c3b2a4a6be1d98cf2af3b6a535c0522908483be22e9ad4a1fff6b57c5978737"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAPER_CHECKSUMS))
+def test_paper_shape_checksums(name):
+    if learner._openblas_threads() is None:
+        pytest.skip(_NO_BLAS_SETTER)
+    run, digest = _PAPER_CHECKSUMS[name]
+    cfg = protocol.ScenarioConfig(**_paper_shape(), **run, T=3, seed=1)
+    assert protocol.run_scenario(cfg).final_checksum == digest
