@@ -160,16 +160,6 @@ def bound_trajectory(p: BoundParams) -> np.ndarray:
     return 0.5 * p.L * distance_bound_trajectory(p)
 
 
-def bound_to_csv(p: BoundParams, path):
-    """One row per iteration, matching the RunMetrics column conventions."""
-    traj = bound_trajectory(p)
-    label = p.label or "bound"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,bound_value,config_label\n")
-        for t in range(1, p.T + 1):
-            fh.write("%d,%.10g,%s\n" % (t, traj[t - 1], label))
-
-
 # ---------------------------------------------------------------------------
 # variance oracles for the three aggregation-error components
 

@@ -32,10 +32,10 @@ class ConfigError(ValueError):
 
 
 def _read(path, parse=str):
-    """parse of the UTF-8 text of a config, manifest or CSV file; text that
-    does not decode or parse fails naming path."""
+    """parse of the UTF-8 text, a leading BOM dropped, of a config, manifest
+    or CSV file; text that does not decode or parse fails naming path."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return parse(fh.read())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}")
@@ -174,12 +174,9 @@ def _write_manifest(out_dir, kind, cfg, outputs, start, **runs):
     payload = {"kind": kind, "tool_version": __version__, "config": config,
                "outputs": outputs,
                "runtime_seconds": round(time.time() - start, 3), **runs}
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        # a bound's betas array is written as nested lists
-        json.dump(payload, fh, indent=2, sort_keys=True,
-                  default=np.ndarray.tolist)
-        fh.write("\n")
+    # a bound's betas array is written as nested lists
+    protocol.write_text(os.path.join(out_dir, "manifest.json"), json.dumps(
+        payload, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n")
 
 
 def summarize(csv_paths, out_path):
@@ -214,14 +211,12 @@ def summarize(csv_paths, out_path):
     chain = [s for s in protocol.SCENARIOS if s in means]
     ordering_ok = all(means[chain[i]] >= means[chain[i + 1]]
                       for i in range(len(chain) - 1))
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("scenario,n_seeds,mean_final_acc,min_final_acc,"
-                 "max_final_acc,ordering_ok\n")
-        for s in chain + sorted(set(finals) - set(chain)):
-            v = finals[s]
-            fh.write("%s,%d,%.10g,%.10g,%.10g,%s\n" % (
-                s, len(v), means[s], min(v), max(v),
-                "true" if ordering_ok else "false"))
+    flag = "true" if ordering_ok else "false"
+    protocol.write_csv(
+        out_path, "scenario,n_seeds,mean_final_acc,min_final_acc,"
+        "max_final_acc,ordering_ok",
+        [(s, len(finals[s]), means[s], min(finals[s]), max(finals[s]), flag)
+         for s in chain + sorted(set(finals) - set(chain))])
 
 
 def _cmd_run(args):
@@ -274,10 +269,13 @@ def _cmd_run(args):
 def _cmd_bound(args):
     start = time.time()
     params, _ = _load_config(args.config, "bound")
+    label = params.label or "bound"
+    traj = bounds.bound_trajectory(params)
     os.makedirs(args.out, exist_ok=True)
-    name = f"{params.label or 'bound'}.csv"
-    bounds.bound_to_csv(params, os.path.join(args.out, name))
-    _write_manifest(args.out, "bound", params, [name], start)
+    protocol.write_csv(os.path.join(args.out, f"{label}.csv"),
+                       "t,bound_value,config_label",
+                       [(t, v, label) for t, v in enumerate(traj, 1)])
+    _write_manifest(args.out, "bound", params, [f"{label}.csv"], start)
     return 0
 
 

@@ -346,6 +346,8 @@ def load_mnist(data_dir: str, split: str = "train") -> Dataset:
     if img_path is None:
         raise FileNotFoundError(f"no MNIST {split} IDX files under {data_dir}")
     images = _read_idx(img_path, 3)
+    if not len(images):
+        raise ValueError(f"{img_path}: IDX file holds no images")
     labels = _read_idx(lbl_path, 1)
     if len(labels) != len(images):
         raise ValueError(f"{lbl_path}: {len(labels)} labels for the "

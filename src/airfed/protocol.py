@@ -160,13 +160,23 @@ class RunMetrics:
     user_diffs: Optional[list] = field(default=None, repr=False)
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t,scenario,train_loss,test_acc,avg_tx_power,eta,power\n")
-            for i in range(self.t.size):
-                fh.write("%d,%s,%.10g,%.10g,%.10g,%.10g,%.10g\n" % (
-                    self.t[i], self.scenario, self.train_loss[i],
-                    self.test_acc[i], self.avg_tx_power[i], self.eta[i],
-                    self.power[i]))
+        write_csv(path,
+                  "t,scenario,train_loss,test_acc,avg_tx_power,eta,power",
+                  zip(self.t, [self.scenario] * self.t.size, self.train_loss,
+                      self.test_acc, self.avg_tx_power, self.eta, self.power))
+
+
+def write_text(path, text):
+    """The one writer of airfed's files: text as UTF-8 with LF line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def write_csv(path, header, rows):
+    """A CSV: the header line, then rows with every number as %.10g."""
+    write_text(path, "".join(
+        ",".join(v if isinstance(v, str) else "%.10g" % v for v in row) + "\n"
+        for row in [header.split(","), *rows]))
 
 
 # ---------------------------------------------------------------------------

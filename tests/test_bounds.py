@@ -4,6 +4,7 @@ import pytest
 from airfed import bounds, learner, protocol, rng
 from oracles import (a1_term, distance_bound_closed_form,
                      measure_gradient_bound, measure_problem_constants)
+from test_acceptance import _config
 
 
 def _params(**kw):
@@ -134,6 +135,20 @@ def test_recursion_matches_closed_form():
         for t in (1, 2, 7, 40):
             cf = distance_bound_closed_form(p, t)
             assert traj[t - 1] == pytest.approx(cf, rel=1e-12)
+
+
+def test_bound_gap_grows_as_alpha_falls():
+    # flat's users sit 1/alpha times farther from the PS than from their
+    # IS, so its gain is HOTAFL's beta times alpha^4 (path-loss exponent 4)
+    hot = bounds.bound_trajectory(_config("bound_fig4_hotafl"))[-1]
+    gaps = [bounds.bound_trajectory(_config(
+                "bound_fig4_flat", betas=np.full((1, 20), 3 * alpha ** 4)))[-1]
+            - hot for alpha in (0.25, 0.4, 0.6, 0.9)]
+    print("\nflat - hotafl bound at t=200, alpha 0.25/0.4/0.6/0.9:",
+          ", ".join(f"{g:.4g}" for g in gaps))
+    # no sign is asserted: from alpha = 0.6 flat's bound lies below
+    # HOTAFL's, since flat transmits at 1.5 times the power
+    assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
 def test_bound_precondition_violation_raises():

@@ -132,6 +132,29 @@ def test_committed_config_parses(path):
     assert type(cli.parse_config(str(path))) is want
 
 
+def test_byte_order_mark_is_dropped(tmp_path):
+    # a UTF-8 byte-order mark is not part of the first key or line of a
+    # run config, a bound config or a manifest
+    bom = b"\xef\xbb\xbf"
+    plain = _write(tmp_path, SMOKE)
+    marked = tmp_path / "bom.cfg"
+    marked.write_bytes(bom + SMOKE.encode())
+    assert cli.parse_config(str(marked)) == cli.parse_config(plain)
+    out = str(tmp_path / "o")
+    assert cli.main(["run", "--config", str(marked), "--out", out]) == 0
+    committed = Path(__file__).parent.parent / "configs/bound_fig4_hotafl.cfg"
+    marked = tmp_path / "bomb.cfg"
+    marked.write_bytes(bom + committed.read_bytes())
+    assert np.array_equal(
+        bounds.bound_trajectory(cli.parse_config(str(marked))),
+        bounds.bound_trajectory(cli.parse_config(str(committed))))
+    manifest = Path(out) / "manifest.json"
+    marked = tmp_path / "bom.json"
+    marked.write_bytes(bom + manifest.read_bytes())
+    assert cli._load_config(str(marked), "run") == \
+        cli._load_config(str(manifest), "run")
+
+
 def test_parse_bound_missing_key(tmp_path):
     with pytest.raises(cli.ConfigError, match="missing required"):
         cli.parse_config(_write(tmp_path, "L = 1\nmu = 0.5\n"))

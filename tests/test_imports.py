@@ -1,10 +1,12 @@
 """Every name a module in src/airfed or tests/ imports is used in that
 module, every top-level name a package module defines is referenced from the
 package or perfbench (code that only tests use belongs in tests/), every
-top-level name in tests/ other than a test is referenced from tests/, and
-every ScenarioConfig option is read somewhere in the package."""
+top-level name in tests/ other than a test is referenced from tests/,
+every ScenarioConfig option is read somewhere in the package, and one
+function in the package opens files for writing."""
 
 import ast
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -106,3 +108,33 @@ def test_every_scenario_option_is_read():
     unread = [f.name for f in fields(ScenarioConfig)
               if f.init and f.name not in read]
     assert unread == []
+
+
+def _writers(tree, where="<module>"):
+    """Names of the functions (innermost) in tree that call an opener (a
+    callee whose name contains "open") with a literal mode that writes,
+    appends, creates or updates, such as "w" or "rb+"."""
+    out = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.FunctionDef):
+            out |= _writers(node, node.name)
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", getattr(func, "attr", ""))
+            modes = [*node.args, *(k.value for k in node.keywords
+                                   if k.arg == "mode")]
+            if "open" in name and any(
+                    isinstance(m, ast.Constant) and isinstance(m.value, str)
+                    and re.fullmatch(r"[rwxabt+]*[wxa+][rwxabt+]*", m.value)
+                    for m in modes):
+                out.add(where)
+        out |= _writers(node, where)
+    return out
+
+
+def test_one_function_writes_files():
+    writers = sorted((path.name, name)
+                     for path in sorted(PACKAGE.glob("*.py"))
+                     for name in _writers(ast.parse(path.read_text("utf-8"))))
+    assert writers == [("protocol.py", "write_text")]

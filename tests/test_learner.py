@@ -302,12 +302,15 @@ _BAD_IDX = [
     (_IMAGES, (0x801, np.array([3, 10]), (2,)),
      "{labels}: label 10, MNIST labels are 0 to 9"),
     (_IMAGES, (0x801, np.arange(3), (3,)),
-     "{labels}: 3 labels for the 2 images of {images}")]
+     "{labels}: 3 labels for the 2 images of {images}"),
+    ((0x803, np.zeros(0), (0, 2, 2)), (0x801, np.zeros(0), (0,)),
+     "{images}: IDX file holds no images")]
 
 
 @pytest.mark.parametrize("images, labels, reason", _BAD_IDX,
                          ids=["dims-wrap-zero", "dims-wrap-negative",
-                              "swapped", "label-10", "count-mismatch"])
+                              "swapped", "label-10", "count-mismatch",
+                              "empty"])
 def test_load_mnist_bad_idx(tmp_path, images, labels, reason):
     paths = [tmp_path / "train-images-idx3-ubyte",
              tmp_path / "train-labels-idx1-ubyte"]
