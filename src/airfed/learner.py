@@ -26,7 +26,7 @@ class Dataset:
     """Feature matrix plus integer labels in [0, num_classes), one per row,
     held as the producer (make_synthetic, load_mnist, subset) built them."""
 
-    features: np.ndarray  # (n, d) float64
+    features: np.ndarray  # (n, d) float32
     labels: np.ndarray    # (n,) int64
     num_classes: int
 
@@ -50,10 +50,13 @@ def zero_model(feature_dim: int, num_classes: int) -> np.ndarray:
 
 
 def _logits(model, features, num_classes):
-    """(n, num_classes) scores of the flat model, read as the augmented
-    (feature_dim + 1, num_classes) weight matrix whose last row is the bias."""
+    """(n, num_classes) float64 scores of the flat model, read as the
+    augmented (feature_dim + 1, num_classes) weight matrix whose last row is
+    the bias.  The product runs in the features' dtype, to which the weights
+    are cast here; the bias is added in float64."""
     W = model.reshape(features.shape[1] + 1, num_classes)
-    return features @ W[:-1] + W[-1]
+    scores = features @ W[:-1].astype(features.dtype, copy=False)
+    return scores.astype(np.float64) + W[-1]
 
 
 def _softmax_loss(model, features, labels, num_classes, l2):
@@ -76,7 +79,9 @@ def loss(model, features, labels, num_classes, l2: float = 0.0) -> float:
 
 
 def loss_and_gradient(model, features, labels, num_classes, l2: float = 0.0):
-    """Mean cross-entropy of the linear softmax classifier and its gradient.
+    """Mean cross-entropy of the linear softmax classifier and its float64
+    gradient.  The softmax and the loss are float64; the residual goes back
+    to the features' dtype for the product with the features.
 
     With l2 > 0 the objective gains (l2/2)*||model||^2, which makes every
     per-user loss l2-strongly convex.
@@ -86,7 +91,7 @@ def loss_and_gradient(model, features, labels, num_classes, l2: float = 0.0):
     delta[np.arange(n), labels] -= 1.0
     delta /= n
     grad = np.empty((d + 1, num_classes))
-    grad[:-1] = features.T @ delta
+    grad[:-1] = features.T @ delta.astype(features.dtype, copy=False)
     grad[-1] = delta.sum(axis=0)
     grad = grad.reshape(-1)
     if l2:
@@ -248,7 +253,7 @@ def blas_single_thread():
 # over 5 pairs on 2 cores (numpy 2.4.6): 1.09-1.10 at 64 features and
 # batch 100, 1.04-1.09 at 128 x 500 (0.65e6), 0.87 at 192 x 500
 # (0.96e6), 0.75-0.77 at 256 x 500 and 0.62-0.65 at 784 x 500 (the
-# paper's width).
+# paper's width).  These were timed on float64 features.
 SGD_POOL_MIN_MACS = 1_000_000
 
 
@@ -276,10 +281,12 @@ def make_synthetic(num_samples: int, feature_dim: int, num_classes: int,
     """Linearly separable Gaussian blobs with round-robin labels.
 
     Each class centre lies at distance 4 from the origin along a random unit
-    direction drawn from rng; the noise is standard normal.  The rows are
-    split into blocks of SYNTHETIC_BLOCK_ROWS, and block b is filled in
-    place by child b of rng.spawn(n_blocks), which then adds each class
-    centre to that block's rows of the class.  A thread pool of one worker
+    direction drawn from rng; the noise is standard normal.  The features
+    are float32: the noise is drawn as float32, and each row's sum with its
+    centre is taken in float64 and rounded to float32.  The rows are split
+    into blocks of SYNTHETIC_BLOCK_ROWS, and block b is filled in place by
+    child b of rng.spawn(n_blocks), which then adds each class centre to
+    that block's rows of the class.  A thread pool of one worker
     per usable CPU fills the blocks (numpy's fill releases the GIL).  The
     workers call only Generator methods and numpy, never an airfed
     function, so a profiler that wraps module attributes sees no calls
@@ -289,13 +296,13 @@ def make_synthetic(num_samples: int, feature_dim: int, num_classes: int,
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     centres = 4.0 * dirs
     labels = np.arange(num_samples) % num_classes
-    feats = np.empty((num_samples, feature_dim))
+    feats = np.empty((num_samples, feature_dim), dtype=np.float32)
     starts = range(0, num_samples, SYNTHETIC_BLOCK_ROWS)
     children = rng.spawn(len(starts))
 
     def fill(start, gen):
         rows = feats[start:start + SYNTHETIC_BLOCK_ROWS]
-        gen.standard_normal(out=rows)
+        gen.standard_normal(out=rows, dtype=np.float32)
         for c in range(num_classes):
             rows[(c - start) % num_classes::num_classes] += centres[c]
 
@@ -334,7 +341,8 @@ def _read_idx(path, ndim):
 
 
 def load_mnist(data_dir: str, split: str = "train") -> Dataset:
-    """Load MNIST IDX files (optionally gzipped) with pixels scaled to [0, 1]."""
+    """Load MNIST IDX files (optionally gzipped) with pixels scaled by
+    1/255 into float32."""
     prefix = {"train": "train", "test": "t10k"}[split]
     img_path = lbl_path = None
     for suffix in ("", ".gz"):
@@ -355,5 +363,6 @@ def load_mnist(data_dir: str, split: str = "train") -> Dataset:
     if labels.size and labels.max() > 9:
         raise ValueError(f"{lbl_path}: label {labels.max()}, MNIST labels "
                          "are 0 to 9")
-    return Dataset(images.astype(np.float64) / 255.0,
-                   labels.astype(np.int64), 10)
+    features = images.astype(np.float32)
+    features /= 255
+    return Dataset(features, labels.astype(np.int64), 10)

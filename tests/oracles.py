@@ -35,18 +35,20 @@ def distance_bound_closed_form(p: bounds.BoundParams, t: int) -> float:
 
 
 def make_synthetic_reference(num_samples, feature_dim, num_classes, rng):
-    """learner.make_synthetic drawn serially: the blocks one after another,
-    each from its rng.spawn child, with every class centre gathered per
-    row."""
+    """learner.make_synthetic drawn serially: the float32 blocks one after
+    another, each from its rng.spawn child, with every class centre
+    gathered per row and added in float64 before the sum is rounded to
+    float32."""
     dirs = rng.standard_normal((num_classes, feature_dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     labels = np.arange(num_samples) % num_classes
     step = learner.SYNTHETIC_BLOCK_ROWS
     starts = range(0, num_samples, step)
     noise = np.concatenate([
-        gen.standard_normal((min(step, num_samples - s), feature_dim))
+        gen.standard_normal((min(step, num_samples - s), feature_dim),
+                            dtype=np.float32)
         for s, gen in zip(starts, rng.spawn(len(starts)))])
-    feats = 4.0 * dirs[labels] + noise
+    feats = (4.0 * dirs[labels] + noise).astype(np.float32)
     return learner.Dataset(feats, labels, num_classes)
 
 
@@ -63,9 +65,15 @@ def measure_problem_constants(shards, num_classes: int, l2: float,
     over shards; mu = l2 (from the ridge term).  theta* is found by
     full-batch gradient descent at step 1/L until the gradient norm drops
     below tol.  Returns (L, mu, theta_star, f_star).
+
+    Everything runs on float64 copies of the shards' features: float32
+    values are exact in float64, so the problem is the same, and float64
+    products let the descent reach tol.
     """
     if l2 <= 0:
         raise ValueError("need l2 > 0 for strong convexity")
+    shards = [learner.Dataset(s.features.astype(np.float64), s.labels,
+                              num_classes) for s in shards]
     lam_max = 0.0
     for s in shards:
         aug = np.hstack([s.features, np.ones((len(s), 1))])

@@ -230,8 +230,10 @@ def test_measure_problem_constants():
     L, mu, theta_star, f_star = measure_problem_constants(
         shards, 4, 0.1)
     assert mu == 0.1 and L > mu
-    grads = [learner.loss_and_gradient(theta_star, s.features, s.labels,
-                                       4, 0.1)[1] for s in shards]
+    # the float64 problem the oracle solved (exact copies of the data)
+    grads = [learner.loss_and_gradient(theta_star,
+                                       s.features.astype(np.float64),
+                                       s.labels, 4, 0.1)[1] for s in shards]
     assert np.linalg.norm(np.mean(grads, axis=0)) < 1e-9
     with pytest.raises(ValueError):
         measure_problem_constants(shards, 4, 0.0)

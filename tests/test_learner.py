@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from airfed import learner, rng
+from airfed import learner, protocol, rng
 from oracles import make_synthetic_reference
 
 
@@ -23,6 +23,9 @@ def test_model_dim_and_zero_model():
 def test_loss_gradient_finite_difference():
     gen = rng.substream(11, 0)
     data = _data(seed=2)
+    # float64 products on an exact copy of the float32 data: an eps of 1e-6
+    # needs more digits than float32 products keep
+    data.features = data.features.astype(np.float64)
     theta = gen.standard_normal(learner.model_dim(6, 3))
     loss, grad = learner.loss_and_gradient(theta, data.features, data.labels,
                                            3, l2=0.05)
@@ -35,6 +38,47 @@ def test_loss_gradient_finite_difference():
         ld, _ = learner.loss_and_gradient(dn, data.features, data.labels, 3, 0.05)
         fd = (lu - ld) / (2 * eps)
         assert abs(fd - grad[i]) <= 1e-6 * max(1.0, abs(fd))
+
+
+# Relative errors of float32 products to float64 ones, fixed before the
+# first run; measured at most 2.8e-7 (gradient) and 2.2e-9 (loss) on
+# 2 cores with numpy 2.4.6 and OpenBLAS 0.3.31.
+_GRAD_RTOL, _LOSS_RTOL = 1e-5, 1e-6
+
+
+def test_float32_products_match_float64(tmp_path):
+    gen = rng.substream(11, 2)
+    # the paper's width (one 500-sample batch) and the tests' 6-feature shape
+    for n, d, k in ((500, 784, 10), (60, 6, 3)):
+        data = learner.make_synthetic(n, d, k, rng.substream(4, 1))
+        assert data.features.dtype == np.float32
+        theta = 0.05 * gen.standard_normal(learner.model_dim(d, k))
+        lo, g = learner.loss_and_gradient(theta, data.features,
+                                          data.labels, k)
+        lo64, g64 = learner.loss_and_gradient(
+            theta, data.features.astype(np.float64), data.labels, k)
+        assert g.dtype == np.float64
+        assert np.linalg.norm(g - g64) <= _GRAD_RTOL * np.linalg.norm(g64)
+        assert abs(lo - lo64) <= _LOSS_RTOL * abs(lo64)
+
+    state = learner.UserLearnerState(data, np.arange(len(data)), 8,
+                                     rng.substream(5, 6))
+    end = learner.sgd_user_iterations(state, theta, 2, 0.1)
+    assert end.dtype == np.float64
+
+    cfg = protocol.ScenarioConfig(
+        scenario="ideal_hier", C=1, M=2, K=4, T=1, feature_dim=9,
+        num_classes=4, train_samples=200, test_samples=50, batch_size=20)
+    for part in protocol.load_run_data(cfg):
+        assert part.features.dtype == np.float32
+
+    imgs = gen.integers(0, 256, size=(3, 28, 28), dtype=np.uint8)
+    _write_idx(tmp_path / "train-images-idx3-ubyte", 0x803, imgs, (3, 28, 28))
+    _write_idx(tmp_path / "train-labels-idx1-ubyte", 0x801,
+               np.arange(3), (3,))
+    mnist = learner.load_mnist(str(tmp_path), "train")
+    assert mnist.features.dtype == np.float32
+    assert np.array_equal(mnist.features * 255, imgs.reshape(3, 784))
 
 
 def test_loss_is_the_loss_of_loss_and_gradient():

@@ -281,7 +281,7 @@ def test_run_data_is_read_only():
     assert train.features.base is test.features.base  # views of one matrix
 
 
-# A run whose data (11000 x 64 float64) dominates its memory; scenarios
+# A run whose data (11000 x 64 float32) dominates its memory; scenarios
 # that cover both partitions, both aggregation paths and I > 1, where the
 # order of the engine's local-step and cluster loops could show.
 _DATA_SHAPE = dict(C=2, M=2, K=8, T=2, train_samples=10000,
@@ -300,14 +300,17 @@ _DATA_RUNS = {
 @pytest.mark.parametrize("name", sorted(_DATA_RUNS))
 def test_run_holds_its_data_once(name):
     cfg = protocol.ScenarioConfig(**_DATA_SHAPE, **_DATA_RUNS[name])
-    data_bytes = (cfg.train_samples + cfg.test_samples) * cfg.feature_dim * 8
+    data_bytes = protocol.load_run_data(cfg)[0].features.itemsize * (
+        (cfg.train_samples + cfg.test_samples) * cfg.feature_dim)
     tracemalloc.start()
     try:
         protocol.run_scenario(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * data_bytes, f"peak {peak / data_bytes:.2f}x the data"
+    # one copy peaks near 1.5x (about 1.4 MB of fixed overhead, mostly the
+    # 2000-row eval copy); a second copy would read about 2.5x
+    assert peak <= 1.75 * data_bytes, f"peak {peak / data_bytes:.2f}x the data"
 
 
 def test_load_run_data_leaves_no_threads():
@@ -320,21 +323,21 @@ def test_load_run_data_leaves_no_threads():
 # The digests are not in the test ids, so a re-pin keeps the test names.
 _GOLDEN_CHECKSUMS = {
     "hotafl_iid":
-        "a086f1bcfb134b032f7fa089499f763bcca8671c8f5d5dbe6952690f50859414",
+        "41a3e69269c878990a63e966ed71573d525838868cf9e4e4db0e0417451b29a5",
     "flat_iid":
-        "e518088381f183bbde1b29517049a2a02fc9bd97f6f471e652e44647cf311ebf",
+        "f7ebc0996d7cf4bb5daa83099e8930566d5884a0b7a9523a8345d70d113b91ba",
     "ideal_noniid_tau3":
-        "f8c7b7c23ebfa0230c1e696ccae5ff9a6d78036e2b93508a0f29e58f642ee3c3",
+        "056276e17c4a1efbcfc22023bde053f468b24492348ed873c9f464a8ecf9ccd5",
     "hotafl_iid_I3":
-        "d17efc3a32d73f1d3bc7e4172e2005974d2051e677d0d19b6f94132c52c7c6a8",
+        "435b664270bc7a396f5b2789de4914840e22d6969a47b0cfa5d2246e2f17b928",
     "ideal_noniid_tau3_I2":
-        "cade99dc21843cf4bec21e5d04d1b6bce9715887a5c2aea11687f5f3f3a49b6e",
+        "d978463b8f029a2a33a4b5ec721ba4a59ec308687cd4197bcd94be789b9f42a8",
 }
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_CHECKSUMS))
 def test_golden_checksums(name):
-    # pinned at 0.5.0; a change here changes every output of the scenario
+    # pinned at 0.7.0; a change here changes every output of the scenario
     cfg = protocol.ScenarioConfig(**_DATA_SHAPE, **_DATA_RUNS[name])
     assert protocol.run_scenario(cfg).final_checksum == _GOLDEN_CHECKSUMS[name]
 
@@ -472,13 +475,13 @@ def _paper_shape():
 _PAPER_CHECKSUMS = {
     "hotafl": (
         dict(scenario="hotafl", partition="iid"),
-        "9a03c53546724124e66e3d84a6dfde37d8d73344e9f24fae1a9281d666232d38"),
+        "487e5520d8ddd32d992e84112b39cd6bdb8a0b30d02bf50c31cb965df3a81577"),
     "flat": (
         dict(scenario="flat_ota", partition="iid"),
-        "8a7c4b5e348a0c4d380ba1caa8647bf2657ba68a753e903c2ee67e2095ac8648"),
+        "23f80e56cd7d7ba518d02104ba1035b516755786a1b438dbaa705fac17bc9888"),
     "ideal_noniid_tau3": (
         dict(scenario="ideal_hier", partition="noniid", tau=3),
-        "0c3b2a4a6be1d98cf2af3b6a535c0522908483be22e9ad4a1fff6b57c5978737"),
+        "dd1e4a7ba63bff26bae8e44565d0ca4797e3d0aa48b8ea30280e4fcd95497ee0"),
 }
 
 
