@@ -117,19 +117,18 @@ def ota_aggregate(diffs, betas, p_t, K, sigma_h2, sigma_z2, fading_rng,
                   noise_rng):
     """Aggregate the (M, 2N) user diffs of one cluster over the air.
 
-    Returns (update, tx_energy = p_t^2 * sum |x|^2, symbols_sent).  Each
-    symbol's combined output is (p_t * S + CN(0, sigma_z2 * R)) / K with
-    (S, R) from draw_mrc_statistic, which is called through the module's
-    globals, so a test or a profiler can swap it.
+    Returns (update, tx_energy = p_t^2 * sum |x|^2).  Each symbol's
+    combined output is (p_t * S + CN(0, sigma_z2 * R)) / K with (S, R)
+    from draw_mrc_statistic, which is called through the module's globals,
+    so a test or a profiler can swap it.  The noise is drawn at every
+    sigma_z2, and sigma_z2 = 0 scales it by zero.
     """
     x = pack_complex(diffs)
     M, N = x.shape
     S, R = draw_mrc_statistic(betas, K, x, sigma_h2, fading_rng)
-    combined = p_t * S
-    if sigma_z2 > 0:
-        raw = noise_rng.standard_normal((N, 2))
-        combined += raw.view(np.complex128)[:, 0] * np.sqrt(sigma_z2 / 2.0 * R)
+    noise = noise_rng.standard_normal((N, 2)).view(np.complex128)[:, 0]
+    combined = p_t * S + noise * np.sqrt(sigma_z2 / 2.0 * R)
     combined /= K
     update = recover_cluster_update(combined, p_t, M, sigma_h2, betas.sum())
     tx_energy = p_t * p_t * float((x.real ** 2 + x.imag ** 2).sum())
-    return update, tx_energy, x.size
+    return update, tx_energy

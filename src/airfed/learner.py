@@ -248,12 +248,13 @@ def blas_single_thread():
 
 # One gradient's multiply-adds (batch_size * (feature_dim + 1) *
 # num_classes) from which a local step's users run on more than one
-# worker.  An ideal_hier engine run (C*M = 20, tau = 1, T = 8, BLAS at
-# one thread) on 2 workers took, as a median multiple of the serial run
-# over 5 pairs on 2 cores (numpy 2.4.6): 1.09-1.10 at 64 features and
-# batch 100, 1.04-1.09 at 128 x 500 (0.65e6), 0.87 at 192 x 500
-# (0.96e6), 0.75-0.77 at 256 x 500 and 0.62-0.65 at 784 x 500 (the
-# paper's width).  These were timed on float64 features.
+# worker.  An ideal_hier run (C*M = 20, tau = 1, T = 8, BLAS at one
+# thread, setup excluded) on 2 workers took, as a median multiple of the
+# serial run over two sessions of 7 alternating pairs on 2 cores (numpy
+# 2.4.6, float32 features): 1.05-1.06 at 64 features and batch 100,
+# 1.01-1.06 at 128 x 500 (0.65e6), 0.92 at 160 x 500 (0.80e6), 0.85-0.88
+# at 192 x 500 (0.96e6), 0.85-0.86 at 256 x 500 and 0.71-0.77 at 784 x 500
+# (the paper's width).
 SGD_POOL_MIN_MACS = 1_000_000
 
 

@@ -1,14 +1,12 @@
 """Scenario orchestration: ideal hierarchical FL, HOTAFL, and flat OTA FL.
 
-One engine drives all three scenarios.  A global iteration t broadcasts the
-PS model to every cluster, runs I local iterations i (each: tau SGD steps
-by user m of each cluster c, then a local aggregation per cluster that is
-either an exact mean or an over-the-air uplink), and averages the cluster
-updates at the PS over an error-free link.  The loops run t -> i -> c, the
-C*M users of a local step running on a thread pool; batch streams are
-keyed by (c, m) and channel and noise streams by (t, i, c), so neither the
-order nor the worker count can change the outputs.  Flat OTA FL is the
-C=1, I=1 specialization with gains from the direct user-to-PS distances.
+One function, run_scenario, sets up and runs all three scenarios.  A global
+iteration t broadcasts the PS model to every cluster, runs I local
+iterations i (each: tau SGD steps by user m of each cluster c, then a local
+aggregation per cluster that is either an exact mean or an over-the-air
+uplink), and averages the cluster updates at the PS over an error-free
+link.  run_scenario's docstring says how each scenario maps onto that loop
+and why neither the loop order nor the worker count changes the outputs.
 """
 
 import hashlib
@@ -242,25 +240,37 @@ def build_topology(cfg: ScenarioConfig) -> topology.SystemTopology:
 _QUIET = dict(over="ignore", divide="ignore", invalid="ignore")
 
 
-@np.errstate(**_QUIET)
-def _run_engine(cfg, shards, betas, train, test, record_models,
-                collect_diffs):
-    """Shared loop for all scenarios, in the order t -> i -> c.
+def run_scenario(cfg: ScenarioConfig, record_models=False,
+                 collect_diffs=False) -> RunMetrics:
+    """Run cfg.scenario: build its data and users, then loop t -> i -> c.
 
-    shards: the cfg.C * cfg.M users' row-index arrays into train; user u is
-    user m of cluster c for (c, m) = divmod(u, cfg.M).
-    betas: (cfg.C, cfg.M) large-scale gains for over-the-air local
-    aggregation, or None for exact means.  User (c, m) draws its batches
-    from substream (seed, BATCH, c, m) and aggregation (t, i, c) from
-    (seed, CHANNEL | NOISE, t, i, c), so no loop order changes the outputs.
+    ideal_hier takes exact means and no topology.  hotafl aggregates over
+    the air with the user-to-IS gains of build_topology(cfg).  flat_ota is
+    the one-cluster case: the same C*M shards as one cluster of C*M users,
+    the user-to-PS gains, I=1 and the flat_power_* schedule.
 
-    A local step's C*M users run on a pool of learner.sgd_workers threads
-    (one at small shapes), worker k taking users k, k + workers, ... of the
-    list, so each user's state is only touched by one thread.
-    The pool also computes the train loss while this thread runs
+    Entry u of partition_for_run's list is user m of cluster c for
+    (c, m) = divmod(u, M).  User (c, m) draws its batches from substream
+    (seed, BATCH, c, m) and aggregation (t, i, c) its channel and noise
+    from (seed, CHANNEL | NOISE, t, i, c), so no loop order changes the
+    outputs.  A local step's C*M users run on a pool of learner.sgd_workers
+    threads (one at small shapes), worker k taking users k, k + workers,
+    ... of the list, so each user's state is touched by one thread only;
+    the pool also computes the train loss while this thread runs
     learner.evaluate.  BLAS is held at one thread for the whole loop
     (learner.blas_single_thread).
     """
+    topo = None if cfg.scenario == "ideal_hier" else build_topology(cfg)
+    train, test = load_run_data(cfg)
+    shards = partition_for_run(cfg, train)
+    betas = None                # exact means
+    if cfg.scenario == "hotafl":
+        betas = topo.beta
+    elif cfg.scenario == "flat_ota":
+        betas = topo.ps_beta.reshape(1, -1)
+        cfg = replace(cfg, C=1, M=cfg.C * cfg.M, I=1,
+                      power_base=cfg.flat_power_base,
+                      power_slope=cfg.flat_power_slope)
     C, M, I = cfg.C, cfg.M, cfg.I
 
     users = []      # (c, m, state) of each user
@@ -299,11 +309,12 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
             return learner.loss(model, eval_feats, eval_labels,
                                 cfg.num_classes, cfg.l2_reg)
 
-    with learner.blas_single_thread(), ThreadPoolExecutor(workers) as pool:
+    with (learner.blas_single_thread(), ThreadPoolExecutor(workers) as pool,
+          np.errstate(**_QUIET)):
         for t in range(cfg.T):
             eta = lr_schedule(t, cfg.lr_base, cfg.lr_slope)
             p_t = power_schedule(t, cfg.power_base, cfg.power_slope)
-            tx_energy, tx_count = 0.0, 0
+            tx_energy = 0.0
             theta_is[:] = theta_ps
 
             for i in range(I):
@@ -312,14 +323,13 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
                     theta_is += diffs[:, i].sum(axis=1) / M
                     continue
                 for c in range(C):
-                    update, energy, sent = channel.ota_aggregate(
+                    update, energy = channel.ota_aggregate(
                         diffs[c, i], betas[c], p_t, cfg.K, cfg.sigma_h2,
                         cfg.sigma_z2,
                         rng.substream(cfg.seed, rng.CHANNEL, t, i, c),
                         rng.substream(cfg.seed, rng.NOISE, t, i, c))
                     theta_is[c] += update
                     tx_energy += energy
-                    tx_count += sent
 
             delta = theta_is - theta_ps
             bad = ~np.isfinite(delta).all(axis=1)
@@ -335,7 +345,8 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
             if not np.isfinite(loss):
                 raise ValueError(f"train loss is not finite at t={t + 1}")
             out["train_loss"][t] = loss
-            out["avg_tx_power"][t] = tx_energy / tx_count if tx_count else 0.0
+            # per symbol: C*I*M sends of dim/2 symbols each
+            out["avg_tx_power"][t] = tx_energy / (diffs.size // 2)
             out["eta"][t] = eta
             out["power"][t] = p_t
             if record_models:
@@ -347,27 +358,3 @@ def _run_engine(cfg, shards, betas, train, test, record_models,
     return RunMetrics(cfg.scenario, np.arange(1, cfg.T + 1), out["train_loss"],
                       out["test_acc"], out["avg_tx_power"], out["eta"],
                       out["power"], theta_ps, checksum, models, all_diffs)
-
-
-def run_scenario(cfg: ScenarioConfig, record_models=False,
-                 collect_diffs=False) -> RunMetrics:
-    """Run cfg.scenario on the shared engine.
-
-    ideal_hier takes exact means and no topology.  hotafl aggregates over
-    the air with the user-to-IS gains of build_topology(cfg).  flat_ota is
-    the one-cluster case: the same C*M shards as one cluster of C*M users,
-    the user-to-PS gains, I=1 and the flat_power_* schedule.
-    """
-    topo = None if cfg.scenario == "ideal_hier" else build_topology(cfg)
-    train, test = load_run_data(cfg)
-    shards = partition_for_run(cfg, train)
-    betas = None
-    if cfg.scenario == "hotafl":
-        betas = topo.beta
-    elif cfg.scenario == "flat_ota":
-        betas = topo.ps_beta.reshape(1, -1)
-        cfg = replace(cfg, C=1, M=cfg.C * cfg.M, I=1,
-                      power_base=cfg.flat_power_base,
-                      power_slope=cfg.flat_power_slope)
-    return _run_engine(cfg, shards, betas, train, test, record_models,
-                       collect_diffs)

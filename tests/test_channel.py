@@ -174,10 +174,26 @@ def test_recover_hand_example_unit_channels(monkeypatch):
     assert np.allclose(out, [3.0, 0.0])
     # the same aggregation in one call: tx energy 1.5^2 * (2^2 + 4^2)
     monkeypatch.setattr(channel, "draw_mrc_statistic", coherent_mrc_statistic)
-    update, energy, sent = channel.ota_aggregate(diffs, np.ones(2), 1.5, 3,
-                                                 1.0, 0.0, None, None)
+    update, energy = channel.ota_aggregate(diffs, np.ones(2), 1.5, 3, 1.0,
+                                           0.0, None, rng.substream(0, 0))
     assert np.allclose(update, [3.0, 0.0])
-    assert energy == pytest.approx(45.0) and sent == 2
+    assert energy == pytest.approx(45.0)
+
+
+def test_noiseless_uplink_ignores_noise_stream():
+    # at sigma_z2 = 0 the drawn noise is scaled by zero: two different
+    # noise streams give bit-equal updates (and differ at sigma_z2 = 1)
+    gen = rng.substream(45, 0)
+    diffs = gen.standard_normal((4, 16))
+    betas = gen.uniform(0.5, 8.0, 4)
+
+    def update(sigma_z2, key):
+        return channel.ota_aggregate(diffs, betas, 1.3, 8, 1.2, sigma_z2,
+                                     rng.substream(45, 1),
+                                     rng.substream(45, key))[0]
+
+    assert np.array_equal(update(0.0, 2), update(0.0, 3))
+    assert not np.array_equal(update(1.0, 2), update(1.0, 3))
 
 
 def test_recovery_error_decreases_with_K():
@@ -189,7 +205,7 @@ def test_recovery_error_decreases_with_K():
     for K in (4, 8, 16):
         sq = 0.0
         for rep in range(200):
-            rec, _, _ = channel.ota_aggregate(
+            rec, _ = channel.ota_aggregate(
                 diffs, betas, 1.0, K, 1.0, 1.0, rng.substream(77, 1, K, rep),
                 rng.substream(77, 2, K, rep))
             sq += float(((rec - target) ** 2).sum())
@@ -222,7 +238,7 @@ def _aggregate_replications(x, betas, K, reps, full_tensor, key):
             update = channel.recover_cluster_update(combined, 1.3, M, 1.2,
                                                     betas.sum())
         else:
-            update, _, _ = channel.ota_aggregate(
+            update, _ = channel.ota_aggregate(
                 channel.unpack_complex(xs), betas, 1.3, K, 1.2, 10.0, fading,
                 noise)
         # update = [real parts, imaginary parts] of chunk * N symbols
@@ -284,7 +300,7 @@ def test_ota_aggregate_finite_when_symbols_are_collinear():
         warnings.simplefilter("error", RuntimeWarning)
         for diffs in (one, same):
             betas = gen.uniform(0.5, 8.0, diffs.shape[0])
-            update, _, _ = channel.ota_aggregate(
+            update, _ = channel.ota_aggregate(
                 diffs, betas, 1.3, 4, 1.2, 10.0, rng.substream(44, 1),
                 rng.substream(44, 2))
             assert np.isfinite(update).all()

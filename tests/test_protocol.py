@@ -249,6 +249,19 @@ def test_metrics_shape_and_csv(tmp_path):
     assert b"\r" not in path.read_bytes()
 
 
+@pytest.mark.parametrize("scenario", ["hotafl", "flat_ota"])
+def test_tx_power_is_energy_per_symbol(scenario):
+    # avg_tx_power[t] = p_t^2 * (sum of the squared user diffs) / (symbols
+    # sent), the C*I*M user sends packing dim/2 symbols each; flat runs
+    # at C=1, I=1 whatever the config says.  Tolerance fixed before the
+    # first run
+    m = protocol.run_scenario(_cfg(scenario=scenario, I=2, T=4),
+                              collect_diffs=True)
+    for t, d in enumerate(m.user_diffs):
+        expect = m.power[t] ** 2 * float((d ** 2).sum()) / (d.size / 2)
+        assert m.avg_tx_power[t] == pytest.approx(expect, rel=1e-12)
+
+
 def test_ideal_reports_zero_tx_power():
     m = protocol.run_scenario(_cfg(scenario="ideal_hier", T=3))
     assert not m.avg_tx_power.any()
