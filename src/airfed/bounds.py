@@ -6,7 +6,10 @@ driven by strong convexity and Y collects six drift sources: signal
 distortion and inter-user interference from the fading uplink, receiver
 noise, and three local-drift terms from running tau SGD steps between
 aggregations.  Iteration indices here are 1-based: dist(1) is the initial
-distance and schedules are evaluated at a = 1..T-1.
+distance and schedules are evaluated at a = 1..T-1.  The step from dist(a)
+to dist(a + 1) is the run's 0-based iteration a - 1, which runs at
+eta(a - 1) and P(a - 1): the bound reads each schedule one index ahead of
+the run (the same at zero slopes).  Oracle callers pass the run's t as a.
 """
 
 import re

@@ -16,8 +16,8 @@ uplink_and_combine is the reference that draw is tested against.
 
 A built ScenarioConfig guarantees sigma_h2 > 0, sigma_z2 >= 0, an even
 model length and p_t > 0 (linear in t, checked at its first and last t),
-and the gains d**-p of a topology are positive; nothing here checks them
-again, except the reference path's _check_shapes.
+and the gains d**-p of a topology are positive.  Only the reference path
+checks again: _check_shapes its shapes, uplink_and_combine p_t > 0.
 """
 
 import numpy as np

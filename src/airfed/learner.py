@@ -248,14 +248,14 @@ def blas_single_thread():
 
 # One gradient's multiply-adds (batch_size * (feature_dim + 1) *
 # num_classes) from which a local step's users run on more than one
-# worker.  An ideal_hier run (C*M = 20, tau = 1, T = 8, BLAS at one
-# thread, setup excluded) on 2 workers took, as a median multiple of the
-# serial run over two sessions of 7 alternating pairs on 2 cores (numpy
-# 2.4.6, float32 features): 1.05-1.06 at 64 features and batch 100,
-# 1.01-1.06 at 128 x 500 (0.65e6), 0.92 at 160 x 500 (0.80e6), 0.85-0.88
-# at 192 x 500 (0.96e6), 0.85-0.86 at 256 x 500 and 0.71-0.77 at 784 x 500
-# (the paper's width).
-SGD_POOL_MIN_MACS = 1_000_000
+# worker: the measured crossover.  An ideal_hier run (C*M = 20, tau = 1,
+# T = 8, BLAS at one thread, setup excluded) on 2 workers took, as a
+# median multiple of the serial run over two sessions of 7 alternating
+# pairs on 2 cores (numpy 2.4.6, float32 features): 1.05-1.06 at 64
+# features and batch 100, 1.01-1.06 at 128 x 500 (0.65e6), 0.92 at
+# 160 x 500 (0.80e6), 0.85-0.88 at 192 x 500 (0.96e6), 0.85-0.86 at
+# 256 x 500 and 0.71-0.77 at 784 x 500 (the paper's width).
+SGD_POOL_MIN_MACS = 800_000
 
 
 def sgd_workers(n_users: int, batch_size: int, feature_dim: int,

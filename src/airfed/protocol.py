@@ -236,7 +236,7 @@ def build_topology(cfg: ScenarioConfig) -> topology.SystemTopology:
 
 # Overflow and log(0) are reported by the finiteness checks below, which
 # name the iteration and cluster, not as numpy warnings.  numpy's error
-# state is per thread, so the pool's tasks set it too.
+# state is per thread: the loop enters it, each pool worker sets it at start.
 _QUIET = dict(over="ignore", divide="ignore", invalid="ignore")
 
 
@@ -298,19 +298,14 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
     all_diffs = [] if collect_diffs else None
 
     def train_users(group, i, eta):
-        with np.errstate(**_QUIET):
-            for c, m, state in group:
-                end = learner.sgd_user_iterations(
-                    state, theta_is[c], cfg.tau, eta, l2=cfg.l2_reg)
-                diffs[c, i, m] = end - theta_is[c]
+        for c, m, state in group:
+            end = learner.sgd_user_iterations(
+                state, theta_is[c], cfg.tau, eta, l2=cfg.l2_reg)
+            diffs[c, i, m] = end - theta_is[c]
 
-    def train_loss(model):
-        with np.errstate(**_QUIET):
-            return learner.loss(model, eval_feats, eval_labels,
-                                cfg.num_classes, cfg.l2_reg)
-
-    with (learner.blas_single_thread(), ThreadPoolExecutor(workers) as pool,
-          np.errstate(**_QUIET)):
+    pool = ThreadPoolExecutor(workers,
+                              initializer=partial(np.seterr, **_QUIET))
+    with learner.blas_single_thread(), pool, np.errstate(**_QUIET):
         for t in range(cfg.T):
             eta = lr_schedule(t, cfg.lr_base, cfg.lr_slope)
             p_t = power_schedule(t, cfg.power_base, cfg.power_slope)
@@ -339,7 +334,8 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
             theta_ps = theta_ps + delta.sum(axis=0) / C
 
             # evaluate stays in this thread: a profiler may clock on it
-            pending = pool.submit(train_loss, theta_ps)
+            pending = pool.submit(learner.loss, theta_ps, eval_feats,
+                                  eval_labels, cfg.num_classes, cfg.l2_reg)
             out["test_acc"][t] = learner.evaluate(theta_ps, test)
             loss = pending.result()
             if not np.isfinite(loss):

@@ -404,6 +404,7 @@ def test_outputs_independent_of_worker_count(scenario, shape, monkeypatch):
 
     monkeypatch.setattr(learner, "_cpu_count", lambda: 2)
     assert learner.sgd_workers(20, 500, 784, 10) == (2 if pinned else 1)
+    assert learner.sgd_workers(20, 500, 160, 10) == (2 if pinned else 1)
     assert learner.sgd_workers(20, 100, 64, 10) == 1   # criteria 4s and 5s
 
 
@@ -439,6 +440,26 @@ def test_run_holds_blas_at_one_thread_and_restores_it(monkeypatch):
         assert seen == [2, 2] and get() == 2
     finally:
         set_threads(saved)
+
+
+def test_caller_error_state_neither_reaches_nor_leaves_the_run(monkeypatch):
+    monkeypatch.setattr(learner, "_cpu_count", lambda: 2)
+    # the CLI's loss-overflow run: P_t = 1e-6 against sigma_z2 = 100
+    overflow = protocol.ScenarioConfig(
+        scenario="hotafl", C=2, M=2, K=8, T=4, sigma_z2=100.0,
+        power_base=1e-6, power_slope=0, feature_dim=9, num_classes=4,
+        train_samples=300, test_samples=60, batch_size=20, seed=5)
+    pooled = protocol.ScenarioConfig(scenario="hotafl", **_POOL_SHAPE)
+    with np.errstate(all="raise"):
+        state, threads = np.geterr(), threading.active_count()
+        with pytest.raises(ValueError,
+                           match="^train loss is not finite at t=1$"):
+            protocol.run_scenario(overflow)
+        assert np.geterr() == state
+        assert threading.active_count() == threads
+        assert np.isfinite(protocol.run_scenario(pooled).train_loss).all()
+        assert np.geterr() == state
+        assert threading.active_count() == threads
 
 
 _BLAS_RUN = """
