@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     """Feature matrix plus integer labels in [0, num_classes), one per row,
-    held as the producer (make_synthetic, load_mnist, subset) built them."""
+    held as the producer (make_synthetic, load_mnist, subset) built them.
+    Frozen: runs on one data key share one train and one test Dataset."""
 
     features: np.ndarray  # (n, d) float32
     labels: np.ndarray    # (n,) int64

@@ -180,10 +180,42 @@ def write_csv(path, header, rows):
 # ---------------------------------------------------------------------------
 # data plumbing
 
+# {data key: (train, test)} of the last data key load_run_data built: at
+# most one entry, so one process holds at most one dataset.
+_RUN_DATA = {}
+
+
+def _data_key(cfg: ScenarioConfig):
+    """Exactly the inputs _build_run_data reads."""
+    if cfg.dataset == "mnist":
+        return ("mnist", os.environ.get(MNIST_DIR_ENV), cfg.feature_dim,
+                cfg.num_classes)
+    return ("synthetic", cfg.effective_data_seed, cfg.train_samples,
+            cfg.test_samples, cfg.feature_dim, cfg.num_classes)
+
+
 def load_run_data(cfg: ScenarioConfig):
     """(train, test) read-only datasets for a config; deterministic given
     cfg.effective_data_seed.  Synthetic train and test are views of one
-    matrix; MNIST sets must match the config's feature_dim and num_classes."""
+    matrix; MNIST sets must match the config's feature_dim and num_classes.
+
+    The pair is kept for the last data key (_data_key: the synthetic seed
+    and sizes, or the MNIST directory, with feature_dim and num_classes)
+    and returned again to every later call with that key, so runs on one
+    key share one dataset and the MNIST files of a directory are read once
+    per process while it stays the key.  A new key drops the kept pair
+    before it builds: one process holds at most one dataset, the last
+    data key's."""
+    key = _data_key(cfg)
+    data = _RUN_DATA.get(key)
+    if data is None:
+        _RUN_DATA.clear()
+        data = _RUN_DATA[key] = _build_run_data(cfg)
+    return data
+
+
+def _build_run_data(cfg: ScenarioConfig):
+    """load_run_data's (train, test), built from the config's data key."""
     if cfg.dataset == "mnist":
         data_dir = os.environ.get(MNIST_DIR_ENV)
         if not data_dir:
@@ -210,7 +242,8 @@ def load_run_data(cfg: ScenarioConfig):
 
 
 def _read_only(data):
-    """data with its arrays locked: every user's shard reads from them."""
+    """data with its arrays locked: every user's shard, and every run on
+    the data key, reads from them."""
     data.features.flags.writeable = False
     data.labels.flags.writeable = False
     return data
@@ -242,7 +275,9 @@ _QUIET = dict(over="ignore", divide="ignore", invalid="ignore")
 
 def run_scenario(cfg: ScenarioConfig, record_models=False,
                  collect_diffs=False) -> RunMetrics:
-    """Run cfg.scenario: build its data and users, then loop t -> i -> c.
+    """Run cfg.scenario: take its data from load_run_data (shared with the
+    runs before it on the same data key), build its users, then loop
+    t -> i -> c.  The run only reads the data.
 
     ideal_hier takes exact means and no topology.  hotafl aggregates over
     the air with the user-to-IS gains of build_topology(cfg).  flat_ota is

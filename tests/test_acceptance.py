@@ -341,6 +341,7 @@ def test_criterion_9_reproducibility(tmp_path):
     cfg_path.write_text(cfg_text)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     ok = cli.main(["run", "--config", str(cfg_path), "--out", out1]) == 0
+    protocol._RUN_DATA.clear()  # the rerun draws its data, as a new process
     ok &= cli.main(["run", "--config", os.path.join(out1, "manifest.json"),
                     "--out", out2]) == 0
     for name in sorted(os.listdir(out1)):

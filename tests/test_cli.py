@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from airfed import bounds, cli, protocol
+from airfed import bounds, cli, learner, protocol
 from test_learner import _write_idx
 
 SMOKE = """\
@@ -289,6 +289,29 @@ def test_run_seeds_and_scenarios_cardinality(tmp_path):
             and f != "summary.csv"]
     assert len(csvs) == 6
     assert os.path.exists(os.path.join(out, "summary.csv"))
+
+
+@pytest.mark.parametrize("pin, seeds, draws", [
+    ("", [], 1), ("", ["--seeds", "2"], 2),
+    ("data_seed = 5\n", ["--seeds", "2"], 1),
+], ids=["one_seed", "two_seeds", "two_seeds_pinned_data"])
+def test_run_draws_each_data_key_once(tmp_path, monkeypatch, pin, seeds,
+                                      draws):
+    # the sweep runs seed-major over all three scenarios, and the runs on
+    # one data seed share one synthetic draw
+    calls = []
+    draw = learner.make_synthetic
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return draw(*args, **kw)
+
+    monkeypatch.setattr(learner, "make_synthetic", counted)
+    protocol._RUN_DATA.clear()
+    cfg = _write(tmp_path, SMOKE + pin)
+    out = str(tmp_path / "out")
+    assert cli.main(["run", "--config", cfg, "--out", out, *seeds]) == 0
+    assert len(calls) == draws
 
 
 def test_run_rejects_nonpositive_seeds(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import re
 import struct
@@ -25,7 +26,7 @@ def test_loss_gradient_finite_difference():
     data = _data(seed=2)
     # float64 products on an exact copy of the float32 data: an eps of 1e-6
     # needs more digits than float32 products keep
-    data.features = data.features.astype(np.float64)
+    data = dataclasses.replace(data, features=data.features.astype(np.float64))
     theta = gen.standard_normal(learner.model_dim(6, 3))
     loss, grad = learner.loss_and_gradient(theta, data.features, data.labels,
                                            3, l2=0.05)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from typing import Optional
 
 from airfed import bounds, channel, learner, protocol, rng, topology
 from test_bounds import _params
+from test_learner import _write_idx
 
 
 def _cfg(**kw):
@@ -271,6 +273,7 @@ def test_data_seed_pins_dataset():
     cfg_a = _cfg(seed=3, data_seed=3)
     cfg_b = _cfg(seed=4, data_seed=3)
     ta, _ = protocol.load_run_data(cfg_a)
+    protocol._RUN_DATA.clear()      # draw cfg_b's data, not reuse cfg_a's
     tb, _ = protocol.load_run_data(cfg_b)
     assert np.array_equal(ta.features, tb.features)
     tc, _ = protocol.load_run_data(_cfg(seed=4))
@@ -291,7 +294,102 @@ def test_run_data_is_read_only():
             data.features[0, 0] = 1.0
         with pytest.raises(ValueError):
             data.labels[0] = 0
+        with pytest.raises(FrozenInstanceError):   # runs share the Dataset
+            data.features = data.features.copy()
     assert train.features.base is test.features.base  # views of one matrix
+
+
+def _mnist_dir(path, seed):
+    """A new directory of MNIST-style IDX files: 30 train and 10 test
+    images of 4 x 4 pixels drawn from seed, labels 0..9 in turn."""
+    gen = rng.substream(seed, 0)
+    path.mkdir()
+    for prefix, n in (("train", 30), ("t10k", 10)):
+        _write_idx(path / f"{prefix}-images-idx3-ubyte", 0x803,
+                   gen.integers(0, 256, size=(n, 4, 4)), (n, 4, 4))
+        _write_idx(path / f"{prefix}-labels-idx1-ubyte", 0x801,
+                   np.arange(n) % 10, (n,))
+    return str(path)
+
+
+def _variants(base):
+    """{field: config} with, for every ScenarioConfig field, a valid config
+    that differs from base in that field only."""
+    choices = {"scenario": protocol.SCENARIOS, "dataset": protocol.DATASETS,
+               "partition": protocol.PARTITIONS}
+    out = {}
+    for f in fields(protocol.ScenarioConfig):
+        value = getattr(base, f.name)
+        if f.name in choices:
+            candidates = [c for c in choices[f.name] if c != value]
+        elif f.type in (int, Optional[int]):
+            candidates = [(value or 0) + 1, (value or 0) + 2]
+        elif f.type in (float, Optional[float]):
+            candidates = [(value or 0.0) + 0.25]
+        else:
+            raise AssertionError(f"no variant rule for field {f.name}")
+        for candidate in candidates:
+            try:
+                out[f.name] = replace(base, **{f.name: candidate})
+                break
+            except ValueError:
+                continue
+        else:
+            raise AssertionError(f"no valid variant of {f.name}")
+    return out
+
+
+# 16 features and 10 classes: the shape of _mnist_dir's sets
+_KEY_BASE = dict(feature_dim=16, num_classes=10)
+
+
+def test_run_data_is_never_stale(tmp_path, monkeypatch):
+    # a config loaded right after another gets the data of its own cold
+    # build, whichever field (or MNIST directory) the two differ in
+    def same_as_cold(first, second, mnist_dir=None):
+        protocol.load_run_data(first)
+        if mnist_dir:
+            monkeypatch.setenv(protocol.MNIST_DIR_ENV, mnist_dir)
+        got = protocol.load_run_data(second)
+        protocol._RUN_DATA.clear()
+        want = protocol.load_run_data(second)
+        return all(np.array_equal(g.features, w.features)
+                   and np.array_equal(g.labels, w.labels)
+                   and g.num_classes == w.num_classes
+                   for g, w in zip(got, want))
+
+    monkeypatch.setenv(protocol.MNIST_DIR_ENV, _mnist_dir(tmp_path / "a", 0))
+    base = _cfg(**_KEY_BASE)
+    for name, variant in _variants(base).items():
+        assert same_as_cold(base, variant), name
+    mnist = replace(base, dataset="mnist")
+    assert same_as_cold(mnist, mnist, _mnist_dir(tmp_path / "b", 1))
+
+
+def test_run_data_holds_one_key(monkeypatch):
+    # a new data key drops the kept data before it draws its own, so a
+    # sweep over data keys never holds two datasets at once
+    base = _cfg(**_KEY_BASE)
+    variants = _variants(base)
+    draw = learner.make_synthetic
+    for name in ("seed", "data_seed", "train_samples", "test_samples",
+                 "feature_dim", "num_classes"):
+        protocol._RUN_DATA.clear()
+        old = weakref.ref(protocol.load_run_data(base)[0].features.base)
+        alive = []      # whether the old data lived, at each draw
+
+        def watched(*args, **kw):
+            alive.append(old() is not None)
+            return draw(*args, **kw)
+
+        monkeypatch.setattr(learner, "make_synthetic", watched)
+        protocol.load_run_data(variants[name])
+        monkeypatch.setattr(learner, "make_synthetic", draw)
+        assert alive == [False], name
+    # fields the draw does not read share the kept pair
+    kept = protocol.load_run_data(base)
+    for name in ("scenario", "T", "partition", "batch_size"):
+        assert protocol.load_run_data(variants[name]) is kept, name
 
 
 # A run whose data (11000 x 64 float32) dominates its memory; scenarios
@@ -315,19 +413,25 @@ def test_run_holds_its_data_once(name):
     cfg = protocol.ScenarioConfig(**_DATA_SHAPE, **_DATA_RUNS[name])
     data_bytes = protocol.load_run_data(cfg)[0].features.itemsize * (
         (cfg.train_samples + cfg.test_samples) * cfg.feature_dim)
-    tracemalloc.start()
-    try:
-        protocol.run_scenario(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # one copy peaks near 1.5x (about 1.4 MB of fixed overhead, mostly the
-    # 2000-row eval copy); a second copy would read about 2.5x
-    assert peak <= 1.75 * data_bytes, f"peak {peak / data_bytes:.2f}x the data"
+    protocol._RUN_DATA.clear()      # the first run below builds its data
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            protocol.run_scenario(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1] / data_bytes)
+        finally:
+            tracemalloc.stop()
+    # a run that builds the data peaks near 1.5-1.6x (about 1.4 MB of fixed
+    # overhead, mostly the 2000-row eval copy); a second copy would read
+    # about 2.5x.  The second run reuses the first one's data: about 0.5x
+    assert peaks[0] <= 1.75, f"cold run peak {peaks[0]:.2f}x the data"
+    assert peaks[1] <= 0.75, f"warm run peak {peaks[1]:.2f}x the data"
 
 
 def test_load_run_data_leaves_no_threads():
     cfg = protocol.ScenarioConfig(**_DATA_SHAPE, **_DATA_RUNS["hotafl_iid"])
+    protocol._RUN_DATA.clear()      # build, so the draw's pool starts
     before = threading.active_count()
     protocol.load_run_data(cfg)
     assert threading.active_count() == before
