@@ -12,6 +12,7 @@ and why neither the loop order nor the worker count changes the outputs.
 import hashlib
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -289,10 +290,11 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
     (seed, BATCH, c, m) and aggregation (t, i, c) its channel and noise
     from (seed, CHANNEL | NOISE, t, i, c), so no loop order changes the
     outputs.  A local step's C*M users run on a pool of learner.sgd_workers
-    threads (one at small shapes), worker k taking users k, k + workers,
-    ... of the list, so each user's state is touched by one thread only;
-    the pool also computes the train loss while this thread runs
-    learner.evaluate.  BLAS is held at one thread for the whole loop
+    threads (one at small shapes): each worker takes the next user left in
+    the step's queue, so a worker on a slowed core holds up the one user
+    it is training, not a fixed share of them, and a user's state is
+    touched by one thread at a time.  The pool also computes the train
+    loss while this thread runs learner.evaluate.  BLAS is held at one thread for the whole loop
     (learner.blas_single_thread).
     """
     topo = None if cfg.scenario == "ideal_hier" else build_topology(cfg)
@@ -316,7 +318,6 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
             rng.substream(cfg.seed, rng.BATCH, c, m))))
     workers = learner.sgd_workers(len(users), cfg.batch_size,
                                   cfg.feature_dim, cfg.num_classes)
-    groups = [users[k::workers] for k in range(workers)]
 
     eval_gen = rng.substream(cfg.effective_data_seed, rng.EVAL)
     n_eval = min(EVAL_TRAIN_SAMPLES, len(train))
@@ -332,8 +333,12 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
     models = [] if record_models else None
     all_diffs = [] if collect_diffs else None
 
-    def train_users(group, i, eta):
-        for c, m, state in group:
+    def train_users(todo, i, eta):
+        while True:
+            try:
+                c, m, state = todo.get_nowait()
+            except queue.Empty:
+                return
             end = learner.sgd_user_iterations(
                 state, theta_is[c], cfg.tau, eta, l2=cfg.l2_reg)
             diffs[c, i, m] = end - theta_is[c]
@@ -348,7 +353,11 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
             theta_is[:] = theta_ps
 
             for i in range(I):
-                list(pool.map(partial(train_users, i=i, eta=eta), groups))
+                todo = queue.SimpleQueue()     # the step's users, in order
+                for user in users:
+                    todo.put(user)
+                list(pool.map(partial(train_users, i=i, eta=eta),
+                              [todo] * workers))
                 if betas is None:
                     theta_is += diffs[:, i].sum(axis=1) / M
                     continue

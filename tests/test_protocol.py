@@ -512,6 +512,40 @@ def test_outputs_independent_of_worker_count(scenario, shape, monkeypatch):
     assert learner.sgd_workers(20, 100, 64, 10) == 1   # criteria 4s and 5s
 
 
+def test_stalled_worker_holds_up_one_user(monkeypatch):
+    # The first user of the one local step stalls until every other user
+    # is trained: the other worker must take all C*M - 1 of them.  A fixed
+    # split of the users over the two workers never finishes them.
+    if learner._openblas_threads() is None:
+        pytest.skip(_NO_BLAS_SETTER)
+    monkeypatch.setattr(learner, "_cpu_count", lambda: 2)
+    cfg = protocol.ScenarioConfig(scenario="ideal_hier",
+                                  **dict(_POOL_SHAPE, T=1, I=1))
+    n_users = cfg.C * cfg.M
+    sgd = learner.sgd_user_iterations
+    lock, others_done = threading.Lock(), threading.Event()
+    stalled, done = [], []      # thread of the stalled call; of each return
+
+    def stall_first(*args, **kw):
+        with lock:
+            first = not stalled
+            if first:
+                stalled.append(threading.get_ident())
+        if first and not others_done.wait(timeout=10):
+            raise AssertionError("the other users waited for the stalled one")
+        out = sgd(*args, **kw)
+        with lock:
+            done.append(threading.get_ident())
+            if len(done) == n_users - 1 and not first:
+                others_done.set()
+        return out
+
+    monkeypatch.setattr(learner, "sgd_user_iterations", stall_first)
+    protocol.run_scenario(cfg)
+    assert len(done) == n_users
+    assert sum(t != stalled[0] for t in done) == n_users - 1
+
+
 def test_run_holds_blas_at_one_thread_and_restores_it(monkeypatch):
     api = learner._openblas_threads()
     if api is None:
