@@ -159,8 +159,16 @@ def distance_bound_trajectory(p: BoundParams) -> np.ndarray:
 
 
 def bound_trajectory(p: BoundParams) -> np.ndarray:
-    """Optimality-gap bound (L/2) * distance bound, t = 1..T."""
-    return 0.5 * p.L * distance_bound_trajectory(p)
+    """Optimality-gap bound (L/2) * distance bound, t = 1..T.
+
+    Raises ValueError naming the first t whose bound is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = 0.5 * p.L * distance_bound_trajectory(p)
+    bad = ~np.isfinite(traj)
+    if bad.any():
+        raise ValueError(f"bound is not finite at t={bad.argmax() + 1}")
+    return traj
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,22 @@
-"""Over-the-air uplink: complex packing, fading, superposition, MRC, recovery.
+"""Over-the-air uplink: fading, superposition, MRC and recovery.
 
-Model-difference vectors of even length 2N are packed into N complex
-symbols, all users in a cluster transmit simultaneously through i.i.d.
-Rayleigh fading to the K-antenna IS, the IS combines antennas with the
-conjugated channel sum, and the cluster update is recovered by dividing
-out the nominal combining gain p_t * M * sigma_h2 * beta_bar.
+A model difference of even length 2N travels as N complex symbols, its
+first half the real parts and its second half the imaginary parts.  All
+users in a cluster transmit simultaneously through i.i.d. Rayleigh fading
+to the K-antenna IS, the IS combines antennas with the conjugated channel
+sum, and the cluster update is recovered by dividing out the nominal
+combining gain p_t * M * sigma_h2 * beta_bar.
 
 The combined output of a symbol depends on its (M, K) channel only through
 S = sum_k conj(a_k) c_k and R = sum_k |a_k|^2, with a_k = sum_m h[m, k] and
 c_k = sum_m h[m, k] x_m.  The pairs (a_k, c_k) are i.i.d. complex Gaussian
 over k, so ota_aggregate draws (S, R) from their 2x2 Wishart law
-(draw_mrc_statistic) for every M and K, and never draws the channel.  The
-full-tensor chain draw_channels_from_betas -> draw_noise ->
-uplink_and_combine is the reference that draw is tested against.
+(draw_mrc_statistic) for every M and K, and never draws the channel.  A run
+computes on the (M, 2, N) real view diffs.reshape(M, 2, -1) of the halves
+and builds no complex array; only the full-tensor reference chain
+pack_complex -> draw_channels_from_betas -> draw_noise ->
+uplink_and_combine -> recover_cluster_update, which that draw is tested
+against, is complex.
 
 A built ScenarioConfig guarantees sigma_h2 > 0, sigma_z2 >= 0, an even
 model length and p_t > 0 (linear in t, checked at its first and last t),
@@ -92,8 +96,10 @@ def recover_cluster_update(combined, p_t, M, sigma_h2, beta_bar) -> np.ndarray:
 
 
 def draw_mrc_statistic(betas, K, x, sigma_h2, rng):
-    """Draw each symbol's (S, R) for the (M, N) symbols x, exactly in law.
+    """Draw each symbol's (S, R) for the (M, 2, N) symbols x, exactly in law.
 
+    x[m, 0] and x[m, 1] hold the real and imaginary parts of user m's N
+    symbols; S comes back as (2, N), real parts then imaginary parts.
     With b = sigma_h2 * betas, (a_k, c_k) has covariance [[s_aa, s_ac],
     [conj(s_ac), s_cc]], s_aa = sum b, s_ac = sum b x, s_cc = sum b |x|^2,
     and the 2x2 Bartlett decomposition gives R = s_aa * g and
@@ -102,15 +108,16 @@ def draw_mrc_statistic(betas, K, x, sigma_h2, rng):
     """
     b = sigma_h2 * betas
     s_aa = b.sum()
-    s_ac = (b @ x.real) + 1j * (b @ x.imag)   # float @ complex is far slower
-    s_cc = b @ (x.real ** 2 + x.imag ** 2)
-    l2 = np.maximum(s_cc - (s_ac.real ** 2 + s_ac.imag ** 2) / s_aa, 0.0)
-    N = x.shape[1]
+    # sums the users in order, without BLAS: b @ x would change the bits
+    s_ac = np.einsum("m,mkn->kn", b, x)
+    s_cc = b @ (x[:, 0] ** 2 + x[:, 1] ** 2)
+    l2 = np.maximum(s_cc - (s_ac[0] ** 2 + s_ac[1] ** 2) / s_aa, 0.0)
+    N = x.shape[2]
     g = rng.standard_gamma(K, size=N)
-    raw = rng.standard_normal((N, 2))
-    raw *= np.sqrt(0.5)
+    n = rng.standard_normal((N, 2)).T
+    n *= np.sqrt(0.5)
     R = s_aa * g
-    return s_ac * g + np.sqrt(l2 * R) * raw.view(np.complex128)[:, 0], R
+    return s_ac * g + np.sqrt(l2 * R) * n, R
 
 
 def ota_aggregate(diffs, betas, p_t, K, sigma_h2, sigma_z2, fading_rng,
@@ -123,12 +130,12 @@ def ota_aggregate(diffs, betas, p_t, K, sigma_h2, sigma_z2, fading_rng,
     so a test or a profiler can swap it.  The noise is drawn at every
     sigma_z2, and sigma_z2 = 0 scales it by zero.
     """
-    x = pack_complex(diffs)
-    M, N = x.shape
+    M = diffs.shape[0]
+    x = diffs.reshape(M, 2, -1)
     S, R = draw_mrc_statistic(betas, K, x, sigma_h2, fading_rng)
-    noise = noise_rng.standard_normal((N, 2)).view(np.complex128)[:, 0]
+    noise = noise_rng.standard_normal((x.shape[2], 2)).T
     combined = p_t * S + noise * np.sqrt(sigma_z2 / 2.0 * R)
-    combined /= K
-    update = recover_cluster_update(combined, p_t, M, sigma_h2, betas.sum())
-    tx_energy = p_t * p_t * float((x.real ** 2 + x.imag ** 2).sum())
+    combined *= 1.0 / K        # as complex division by K does (Smith's)
+    update = combined.reshape(-1) / (p_t * M * sigma_h2 * betas.sum())
+    tx_energy = p_t * p_t * float((x[:, 0] ** 2 + x[:, 1] ** 2).sum())
     return update, tx_energy

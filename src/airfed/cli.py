@@ -270,7 +270,10 @@ def _cmd_bound(args):
     start = time.time()
     params, _ = _load_config(args.config, "bound")
     label = params.label or "bound"
-    traj = bounds.bound_trajectory(params)
+    try:
+        traj = bounds.bound_trajectory(params)
+    except ValueError as exc:
+        raise ConfigError(f"{args.config}: {exc}")
     os.makedirs(args.out, exist_ok=True)
     protocol.write_csv(os.path.join(args.out, f"{label}.csv"),
                        "t,bound_value,config_label",

@@ -3,7 +3,8 @@
 The model is a multinomial logistic regression stored as one flat real
 vector of length (feature_dim + 1) * num_classes (weights then a bias row,
 laid out as an augmented-input weight matrix).  The flat vector is what
-travels over the air, so its length must be even for complex packing.
+travels over the air, so its length must be even: its first half holds
+the symbols' real parts, its second half their imaginary parts.
 """
 
 import ctypes

@@ -135,8 +135,9 @@ class ScenarioConfig:
                 power_schedule(t, base, slope)  # raises if non-positive
         dim = learner.model_dim(self.feature_dim, self.num_classes)
         if self.scenario != "ideal_hier" and dim % 2 != 0:
-            raise ValueError(f"model dimension {dim} must be even for "
-                             "over-the-air packing")
+            raise ValueError(f"model dimension {dim} must be even: its "
+                             "halves are the real and imaginary parts of "
+                             "the over-the-air symbols")
 
     def as_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -375,6 +376,8 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
             if bad.any():
                 raise ValueError(f"cluster {bad.argmax()} update is not "
                                  f"finite at t={t + 1}")
+            if not np.isfinite(tx_energy):      # p_t^2 * sum |x|^2 overflowed
+                raise ValueError(f"transmit power is not finite at t={t + 1}")
             theta_ps = theta_ps + delta.sum(axis=0) / C
 
             # evaluate stays in this thread: a profiler may clock on it

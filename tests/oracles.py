@@ -151,10 +151,11 @@ def decompose_terms(symbols, h, p_t, noise):
 def coherent_mrc_statistic(betas, K, x, sigma_h2, rng):
     """(S, R) of the constant channel h[m, k, n] = sqrt(beta_m).
 
-    A fake for channel.draw_mrc_statistic (sigma_h2 and rng are unused):
+    A fake for channel.draw_mrc_statistic (sigma_h2 and rng are unused),
+    on the same (M, 2, N) real halves x and (2, N) layout of S:
     S = K (sum sqrt(beta)) (sum sqrt(beta) x), R = K (sum sqrt(beta))^2.
     """
     r = np.sqrt(np.asarray(betas, dtype=np.float64))
     a = r.sum()
-    c = (r @ x.real) + 1j * (r @ x.imag)
-    return K * a * c, np.full(x.shape[1], K * a * a)
+    S = K * a * np.einsum("m,mkn->kn", r, x)
+    return S, np.full(x.shape[2], K * a * a)

@@ -1,9 +1,10 @@
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
 
-from airfed import channel, rng
+from airfed import channel, learner, rng
 from oracles import coherent_mrc_statistic, decompose_terms
 
 
@@ -304,3 +305,37 @@ def test_ota_aggregate_finite_when_symbols_are_collinear():
                 diffs, betas, 1.3, 4, 1.2, 10.0, rng.substream(44, 1),
                 rng.substream(44, 2))
             assert np.isfinite(update).all()
+
+
+# sha256 of an aggregation's update bytes then its tx energy as float64,
+# for fixed (M, 7850) diffs at K = 100, p_t = 1.3 and sigma_h2 = 1.2.
+# Pinned on the complex-packing implementation that the real-halves one
+# replaced, so they also show that the two give the same bits.
+_AGGREGATE_DIGESTS = {
+    (1, 0.0):
+        "da4be55edfe548e7fbadf0f7ce9a5b580d368173489dcb29cf4e9a0281f0264b",
+    (1, 10.0):
+        "eb4e4ea2aa9e1a69234aeee5b6aef7506ed66129b6cfb528989b40776fd25e5c",
+    (5, 0.0):
+        "7f2b8b8f7512c33370401617240d7f4df5f69a6d55b2331ee2e488b355f8f4a1",
+    (5, 10.0):
+        "7893bdd14064aa62c8dbaf8458982a0239fd10dcd70e7d116007e27d6a930dbe",
+    (20, 0.0):
+        "fc21e7aec0c9222bafd33b7575b112bf10933f352cd29c19ec097b7b7bdaa8b4",
+    (20, 10.0):
+        "25e72b9c5c7a1a9df2f06ae04268d2c436c33be0c6305284285de6897b8a2018",
+}
+
+
+@pytest.mark.parametrize("M, sigma_z2", sorted(_AGGREGATE_DIGESTS))
+def test_ota_aggregate_digests(M, sigma_z2):
+    gen = rng.substream(48, M)
+    diffs = gen.standard_normal((M, 7850))
+    betas = gen.uniform(0.5, 8.0, M)
+    with learner.blas_single_thread():
+        update, energy = channel.ota_aggregate(
+            diffs, betas, 1.3, 100, 1.2, sigma_z2,
+            rng.substream(48, rng.CHANNEL, M), rng.substream(48, rng.NOISE, M))
+    digest = hashlib.sha256(update.tobytes()
+                            + np.float64(energy).tobytes()).hexdigest()
+    assert digest == _AGGREGATE_DIGESTS[M, sigma_z2]

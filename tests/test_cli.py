@@ -480,7 +480,8 @@ def test_bad_run_list_or_bound_schedule_leaves_no_output_dir(tmp_path,
     cases = [
         (["run", "--scenarios", "ideal,hotafl"],
          "scenario = ideal\nfeature_dim = 8\nnum_classes = 3\n",
-         "model dimension 27 must be even for over-the-air packing"),
+         "model dimension 27 must be even: its halves are the real and "
+         "imaginary parts of the over-the-air symbols"),
         (["bound"], text.replace("power_base = 1.0", "power_base = -1.0"),
          "power schedule non-positive at t=1: -0.99"),
         (["bound"], text.replace("lr_base = 0.05", "lr_base = 2"),
@@ -541,6 +542,25 @@ def test_bound_command_and_rerun(tmp_path):
     assert Path(csv_path).read_bytes() == \
         Path(out2, "hotafl_bound.csv").read_bytes()
 
+
+
+@pytest.mark.parametrize("changes, t", (
+    ({"sigma_z2": "1e308"}, 2),                   # the noise term overflows
+    ({"init_dist": "1e308", "L": "1e10"}, 1)),    # (L/2) * dist overflows
+    ids=("noise", "init_dist"))
+def test_bound_non_finite_is_one_line_error(tmp_path, capsys, changes, t):
+    # ends before --out is made, with no numpy warning (tier-1 turns a
+    # RuntimeWarning into an error)
+    text = (Path(__file__).parent.parent
+            / "configs/bound_fig4_hotafl.cfg").read_text()
+    for key, val in changes.items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {val}", text, flags=re.M)
+    cfg = _write(tmp_path, text)
+    out = str(tmp_path / "o")
+    assert cli.main(["bound", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().err == \
+        f"airfed: error: {cfg}: bound is not finite at t={t}\n"
+    assert not os.path.exists(out)
 
 def _fake_run_csv(path, scenario, acc):
     with open(path, "w", newline="\n") as fh:
@@ -607,9 +627,11 @@ def test_unknown_scenario_name_errors(tmp_path):
 
 def test_run_non_finite_is_one_line_error(tmp_path, capsys):
     # P_t = 1e-6 against sigma_z2 = 100: the recovered update swamps the
-    # model and the loss overflows; 1e-310 overflows the update itself
+    # model and the loss overflows; 1e-310 overflows the update itself;
+    # 1e200 overflows the transmit energy p_t^2 * sum |x|^2
     for power, msg in (("1e-6", "train loss is not finite at t=1"),
-                       ("1e-310", "cluster 0 update is not finite at t=1")):
+                       ("1e-310", "cluster 0 update is not finite at t=1"),
+                       ("1e200", "transmit power is not finite at t=1")):
         cfg = _write(tmp_path, SMOKE.replace("sigma_z2 = 1\n",
                                              "sigma_z2 = 100\n")
                      + f"power_base = {power}\npower_slope = 0\n")

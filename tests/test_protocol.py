@@ -204,12 +204,16 @@ def test_setup_calls_once_per_run(monkeypatch):
     # perfbench/run.py times setup and iterations from the protocol and
     # learner calls, and each channel layer from the module attribute that
     # channel.ota_aggregate calls once per cluster aggregation: the MRC
-    # statistic for every K; the full-tensor reference chain is never called
+    # statistic for every K.  The complex full-tensor reference chain,
+    # packing and recovery included, is never called: a run aggregates on
+    # the real halves of the differences
     targets = ((protocol, "load_run_data"), (protocol, "partition_for_run"),
                (protocol, "build_topology"), (channel, "draw_mrc_statistic"),
+               (channel, "pack_complex"),
                (channel, "draw_channels_from_betas"), (channel, "draw_noise"),
                (channel, "uplink_and_combine"),
-               (channel, "recover_cluster_update"), (learner, "evaluate"))
+               (channel, "recover_cluster_update"),
+               (channel, "unpack_complex"), (learner, "evaluate"))
     names = [name for _, name in targets]
     calls = dict.fromkeys(names, 0)
     for module, name in targets:
@@ -224,9 +228,9 @@ def test_setup_calls_once_per_run(monkeypatch):
         return tuple(calls[n] for n in names)
 
     cfg = _cfg(T=2, I=2)          # K=4: K >= M for hotafl (M=2), flat (M=4)
-    hier = (8,) + (0,) * 3 + (8, 2)   # C*I*T aggregations, T evaluations
-    flat = (2,) + (0,) * 3 + (2, 2)   # one cluster and I=1: T aggregations
-    ideal = (0,) * 5 + (2,)
+    hier = (8,) + (0,) * 6 + (2,)     # C*I*T aggregations, T evaluations
+    flat = (2,) + (0,) * 6 + (2,)     # one cluster and I=1: T aggregations
+    ideal = (0,) * 7 + (2,)
     assert counts(cfg) == (1, 1, 1) + hier
     assert counts(replace(cfg, scenario="flat_ota")) == (1, 1, 1) + flat
     assert counts(replace(cfg, scenario="ideal_hier")) == (1, 1, 0) + ideal
