@@ -67,7 +67,7 @@ class BoundParams:
         # monotone in a, so its two ends bound every value it takes
         for a in ((1, self.T - 1) if self.T > 1 else ()):
             self.power(a)    # raises if non-positive
-            contraction_x(self.eta(a), self.mu, self.tau, self.I)
+            contraction_x(self, a)
         # the label names the output CSV and fills its last column
         if not re.fullmatch(r"([A-Za-z0-9_-][A-Za-z0-9_.-]*)?", self.label):
             raise ValueError(f"label must be a plain file stem (letters, "
@@ -85,17 +85,18 @@ class BoundParams:
         return protocol.power_schedule(a, self.power_base, self.power_slope)
 
 
-def contraction_x(eta, mu, tau, I) -> float:
-    """Per-iteration contraction 1 - mu*eta*I*(tau - eta*(tau - 1)).
+def contraction_x(p: BoundParams, a: int) -> float:
+    """Contraction 1 - mu*eta*I*(tau - eta*(tau - 1)) at eta = eta(a).
 
-    Valid only for 0 <= eta <= min(1, 1/(mu*tau*I)); outside that range the
-    recursion's derivation breaks down, so this raises.
+    Valid only for eta <= min(1, 1/(mu*tau*I)) (eta(a) >= 0 always);
+    above that the recursion's derivation breaks down, so this raises.
     """
-    limit = min(1.0, 1.0 / (mu * tau * I))
-    if not 0.0 <= eta <= limit + 1e-15:
+    eta, tau = p.eta(a), p.tau
+    limit = min(1.0, 1.0 / (p.mu * tau * p.I))
+    if not eta <= limit + 1e-15:
         raise ValueError(f"eta={eta} outside [0, {limit}] where the "
                          "contraction factor is valid")
-    return 1.0 - mu * eta * I * (tau - eta * (tau - 1))
+    return 1.0 - p.mu * eta * p.I * (tau - eta * (tau - 1))
 
 
 def _distortion_and_interference(p: BoundParams, sq, cross):
@@ -115,13 +116,16 @@ def _distortion_and_interference(p: BoundParams, sq, cross):
     return sig, itf
 
 
-def drift_y_terms(eta, p_a, p: BoundParams) -> dict:
-    """The six additive drift contributions for one iteration, by Y_TERMS.
+def drift_y_terms(p: BoundParams, a: int) -> dict:
+    """The six additive drift contributions Y(a), by Y_TERMS.
 
-    eta and p_a are the learning rate and transmit power at that iteration.
-    Signal distortion and interference are the lemma variances with every
-    user difference at the worst case eta^2 * tau^2 * G2, all aligned.
+    They read the learning rate eta(a) and the transmit power P(a).  Signal
+    distortion and interference are the lemma variances with every user
+    difference at the worst case eta^2 * tau^2 * G2, all aligned.  The
+    noise term is float64, so a P(a)^2 that overflows gives 0 noise and one
+    that underflows a non-finite term, not a Python exception.
     """
+    eta, p_a = p.eta(a), np.float64(p.power(a))
     g_worst = eta * eta * p.tau * p.tau * p.G2
     ratio_sum = float((1.0 - p.betas / p.beta_bar[:, None]).sum())
     sig, itf = _distortion_and_interference(
@@ -140,8 +144,8 @@ def drift_y_terms(eta, p_a, p: BoundParams) -> dict:
 
 
 def drift_y(p: BoundParams, a: int) -> float:
-    """Total per-iteration drift Y(a) (sum of drift_y_terms at eta(a), P(a))."""
-    return float(sum(drift_y_terms(p.eta(a), p.power(a), p).values()))
+    """Total per-iteration drift Y(a), the sum of drift_y_terms(p, a)."""
+    return float(sum(drift_y_terms(p, a).values()))
 
 
 def distance_bound_trajectory(p: BoundParams) -> np.ndarray:
@@ -152,9 +156,7 @@ def distance_bound_trajectory(p: BoundParams) -> np.ndarray:
     out = np.empty(p.T)
     out[0] = p.init_dist
     for t in range(2, p.T + 1):
-        a = t - 1
-        x = contraction_x(p.eta(a), p.mu, p.tau, p.I)
-        out[t - 1] = x * out[t - 2] + drift_y(p, a)
+        out[t - 1] = contraction_x(p, t - 1) * out[t - 2] + drift_y(p, t - 1)
     return out
 
 
@@ -163,7 +165,7 @@ def bound_trajectory(p: BoundParams) -> np.ndarray:
 
     Raises ValueError naming the first t whose bound is not finite.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         traj = 0.5 * p.L * distance_bound_trajectory(p)
     bad = ~np.isfinite(traj)
     if bad.any():
@@ -189,7 +191,7 @@ def lemma_variance_oracle(which: str, p: BoundParams, a: Optional[int] = None,
     if which == "noise":
         if a is None:
             raise ValueError("the noise oracle needs the index a")
-        return drift_y_terms(p.eta(a), p.power(a), p)["noise"]
+        return drift_y_terms(p, a)["noise"]
 
     diffs = np.asarray(diffs, dtype=np.float64)
     if diffs.shape[:3] != (p.C, p.I, p.M):

@@ -51,21 +51,22 @@ def zero_model(feature_dim: int, num_classes: int) -> np.ndarray:
     return np.zeros(model_dim(feature_dim, num_classes))
 
 
-def _logits(model, features, num_classes):
+def _logits(model, features):
     """(n, num_classes) float64 scores of the flat model, read as the
     augmented (feature_dim + 1, num_classes) weight matrix whose last row is
-    the bias.  The product runs in the features' dtype, to which the weights
-    are cast here; the bias is added in float64."""
-    W = model.reshape(features.shape[1] + 1, num_classes)
+    the bias, so its length fixes num_classes.  The product runs in the
+    features' dtype, to which the weights are cast here; the bias is added
+    in float64."""
+    W = model.reshape(features.shape[1] + 1, -1)
     scores = features @ W[:-1].astype(features.dtype, copy=False)
     return scores.astype(np.float64) + W[-1]
 
 
-def _softmax_loss(model, features, labels, num_classes, l2):
+def _softmax_loss(model, features, labels, l2):
     """(probs, loss) of the linear softmax classifier on one batch."""
     if features.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    logits = _logits(model, features, num_classes)
+    logits = _logits(model, features)
     logits -= logits.max(axis=1, keepdims=True)
     expz = np.exp(logits)
     probs = expz / expz.sum(axis=1, keepdims=True)
@@ -75,12 +76,12 @@ def _softmax_loss(model, features, labels, num_classes, l2):
     return probs, float(loss)
 
 
-def loss(model, features, labels, num_classes, l2: float = 0.0) -> float:
+def loss(model, features, labels, l2: float = 0.0) -> float:
     """The loss of loss_and_gradient, without computing the gradient."""
-    return _softmax_loss(model, features, labels, num_classes, l2)[1]
+    return _softmax_loss(model, features, labels, l2)[1]
 
 
-def loss_and_gradient(model, features, labels, num_classes, l2: float = 0.0):
+def loss_and_gradient(model, features, labels, l2: float = 0.0):
     """Mean cross-entropy of the linear softmax classifier and its float64
     gradient.  The softmax and the loss are float64; the residual goes back
     to the features' dtype for the product with the features.
@@ -88,11 +89,11 @@ def loss_and_gradient(model, features, labels, num_classes, l2: float = 0.0):
     With l2 > 0 the objective gains (l2/2)*||model||^2, which makes every
     per-user loss l2-strongly convex.
     """
-    delta, value = _softmax_loss(model, features, labels, num_classes, l2)
+    delta, value = _softmax_loss(model, features, labels, l2)
     n, d = features.shape
     delta[np.arange(n), labels] -= 1.0
     delta /= n
-    grad = np.empty((d + 1, num_classes))
+    grad = np.empty((d + 1, delta.shape[1]))
     grad[:-1] = features.T @ delta.astype(features.dtype, copy=False)
     grad[-1] = delta.sum(axis=0)
     grad = grad.reshape(-1)
@@ -105,7 +106,7 @@ def evaluate(model, test: Dataset) -> float:
     """Fraction of argmax-correct predictions; ties go to the lowest class."""
     if len(test) == 0:
         raise ValueError("test set must be non-empty")
-    logits = _logits(model, test.features, test.num_classes)
+    logits = _logits(model, test.features)
     return float(np.mean(np.argmax(logits, axis=1) == test.labels))
 
 
@@ -197,7 +198,7 @@ def sgd_user_iterations(state: UserLearnerState, start, tau: int, eta: float,
     for _ in range(tau):
         batch = state.next_batch()
         _, grad = loss_and_gradient(theta, data.features[batch],
-                                    data.labels[batch], data.num_classes, l2)
+                                    data.labels[batch], l2)
         theta -= eta * grad
     return theta
 

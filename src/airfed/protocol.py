@@ -187,60 +187,60 @@ def write_csv(path, header, rows):
 _RUN_DATA = {}
 
 
-def _data_key(cfg: ScenarioConfig):
-    """Exactly the inputs _build_run_data reads."""
-    if cfg.dataset == "mnist":
-        return ("mnist", os.environ.get(MNIST_DIR_ENV), cfg.feature_dim,
-                cfg.num_classes)
-    return ("synthetic", cfg.effective_data_seed, cfg.train_samples,
-            cfg.test_samples, cfg.feature_dim, cfg.num_classes)
-
-
 def load_run_data(cfg: ScenarioConfig):
     """(train, test) read-only datasets for a config; deterministic given
-    cfg.effective_data_seed.  Synthetic train and test are views of one
-    matrix; MNIST sets must match the config's feature_dim and num_classes.
+    cfg.effective_data_seed.
 
-    The pair is kept for the last data key (_data_key: the synthetic seed
-    and sizes, or the MNIST directory, with feature_dim and num_classes)
-    and returned again to every later call with that key, so runs on one
-    key share one dataset and the MNIST files of a directory are read once
-    per process while it stays the key.  A new key drops the kept pair
-    before it builds: one process holds at most one dataset, the last
-    data key's."""
-    key = _data_key(cfg)
+    The data key is (builder, *its arguments): _read_mnist of the MNIST
+    directory or _draw_synthetic of the data seed and sizes, with
+    feature_dim and num_classes.  It holds exactly what the build reads,
+    since the build is key[0](*key[1:]).  The pair is kept for the last
+    key and returned again to every later call with that key, so runs on
+    one key share one dataset and the MNIST files of a directory are read
+    once per process while it stays the key.  A new key drops the kept
+    pair before it builds: one process holds at most one dataset, the
+    last data key's."""
+    if cfg.dataset == "mnist":
+        key = (_read_mnist, os.environ.get(MNIST_DIR_ENV), cfg.feature_dim,
+               cfg.num_classes)
+    else:
+        key = (_draw_synthetic, cfg.effective_data_seed, cfg.train_samples,
+               cfg.test_samples, cfg.feature_dim, cfg.num_classes)
     data = _RUN_DATA.get(key)
     if data is None:
         _RUN_DATA.clear()
-        data = _RUN_DATA[key] = _build_run_data(cfg)
+        data = _RUN_DATA[key] = key[0](*key[1:])
     return data
 
 
-def _build_run_data(cfg: ScenarioConfig):
-    """load_run_data's (train, test), built from the config's data key."""
-    if cfg.dataset == "mnist":
-        data_dir = os.environ.get(MNIST_DIR_ENV)
-        if not data_dir:
-            raise FileNotFoundError(
-                f"dataset=mnist needs the {MNIST_DIR_ENV} environment "
-                "variable pointing at the IDX files")
-        sets = []
-        for split in ("train", "test"):
-            data = _read_only(learner.load_mnist(data_dir, split))
-            for key in ("feature_dim", "num_classes"):
-                got, want = getattr(data, key), getattr(cfg, key)
-                if got != want:
-                    raise ValueError(f"MNIST {split} set under {data_dir} "
-                                     f"has {key} {got}, the config has "
-                                     f"{key} = {want}")
-            sets.append(data)
-        return tuple(sets)
-    gen = rng.substream(cfg.effective_data_seed, rng.DATA, 0)
+def _read_mnist(data_dir, feature_dim, num_classes):
+    """The MNIST (train, test) sets under data_dir, which must match the
+    config's feature_dim and num_classes."""
+    if not data_dir:
+        raise FileNotFoundError(
+            f"dataset=mnist needs the {MNIST_DIR_ENV} environment "
+            "variable pointing at the IDX files")
+    sets = []
+    for split in ("train", "test"):
+        data = _read_only(learner.load_mnist(data_dir, split))
+        for key, want in (("feature_dim", feature_dim),
+                          ("num_classes", num_classes)):
+            got = getattr(data, key)
+            if got != want:
+                raise ValueError(f"MNIST {split} set under {data_dir} "
+                                 f"has {key} {got}, the config has "
+                                 f"{key} = {want}")
+        sets.append(data)
+    return tuple(sets)
+
+
+def _draw_synthetic(seed, n_train, n_test, feature_dim, num_classes):
+    """Synthetic (train, test) sets: views of one matrix drawn from the
+    data seed's DATA substream 0."""
     full = _read_only(learner.make_synthetic(
-        cfg.train_samples + cfg.test_samples, cfg.feature_dim,
-        cfg.num_classes, gen))
-    n = cfg.train_samples
-    return full.subset(slice(None, n)), full.subset(slice(n, None))
+        n_train + n_test, feature_dim, num_classes,
+        rng.substream(seed, rng.DATA, 0)))
+    return full.subset(slice(None, n_train)), full.subset(slice(n_train, None))
 
 
 def _read_only(data):
@@ -382,7 +382,7 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
 
             # evaluate stays in this thread: a profiler may clock on it
             pending = pool.submit(learner.loss, theta_ps, eval_feats,
-                                  eval_labels, cfg.num_classes, cfg.l2_reg)
+                                  eval_labels, cfg.l2_reg)
             out["test_acc"][t] = learner.evaluate(theta_ps, test)
             loss = pending.result()
             if not np.isfinite(loss):

@@ -10,6 +10,7 @@ one common factor when its alpha misses the target, so it cannot fail.
 C, M, path_loss_exp >= 0, target_alpha in (0, 1) and a positive tolerance
 come from a ScenarioConfig, which checked them when it was built, and
 place_users draws positive distances; nothing here checks them again.
+SystemTopology refuses a path_loss_exp so large that a gain overflows.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +29,8 @@ class SystemTopology:
     d_is has shape (C, M): distance of user m in cluster c to its IS.
     d_ps holds the C*M distances of the users to the PS, flat index
     c*M + m.  beta (C, M) and ps_beta (C*M,) are the gains d**-p of the
-    user-to-IS and user-to-PS links.
+    user-to-IS and user-to-PS links; a gain that is not finite (d**-p
+    overflows at a large path_loss_exp) raises ValueError.
     """
 
     d_is: np.ndarray
@@ -41,8 +43,13 @@ class SystemTopology:
         d_is = np.array(self.d_is, dtype=np.float64)
         d_ps = np.array(self.d_ps, dtype=np.float64).reshape(-1)
         p = self.path_loss_exp
+        with np.errstate(over="ignore", divide="ignore"):
+            beta, ps_beta = d_is ** (-p), d_ps ** (-p)
+        if not (np.isfinite(beta).all() and np.isfinite(ps_beta).all()):
+            raise ValueError(f"path_loss_exp = {p:g} gives a path-loss gain "
+                             "d**-p that is not finite")
         for name, arr in (("d_is", d_is), ("d_ps", d_ps),
-                          ("beta", d_is ** (-p)), ("ps_beta", d_ps ** (-p))):
+                          ("beta", beta), ("ps_beta", ps_beta)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

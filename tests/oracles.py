@@ -25,8 +25,7 @@ def distance_bound_closed_form(p: bounds.BoundParams, t: int) -> float:
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    xs = {a: bounds.contraction_x(p.eta(a), p.mu, p.tau, p.I)
-          for a in range(1, t)}
+    xs = {a: bounds.contraction_x(p, a) for a in range(1, t)}
     total = p.init_dist * float(np.prod([xs[a] for a in range(1, t)]))
     for b in range(1, t):
         total += bounds.drift_y(p, b) * float(
@@ -55,8 +54,8 @@ def make_synthetic_reference(num_samples, feature_dim, num_classes, rng):
 # ---------------------------------------------------------------------------
 # measuring problem constants for bound-vs-simulation comparisons
 
-def measure_problem_constants(shards, num_classes: int, l2: float,
-                              tol: float = 1e-10, max_iters: int = 200_000):
+def measure_problem_constants(shards, l2: float, tol: float = 1e-10,
+                              max_iters: int = 200_000):
     """Smoothness L, strong convexity mu, and the global minimizer.
 
     shards is a flat list of per-user Datasets; the global objective is the
@@ -73,7 +72,7 @@ def measure_problem_constants(shards, num_classes: int, l2: float,
     if l2 <= 0:
         raise ValueError("need l2 > 0 for strong convexity")
     shards = [learner.Dataset(s.features.astype(np.float64), s.labels,
-                              num_classes) for s in shards]
+                              s.num_classes) for s in shards]
     lam_max = 0.0
     for s in shards:
         aug = np.hstack([s.features, np.ones((len(s), 1))])
@@ -83,13 +82,13 @@ def measure_problem_constants(shards, num_classes: int, l2: float,
     mu = l2
 
     d = shards[0].feature_dim
-    theta = learner.zero_model(d, num_classes)
+    theta = learner.zero_model(d, shards[0].num_classes)
     for _ in range(max_iters):
         loss = 0.0
         grad = np.zeros_like(theta)
         for s in shards:
             lo, g = learner.loss_and_gradient(theta, s.features, s.labels,
-                                              num_classes, l2)
+                                              l2)
             loss += lo
             grad += g
         loss /= len(shards)
@@ -101,8 +100,8 @@ def measure_problem_constants(shards, num_classes: int, l2: float,
                        f"{max_iters} iterations")
 
 
-def measure_gradient_bound(shards, num_classes: int, l2: float, theta_samples,
-                           batch_size: int, rng, draws_per_shard: int = 50,
+def measure_gradient_bound(shards, l2: float, theta_samples, batch_size: int,
+                           rng, draws_per_shard: int = 50,
                            safety: float = 1.5) -> float:
     """Empirical bound G2 on squared stochastic gradient norms.
 
@@ -116,8 +115,7 @@ def measure_gradient_bound(shards, num_classes: int, l2: float, theta_samples,
                 idx = rng.choice(len(s), size=min(batch_size, len(s)),
                                  replace=False)
                 _, g = learner.loss_and_gradient(theta, s.features[idx],
-                                                 s.labels[idx], num_classes,
-                                                 l2)
+                                                 s.labels[idx], l2)
                 worst = max(worst, float(g @ g))
     return safety * worst
 

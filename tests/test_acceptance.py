@@ -269,15 +269,14 @@ def test_criterion_7_bound_vs_simulation():
     train, _ = protocol.load_run_data(cfg)
     shards = [train.subset(rows)
               for rows in protocol.partition_for_run(cfg, train)]
-    L, mu, theta_star, _ = measure_problem_constants(
-        shards, cfg.num_classes, cfg.l2_reg)
+    L, mu, theta_star, _ = measure_problem_constants(shards, cfg.l2_reg)
 
     cal = protocol.run_scenario(cfg, record_models=True)
     samples = ([learner.zero_model(cfg.feature_dim, cfg.num_classes)]
                + cal.models[::10])
     g2 = measure_gradient_bound(
-        shards, cfg.num_classes, cfg.l2_reg, samples, cfg.batch_size,
-        rng.substream(999, 7), draws_per_shard=30)
+        shards, cfg.l2_reg, samples, cfg.batch_size, rng.substream(999, 7),
+        draws_per_shard=30)
 
     p = bounds.BoundParams(
         L=L, mu=mu, G2=g2, Gamma=0.0,
@@ -314,14 +313,14 @@ def test_criterion_8_gradient_check():
         labels = gen.integers(0, k, n)
         l2 = float(gen.uniform(0, 0.5))
         theta = gen.standard_normal(learner.model_dim(d, k))
-        _, grad = learner.loss_and_gradient(theta, feats, labels, k, l2)
+        _, grad = learner.loss_and_gradient(theta, feats, labels, l2)
         i = int(gen.integers(0, theta.size))
         eps = 1e-6
         up, dn = theta.copy(), theta.copy()
         up[i] += eps
         dn[i] -= eps
-        lu, _ = learner.loss_and_gradient(up, feats, labels, k, l2)
-        ld, _ = learner.loss_and_gradient(dn, feats, labels, k, l2)
+        lu, _ = learner.loss_and_gradient(up, feats, labels, l2)
+        ld, _ = learner.loss_and_gradient(dn, feats, labels, l2)
         fd = (lu - ld) / (2 * eps)
         worst = max(worst, abs(fd - grad[i]) / max(1.0, abs(fd)))
     print(f"\nworst finite-difference relative error: {worst:.2e}")

@@ -29,13 +29,20 @@ def test_a1_single_user_cluster_is_zero():
 
 
 def test_contraction_examples():
-    assert bounds.contraction_x(1.0, 1.0, 1, 1) == 0.0
-    assert bounds.contraction_x(0.0, 1.0, 3, 2) == 1.0
-    assert bounds.contraction_x(0.1, 1.0, 2, 3) == pytest.approx(0.43)
-    with pytest.raises(ValueError):
-        bounds.contraction_x(0.6, 1.0, 2, 1)   # limit 1/(1*2*1) = 0.5
-    with pytest.raises(ValueError):
-        bounds.contraction_x(-0.1, 1.0, 1, 1)
+    def x(eta, mu, tau, I):
+        return bounds.contraction_x(_params(lr_base=eta, lr_slope=0.0, mu=mu,
+                                            tau=tau, I=I), 1)
+
+    assert x(1.0, 1.0, 1, 1) == 0.0
+    assert x(0.0, 1.0, 3, 2) == 1.0
+    assert x(0.1, 1.0, 2, 3) == pytest.approx(0.43)
+    with pytest.raises(ValueError, match=r"^eta=0.6 outside \[0, 0.5\] "):
+        x(0.6, 1.0, 2, 1)   # limit 1/(1*2*1) = 0.5, checked when built
+    # a rising schedule is checked at a = 1..T-1, and raises beyond them
+    p = _params(lr_base=0.1, lr_slope=-0.1, T=3)   # eta(a) = 0.1 + 0.1 a
+    assert bounds.contraction_x(p, 2) == pytest.approx(0.7)
+    with pytest.raises(ValueError, match=r"^eta=1.1 outside \[0, 1.0\] "):
+        bounds.contraction_x(p, 10)
 
 
 def test_drift_y_zero_eta_leaves_noise_only():
@@ -43,7 +50,7 @@ def test_drift_y_zero_eta_leaves_noise_only():
                 Gamma=1.0, G2=1.0, lr_base=0.0, lr_slope=0.0,
                 power_base=1.0, power_slope=0.0)
     assert bounds.drift_y(p, 1) == pytest.approx(1.0)
-    terms = bounds.drift_y_terms(0.0, 1.0, p)
+    terms = bounds.drift_y_terms(p, 1)
     assert terms["noise"] == pytest.approx(1.0)
     assert sum(v for k, v in terms.items() if k != "noise") == 0.0
 
@@ -186,7 +193,7 @@ def test_variance_oracle_worst_case_matches_drift_terms():
     # difference aligned, with squared norm eta^2 * tau^2 * G2
     p = _params()
     a = 4
-    terms = bounds.drift_y_terms(p.eta(a), p.power(a), p)
+    terms = bounds.drift_y_terms(p, a)
     g_worst = p.eta(a) ** 2 * p.tau ** 2 * p.G2
     diffs = np.zeros((p.C, p.I, p.M, 4))
     diffs[..., 0] = np.sqrt(g_worst)
@@ -227,16 +234,15 @@ def test_measure_problem_constants():
     train, _ = protocol.load_run_data(cfg)
     shards = [train.subset(rows)
               for rows in protocol.partition_for_run(cfg, train)]
-    L, mu, theta_star, f_star = measure_problem_constants(
-        shards, 4, 0.1)
+    L, mu, theta_star, f_star = measure_problem_constants(shards, 0.1)
     assert mu == 0.1 and L > mu
     # the float64 problem the oracle solved (exact copies of the data)
     grads = [learner.loss_and_gradient(theta_star,
                                        s.features.astype(np.float64),
-                                       s.labels, 4, 0.1)[1] for s in shards]
+                                       s.labels, 0.1)[1] for s in shards]
     assert np.linalg.norm(np.mean(grads, axis=0)) < 1e-9
     with pytest.raises(ValueError):
-        measure_problem_constants(shards, 4, 0.0)
+        measure_problem_constants(shards, 0.0)
 
 
 def test_measure_gradient_bound_dominates_observations():
@@ -248,8 +254,7 @@ def test_measure_gradient_bound_dominates_observations():
     shards = [train.subset(rows)
               for rows in protocol.partition_for_run(cfg, train)]
     samples = [learner.zero_model(9, 4)]
-    g2 = measure_gradient_bound(shards, 4, 0.1, samples, 20,
-                                rng.substream(8, 0))
+    g2 = measure_gradient_bound(shards, 0.1, samples, 20, rng.substream(8, 0))
     _, g = learner.loss_and_gradient(samples[0], shards[0].features[:20],
-                                     shards[0].labels[:20], 4, 0.1)
+                                     shards[0].labels[:20], 0.1)
     assert g2 >= float(g @ g)

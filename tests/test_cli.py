@@ -2,7 +2,9 @@ import dataclasses
 import json
 import os
 import re
+import warnings
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -543,24 +545,78 @@ def test_bound_command_and_rerun(tmp_path):
         Path(out2, "hotafl_bound.csv").read_bytes()
 
 
+def _shipped(tmp_path, name, changes, stem="cfg"):
+    """configs/<name> written under tmp_path with each key of changes set
+    to its value (appended when the file lacks the key): its path."""
+    text = (Path(__file__).parent.parent / "configs" / name).read_text()
+    for key, val in changes.items():
+        text, found = re.subn(rf"^{key} = .*$", f"{key} = {val}", text,
+                              flags=re.M)
+        if not found:
+            text += f"{key} = {val}\n"
+    return _write(tmp_path, text, f"{stem}.txt")
+
 
 @pytest.mark.parametrize("changes, t", (
     ({"sigma_z2": "1e308"}, 2),                   # the noise term overflows
-    ({"init_dist": "1e308", "L": "1e10"}, 1)),    # (L/2) * dist overflows
-    ids=("noise", "init_dist"))
+    ({"init_dist": "1e308", "L": "1e10"}, 1),     # (L/2) * dist overflows
+    ({"power_base": "1e-200", "power_slope": "0"}, 2)),  # P(a)^2 underflows
+    ids=("noise", "init_dist", "power"))
 def test_bound_non_finite_is_one_line_error(tmp_path, capsys, changes, t):
     # ends before --out is made, with no numpy warning (tier-1 turns a
     # RuntimeWarning into an error)
-    text = (Path(__file__).parent.parent
-            / "configs/bound_fig4_hotafl.cfg").read_text()
-    for key, val in changes.items():
-        text = re.sub(rf"^{key} = .*$", f"{key} = {val}", text, flags=re.M)
-    cfg = _write(tmp_path, text)
+    cfg = _shipped(tmp_path, "bound_fig4_hotafl.cfg", changes)
     out = str(tmp_path / "o")
     assert cli.main(["bound", "--config", cfg, "--out", out]) == 1
     assert capsys.readouterr().err == \
         f"airfed: error: {cfg}: bound is not finite at t={t}\n"
     assert not os.path.exists(out)
+
+
+def test_bound_power_overflow_drops_the_noise(tmp_path):
+    # P(a)^2 overflows to inf, so the noise term is 0 and the bound is the
+    # sigma_z2 = 0 one, bit for bit
+    loud = _shipped(tmp_path, "bound_fig4_hotafl.cfg", {"power_base": "1e200"},
+                    "loud")
+    assert cli.main(["bound", "--config", loud,
+                     "--out", str(tmp_path / "o")]) == 0
+    quiet = _shipped(tmp_path, "bound_fig4_hotafl.cfg", {"sigma_z2": "0"},
+                     "quiet")
+    assert np.array_equal(bounds.bound_trajectory(cli.parse_config(loud)),
+                          bounds.bound_trajectory(cli.parse_config(quiet)))
+
+
+def _float_fields(cls):
+    return [f.name for f in dataclasses.fields(cls)
+            if f.init and f.type in (float, Optional[float])]
+
+
+@pytest.mark.parametrize("command, name, fields", (
+    ("run", "synthetic_smoke.cfg", _float_fields(protocol.ScenarioConfig)),
+    ("bound", "bound_fig4_hotafl.cfg", _float_fields(bounds.BoundParams))),
+    ids=("run", "bound"))
+def test_extreme_values_end_cleanly(tmp_path, capsys, command, name, fields):
+    # every float field at +-1e300 and 1e-300 (the run at T = 3, all three
+    # scenarios): the command succeeds or ends in one error line, and no
+    # warning is raised in any thread
+    bad = []
+    for field in fields:
+        for val in ("1e300", "1e-300", "-1e300"):
+            changes = {field: val, **({"T": "3"} if command == "run" else {})}
+            cfg = _shipped(tmp_path, name, changes)
+            out = str(tmp_path / f"{field}{val}")
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = cli.main([command, "--config", cfg, "--out", out])
+            except Exception as exc:    # a warning or a traceback
+                code = repr(exc)
+            err = capsys.readouterr().err
+            if not (code == 0 and err == "" or code == 1
+                    and re.fullmatch(r"airfed: error: [^\n]*\n", err)):
+                bad.append((field, val, code, err))
+    assert not bad
+
 
 def _fake_run_csv(path, scenario, acc):
     with open(path, "w", newline="\n") as fh:
@@ -639,6 +695,20 @@ def test_run_non_finite_is_one_line_error(tmp_path, capsys):
                          str(tmp_path / "o"), "--scenarios", "hotafl"]) == 1
         assert capsys.readouterr().err == \
             f"airfed: error: {cfg}: hotafl seed 5: {msg}\n"
+
+
+@pytest.mark.parametrize("scenario", ("hotafl", "flat"))
+def test_run_path_loss_overflow_is_one_line_error(tmp_path, capsys, scenario):
+    # a user within 0.70 of its server has a gain d**-2000 above the
+    # largest float: the run names path_loss_exp, not the update
+    cfg = _shipped(tmp_path, "synthetic_smoke.cfg",
+                   {"T": "3", "path_loss_exp": "2000"})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--scenarios", scenario]) == 1
+    assert capsys.readouterr().err == (
+        f"airfed: error: {cfg}: {cli.SCENARIO_ALIASES[scenario]} seed 7: "
+        "path_loss_exp = 2000 gives a path-loss gain d**-p that is not "
+        "finite\n")
 
 
 def test_run_error_names_config_and_run(tmp_path, capsys):

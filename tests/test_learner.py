@@ -29,14 +29,14 @@ def test_loss_gradient_finite_difference():
     data = dataclasses.replace(data, features=data.features.astype(np.float64))
     theta = gen.standard_normal(learner.model_dim(6, 3))
     loss, grad = learner.loss_and_gradient(theta, data.features, data.labels,
-                                           3, l2=0.05)
+                                           l2=0.05)
     eps = 1e-6
     for i in gen.choice(theta.size, 10, replace=False):
         up, dn = theta.copy(), theta.copy()
         up[i] += eps
         dn[i] -= eps
-        lu, _ = learner.loss_and_gradient(up, data.features, data.labels, 3, 0.05)
-        ld, _ = learner.loss_and_gradient(dn, data.features, data.labels, 3, 0.05)
+        lu, _ = learner.loss_and_gradient(up, data.features, data.labels, 0.05)
+        ld, _ = learner.loss_and_gradient(dn, data.features, data.labels, 0.05)
         fd = (lu - ld) / (2 * eps)
         assert abs(fd - grad[i]) <= 1e-6 * max(1.0, abs(fd))
 
@@ -54,10 +54,9 @@ def test_float32_products_match_float64(tmp_path):
         data = learner.make_synthetic(n, d, k, rng.substream(4, 1))
         assert data.features.dtype == np.float32
         theta = 0.05 * gen.standard_normal(learner.model_dim(d, k))
-        lo, g = learner.loss_and_gradient(theta, data.features,
-                                          data.labels, k)
+        lo, g = learner.loss_and_gradient(theta, data.features, data.labels)
         lo64, g64 = learner.loss_and_gradient(
-            theta, data.features.astype(np.float64), data.labels, k)
+            theta, data.features.astype(np.float64), data.labels)
         assert g.dtype == np.float64
         assert np.linalg.norm(g - g64) <= _GRAD_RTOL * np.linalg.norm(g64)
         assert abs(lo - lo64) <= _LOSS_RTOL * abs(lo64)
@@ -87,25 +86,25 @@ def test_loss_is_the_loss_of_loss_and_gradient():
     data = _data(seed=3)
     theta = gen.standard_normal(learner.model_dim(6, 3))
     for l2 in (0.0, 0.05):
-        got = learner.loss(theta, data.features, data.labels, 3, l2)
+        got = learner.loss(theta, data.features, data.labels, l2)
         assert got == learner.loss_and_gradient(theta, data.features,
-                                                data.labels, 3, l2)[0]
+                                                data.labels, l2)[0]
     with pytest.raises(ValueError):
         learner.loss(learner.zero_model(2, 2), np.empty((0, 2)),
-                     np.empty(0, int), 2)
+                     np.empty(0, int))
 
 
 def test_loss_uniform_at_zero_model():
     data = _data()
     loss, _ = learner.loss_and_gradient(learner.zero_model(6, 3),
-                                        data.features, data.labels, 3)
+                                        data.features, data.labels)
     assert loss == pytest.approx(np.log(3))
 
 
 def test_loss_rejects_empty_batch():
     with pytest.raises(ValueError):
         learner.loss_and_gradient(learner.zero_model(2, 2),
-                                  np.empty((0, 2)), np.empty(0, int), 2)
+                                  np.empty((0, 2)), np.empty(0, int))
 
 
 def test_evaluate_bounds_and_perfect_model():
@@ -115,7 +114,7 @@ def test_evaluate_bounds_and_perfect_model():
     # a strongly trained model on separable blobs should be near-perfect
     theta = learner.zero_model(6, 3)
     for _ in range(300):
-        _, g = learner.loss_and_gradient(theta, data.features, data.labels, 3)
+        _, g = learner.loss_and_gradient(theta, data.features, data.labels)
         theta -= 0.5 * g
     assert learner.evaluate(theta, data) >= 0.95
     with pytest.raises(ValueError, match="^test set must be non-empty$"):
@@ -204,7 +203,7 @@ def test_sgd_matches_manual_steps():
     for _ in range(3):
         idx = state2.next_batch()
         _, g = learner.loss_and_gradient(theta, data.features[idx],
-                                         data.labels[idx], 3)
+                                         data.labels[idx])
         theta -= 0.1 * g
     assert np.array_equal(end, theta)
 
@@ -228,7 +227,7 @@ def test_sgd_on_rows_matches_copied_shard():
         idx = order[cursor:cursor + 8]
         cursor += 8
         _, g = learner.loss_and_gradient(theta, shard.features[idx],
-                                         shard.labels[idx], 3)
+                                         shard.labels[idx])
         theta -= 0.1 * g
     assert np.array_equal(end, theta)
 

@@ -16,6 +16,16 @@ def test_derived_betas():
     assert topo.ps_beta == pytest.approx(topo.d_ps ** -4.0)
 
 
+def test_gain_overflow_names_path_loss_exp():
+    # the nearest user sits at d = 0.5, whose gain 2**p overflows from
+    # p = 1024; the check runs with numpy's overflow warning off
+    d_is, d_ps = _topo().d_is, _topo().d_ps
+    assert topology.SystemTopology(d_is, d_ps, 1023.0).beta[0, 0] == 2.0 ** 1023
+    with pytest.raises(ValueError, match=r"^path_loss_exp = 1024 gives a "
+                       r"path-loss gain d\*\*-p that is not finite$"):
+        topology.SystemTopology(d_is, d_ps, 1024.0)
+
+
 def test_topology_arrays_read_only():
     topo = _topo()
     with pytest.raises(ValueError):
