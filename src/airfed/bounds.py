@@ -28,9 +28,10 @@ Y_TERMS = ("signal_distortion", "interference", "noise",
 class BoundParams:
     """Everything the bound recursion needs.
 
-    betas has shape (C, M); for flat OTA configurations use C=1 and put all
-    users in one row.  Schedules follow eta(a) = max(lr_base - lr_slope*a, 0)
-    and P(a) = power_base + power_slope*a with 1-based a.
+    betas has shape (C, M).  protocol.run_plan maps a run's scenario onto
+    C, M, I, the betas and the power schedule.  Schedules follow
+    eta(a) = max(lr_base - lr_slope*a, 0) and P(a) = power_base +
+    power_slope*a with 1-based a.
     """
 
     L: float
@@ -122,8 +123,9 @@ def drift_y_terms(p: BoundParams, a: int) -> dict:
     They read the learning rate eta(a) and the transmit power P(a).  Signal
     distortion and interference are the lemma variances with every user
     difference at the worst case eta^2 * tau^2 * G2, all aligned.  The
-    noise term is float64, so a P(a)^2 that overflows gives 0 noise and one
-    that underflows a non-finite term, not a Python exception.
+    noise term is 0 at sigma_z2 = 0 for any P(a); otherwise it is float64,
+    so a P(a)^2 that overflows gives 0 noise and one that underflows a
+    non-finite term, not a Python exception.
     """
     eta, p_a = p.eta(a), np.float64(p.power(a))
     g_worst = eta * eta * p.tau * p.tau * p.G2
@@ -131,9 +133,10 @@ def drift_y_terms(p: BoundParams, a: int) -> dict:
     sig, itf = _distortion_and_interference(
         p, np.full((p.C, p.I, p.M), g_worst),
         g_worst * (p.I * ratio_sum) ** 2)
-    noi = (p.sigma_z2 * p.I * p.N
-           / (p_a ** 2 * (p.M * p.C) ** 2 * p.K * p.sigma_h2)
-           * float((p.betas / p.beta_bar[:, None] ** 2).sum()))
+    noi = 0.0 if p.sigma_z2 == 0 else (
+        p.sigma_z2 * p.I * p.N
+        / (p_a ** 2 * (p.M * p.C) ** 2 * p.K * p.sigma_h2)
+        * float((p.betas / p.beta_bar[:, None] ** 2).sum()))
 
     tau = p.tau
     curv = ((1.0 + p.mu * (1.0 - eta)) * eta * eta * p.I * p.G2
@@ -165,7 +168,7 @@ def bound_trajectory(p: BoundParams) -> np.ndarray:
 
     Raises ValueError naming the first t whose bound is not finite.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(**protocol.QUIET):
         traj = 0.5 * p.L * distance_bound_trajectory(p)
     bad = ~np.isfinite(traj)
     if bad.any():
@@ -184,14 +187,17 @@ def lemma_variance_oracle(which: str, p: BoundParams, a: Optional[int] = None,
 
     The signal and interference formulas are evaluated on the recorded user
     differences diffs of shape (C, I, M, 2N).  The noise component never
-    needs diffs but needs the iteration index a for the power schedule.
+    needs diffs but needs the iteration index a for the power schedule; it
+    is evaluated under bound_trajectory's error state, so a P(a)^2 that
+    overflows gives 0 without a numpy warning.
     """
     if which not in Y_TERMS[:3]:
         raise ValueError(f"unknown component {which!r}")
     if which == "noise":
         if a is None:
             raise ValueError("the noise oracle needs the index a")
-        return drift_y_terms(p, a)["noise"]
+        with np.errstate(**protocol.QUIET):
+            return drift_y_terms(p, a)["noise"]
 
     diffs = np.asarray(diffs, dtype=np.float64)
     if diffs.shape[:3] != (p.C, p.I, p.M):

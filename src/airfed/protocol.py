@@ -5,8 +5,9 @@ iteration t broadcasts the PS model to every cluster, runs I local
 iterations i (each: tau SGD steps by user m of each cluster c, then a local
 aggregation per cluster that is either an exact mean or an over-the-air
 uplink), and averages the cluster updates at the PS over an error-free
-link.  run_scenario's docstring says how each scenario maps onto that loop
-and why neither the loop order nor the worker count changes the outputs.
+link.  run_plan says how each scenario maps onto that loop, and
+run_scenario's docstring why neither the loop order nor the worker count
+changes the outputs.
 """
 
 import hashlib
@@ -266,25 +267,41 @@ def build_topology(cfg: ScenarioConfig) -> topology.SystemTopology:
                                 cfg.target_alpha, cfg.alpha_tolerance, gen)
 
 
+def run_plan(cfg: ScenarioConfig):
+    """(cfg as run, betas): the one mapping of cfg.scenario onto the loop.
+
+    ideal_hier takes exact means (betas None) and builds no topology.
+    hotafl aggregates over the air with the user-to-IS gains of
+    build_topology(cfg).  flat_ota is the one-cluster case: the same C*M
+    shards as one cluster of C*M users with the user-to-PS gains as its
+    one row of betas, I=1 and the flat_power_* schedule as its power.
+    """
+    if cfg.scenario == "ideal_hier":
+        return cfg, None
+    topo = build_topology(cfg)
+    if cfg.scenario == "hotafl":
+        return cfg, topo.beta
+    return (replace(cfg, C=1, M=cfg.C * cfg.M, I=1,
+                    power_base=cfg.flat_power_base,
+                    power_slope=cfg.flat_power_slope),
+            topo.ps_beta.reshape(1, -1))
+
+
 # ---------------------------------------------------------------------------
 # engine
 
-# Overflow and log(0) are reported by the finiteness checks below, which
-# name the iteration and cluster, not as numpy warnings.  numpy's error
-# state is per thread: the loop enters it, each pool worker sets it at start.
-_QUIET = dict(over="ignore", divide="ignore", invalid="ignore")
+# Overflow and log(0) are reported by finiteness checks that name where
+# they happened (the run's iteration and cluster, the bound's t), not as
+# numpy warnings.  numpy's error state is per thread: the run's loop enters
+# it, each pool worker sets it at start, and bounds enters it too.
+QUIET = dict(over="ignore", divide="ignore", invalid="ignore")
 
 
 def run_scenario(cfg: ScenarioConfig, record_models=False,
                  collect_diffs=False) -> RunMetrics:
-    """Run cfg.scenario: take its data from load_run_data (shared with the
-    runs before it on the same data key), build its users, then loop
-    t -> i -> c.  The run only reads the data.
-
-    ideal_hier takes exact means and no topology.  hotafl aggregates over
-    the air with the user-to-IS gains of build_topology(cfg).  flat_ota is
-    the one-cluster case: the same C*M shards as one cluster of C*M users,
-    the user-to-PS gains, I=1 and the flat_power_* schedule.
+    """Run cfg.scenario: map it with run_plan, take its data from
+    load_run_data (shared with the runs before it on the same data key),
+    build its users, then loop t -> i -> c.  The run only reads the data.
 
     Entry u of partition_for_run's list is user m of cluster c for
     (c, m) = divmod(u, M).  User (c, m) draws its batches from substream
@@ -295,20 +312,12 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
     the step's queue, so a worker on a slowed core holds up the one user
     it is training, not a fixed share of them, and a user's state is
     touched by one thread at a time.  The pool also computes the train
-    loss while this thread runs learner.evaluate.  BLAS is held at one thread for the whole loop
-    (learner.blas_single_thread).
+    loss while this thread runs learner.evaluate.  BLAS is held at one
+    thread for the whole loop (learner.blas_single_thread).
     """
-    topo = None if cfg.scenario == "ideal_hier" else build_topology(cfg)
+    cfg, betas = run_plan(cfg)      # betas None: exact means
     train, test = load_run_data(cfg)
     shards = partition_for_run(cfg, train)
-    betas = None                # exact means
-    if cfg.scenario == "hotafl":
-        betas = topo.beta
-    elif cfg.scenario == "flat_ota":
-        betas = topo.ps_beta.reshape(1, -1)
-        cfg = replace(cfg, C=1, M=cfg.C * cfg.M, I=1,
-                      power_base=cfg.flat_power_base,
-                      power_slope=cfg.flat_power_slope)
     C, M, I = cfg.C, cfg.M, cfg.I
 
     users = []      # (c, m, state) of each user
@@ -345,8 +354,8 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
             diffs[c, i, m] = end - theta_is[c]
 
     pool = ThreadPoolExecutor(workers,
-                              initializer=partial(np.seterr, **_QUIET))
-    with learner.blas_single_thread(), pool, np.errstate(**_QUIET):
+                              initializer=partial(np.seterr, **QUIET))
+    with learner.blas_single_thread(), pool, np.errstate(**QUIET):
         for t in range(cfg.T):
             eta = lr_schedule(t, cfg.lr_base, cfg.lr_slope)
             p_t = power_schedule(t, cfg.power_base, cfg.power_slope)

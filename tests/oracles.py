@@ -7,7 +7,7 @@ expanded, unrolled and measured forms here are independent checks on them
 
 import numpy as np
 
-from airfed import bounds, channel, learner
+from airfed import bounds, channel, learner, protocol
 
 
 def a1_term(beta_1, beta_bar_1, beta_2, beta_bar_2) -> float:
@@ -31,6 +31,21 @@ def distance_bound_closed_form(p: bounds.BoundParams, t: int) -> float:
         total += bounds.drift_y(p, b) * float(
             np.prod([xs[a] for a in range(b + 1, t)]))
     return total
+
+
+def bound_params_for_run(cfg, *, L, mu, G2, Gamma, init_dist):
+    """BoundParams of the system a run of cfg simulates: C, M, I, betas and
+    power schedule as protocol.run_plan maps cfg.scenario (hotafl or
+    flat_ota), and T = cfg.T + 1, the initial distance plus one per
+    iteration."""
+    run, betas = protocol.run_plan(cfg)
+    return bounds.BoundParams(
+        L=L, mu=mu, G2=G2, Gamma=Gamma, init_dist=init_dist,
+        N=learner.model_dim(run.feature_dim, run.num_classes) // 2,
+        tau=run.tau, I=run.I, T=run.T + 1, K=run.K, sigma_z2=run.sigma_z2,
+        sigma_h2=run.sigma_h2, betas=betas, lr_base=run.lr_base,
+        lr_slope=run.lr_slope, power_base=run.power_base,
+        power_slope=run.power_slope)
 
 
 def make_synthetic_reference(num_samples, feature_dim, num_classes, rng):

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from airfed import bounds, channel, cli, learner, protocol, rng, topology
-from oracles import (a1_term, coherent_mrc_statistic, decompose_terms,
-                     distance_bound_closed_form, measure_gradient_bound,
-                     measure_problem_constants)
+from oracles import (a1_term, bound_params_for_run, coherent_mrc_statistic,
+                     decompose_terms, distance_bound_closed_form,
+                     measure_gradient_bound, measure_problem_constants)
 
 MNIST_DIR = os.environ.get(protocol.MNIST_DIR_ENV)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -265,7 +265,6 @@ def test_criterion_7_bound_vs_simulation():
         dataset="synthetic", partition="iid", feature_dim=15, num_classes=4,
         train_samples=2000, test_samples=400, batch_size=50, l2_reg=0.1,
         seed=100, data_seed=100)
-    topo = protocol.build_topology(cfg)
     train, _ = protocol.load_run_data(cfg)
     shards = [train.subset(rows)
               for rows in protocol.partition_for_run(cfg, train)]
@@ -278,13 +277,8 @@ def test_criterion_7_bound_vs_simulation():
         shards, cfg.l2_reg, samples, cfg.batch_size, rng.substream(999, 7),
         draws_per_shard=30)
 
-    p = bounds.BoundParams(
-        L=L, mu=mu, G2=g2, Gamma=0.0,
-        init_dist=float(theta_star @ theta_star),
-        N=learner.model_dim(cfg.feature_dim, cfg.num_classes) // 2,
-        tau=1, I=1, T=cfg.T + 1, K=cfg.K, sigma_z2=cfg.sigma_z2,
-        sigma_h2=1.0, betas=topo.beta, lr_base=cfg.lr_base,
-        power_base=1.0)
+    p = bound_params_for_run(cfg, L=L, mu=mu, G2=g2, Gamma=0.0,
+                             init_dist=float(theta_star @ theta_star))
     bound = bounds.distance_bound_trajectory(p)
 
     # data_seed pins the topology (and data) while seed varies each run

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,14 @@ def test_variance_oracle_trivial_cases():
     with pytest.raises(ValueError,
                        match="^the noise oracle needs the index a$"):
         bounds.lemma_variance_oracle("noise", p1)
+
+
+def test_noise_oracle_at_overflowing_power_is_quiet():
+    # P(a)^2 overflows to inf: the noise term is 0, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bounds.lemma_variance_oracle(
+            "noise", _params(power_base=1e200), a=1) == 0.0
 
 
 def test_variance_oracle_worst_case_matches_drift_terms():

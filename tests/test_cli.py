@@ -586,6 +586,19 @@ def test_bound_power_overflow_drops_the_noise(tmp_path):
                           bounds.bound_trajectory(cli.parse_config(quiet)))
 
 
+def test_noiseless_bound_does_not_read_the_power(tmp_path):
+    # at sigma_z2 = 0 the noise term is 0 even where P(a)^2 underflows
+    csvs = []
+    for stem, power in (("low", "1e-200"), ("unit", "1")):
+        cfg = _shipped(tmp_path, "bound_fig4_hotafl.cfg",
+                       {"sigma_z2": "0", "power_base": power,
+                        "power_slope": "0"}, stem)
+        out = tmp_path / stem
+        assert cli.main(["bound", "--config", cfg, "--out", str(out)]) == 0
+        csvs.append((out / "hotafl_bound.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 def _float_fields(cls):
     return [f.name for f in dataclasses.fields(cls)
             if f.init and f.type in (float, Optional[float])]

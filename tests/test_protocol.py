@@ -14,6 +14,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 from typing import Optional
 
 from airfed import bounds, channel, learner, protocol, rng, topology
+from oracles import bound_params_for_run
 from test_bounds import _params
 from test_learner import _write_idx
 
@@ -152,30 +153,23 @@ _AGG_ERR_BAND = (0.85, 1.15)
 
 @pytest.mark.parametrize("K", [10, 100, 1000, 10_000])
 @pytest.mark.parametrize("sigma_z2", [0.0, 1.0])
-@pytest.mark.parametrize("scenario", ["hotafl", "flat_ota"])
-def test_aggregation_error_matches_lemma_oracle(scenario, sigma_z2, K):
+@pytest.mark.parametrize("scenario, I", [
+    ("hotafl", 1), ("flat_ota", 1), ("hotafl", 2), ("flat_ota", 2)],
+    ids=["hotafl", "flat_ota", "hotafl-I2", "flat_ota-I2"])
+def test_aggregation_error_matches_lemma_oracle(scenario, I, sigma_z2, K):
+    # flat runs at one local iteration whatever cfg.I says
     cfg = protocol.ScenarioConfig(
-        scenario=scenario, C=2, M=3, K=K, T=6, sigma_z2=sigma_z2,
+        scenario=scenario, C=2, M=3, K=K, I=I, T=6, sigma_z2=sigma_z2,
         feature_dim=64, train_samples=3000, test_samples=300, batch_size=50,
         seed=3)
     m = protocol.run_scenario(cfg, record_models=True, collect_diffs=True)
-    topo = protocol.build_topology(cfg)
-    if scenario == "hotafl":
-        betas, I, base, slope = (topo.beta, cfg.I, cfg.power_base,
-                                 cfg.power_slope)
-    else:                       # one cluster of all users, as run_scenario
-        betas, I, base, slope = (topo.ps_beta.reshape(1, -1), 1,
-                                 cfg.flat_power_base, cfg.flat_power_slope)
-    p = bounds.BoundParams(
-        L=1.0, mu=1.0, G2=1.0, Gamma=0.0, init_dist=1.0,
-        N=m.final_model.size // 2, tau=cfg.tau, I=I, T=cfg.T, K=cfg.K,
-        sigma_z2=cfg.sigma_z2, sigma_h2=cfg.sigma_h2, betas=betas,
-        lr_base=cfg.lr_base, lr_slope=cfg.lr_slope, power_base=base,
-        power_slope=slope)
+    p = bound_params_for_run(cfg, L=1.0, mu=1.0, G2=1.0, Gamma=0.0,
+                             init_dist=1.0)
     lo, hi = _AGG_ERR_BAND
     prev = np.zeros_like(m.final_model)
     for t, (model, diffs) in enumerate(zip(m.models, m.user_diffs)):
-        err = model - prev - diffs.mean(axis=(0, 1, 2))
+        # the ideal update: the sum over i of the users' mean difference
+        err = model - prev - diffs.sum(axis=1).mean(axis=(0, 1))
         # a = t: the oracle's power schedule is the engine's 0-based one
         predicted = sum(bounds.lemma_variance_oracle(w, p, a=t, diffs=diffs)
                         for w in bounds.Y_TERMS[:3])
