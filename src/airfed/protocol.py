@@ -5,9 +5,10 @@ iteration t broadcasts the PS model to every cluster, runs I local
 iterations i (each: tau SGD steps by user m of each cluster c, then a local
 aggregation per cluster that is either an exact mean or an over-the-air
 uplink), and averages the cluster updates at the PS over an error-free
-link.  run_plan says how each scenario maps onto that loop, and
-run_scenario's docstring why neither the loop order nor the worker count
-changes the outputs.
+link.  The C clusters' uplinks are independent, so they run in parallel,
+and each PS model is scored while the next iteration trains.  run_plan
+says how each scenario maps onto that loop, and run_scenario's docstring
+why neither the loop order nor the worker count changes the outputs.
 """
 
 import hashlib
@@ -311,9 +312,16 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
     threads (one at small shapes): each worker takes the next user left in
     the step's queue, so a worker on a slowed core holds up the one user
     it is training, not a fixed share of them, and a user's state is
-    touched by one thread at a time.  The pool also computes the train
-    loss while this thread runs learner.evaluate.  BLAS is held at one
-    thread for the whole loop (learner.blas_single_thread).
+    touched by one thread at a time.  The step's C over-the-air
+    aggregations are pool tasks too: task c reads its cluster's diffs and
+    writes only theta_is[c], and this thread adds the energies in order
+    c = 0..C-1.  Each new theta_PS(t) is scored (test accuracy and train
+    loss) on the pool ahead of t+1's users; t's row and its loss check
+    are taken after t+1's local steps and before t+1's update checks, so
+    the first error is the one a serial loop meets first.  theta_PS is
+    rebound, never written in place, so a pending score reads a stable
+    array.  BLAS is held at one thread for the whole loop
+    (learner.blas_single_thread).
     """
     cfg, betas = run_plan(cfg)      # betas None: exact means
     train, test = load_run_data(cfg)
@@ -353,6 +361,22 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
                 state, theta_is[c], cfg.tau, eta, l2=cfg.l2_reg)
             diffs[c, i, m] = end - theta_is[c]
 
+    def aggregate(c, t, i, p_t):
+        update, energy = channel.ota_aggregate(
+            diffs[c, i], betas[c], p_t, cfg.K, cfg.sigma_h2, cfg.sigma_z2,
+            rng.substream(cfg.seed, rng.CHANNEL, t, i, c),
+            rng.substream(cfg.seed, rng.NOISE, t, i, c))
+        theta_is[c] += update
+        return energy
+
+    def record_scores(t, test_acc, train_loss):
+        out["test_acc"][t] = test_acc.result()
+        loss = train_loss.result()
+        if not np.isfinite(loss):
+            raise ValueError(f"train loss is not finite at t={t + 1}")
+        out["train_loss"][t] = loss
+
+    scores = None   # (t, test accuracy, train loss) futures of theta_ps
     pool = ThreadPoolExecutor(workers,
                               initializer=partial(np.seterr, **QUIET))
     with learner.blas_single_thread(), pool, np.errstate(**QUIET):
@@ -371,15 +395,12 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
                 if betas is None:
                     theta_is += diffs[:, i].sum(axis=1) / M
                     continue
-                for c in range(C):
-                    update, energy = channel.ota_aggregate(
-                        diffs[c, i], betas[c], p_t, cfg.K, cfg.sigma_h2,
-                        cfg.sigma_z2,
-                        rng.substream(cfg.seed, rng.CHANNEL, t, i, c),
-                        rng.substream(cfg.seed, rng.NOISE, t, i, c))
-                    theta_is[c] += update
-                    tx_energy += energy
+                for energy in pool.map(partial(aggregate, t=t, i=i, p_t=p_t),
+                                       range(C)):
+                    tx_energy += energy         # in order c = 0..C-1
 
+            if scores is not None:              # t-1's, before t's checks
+                record_scores(*scores)
             delta = theta_is - theta_ps
             bad = ~np.isfinite(delta).all(axis=1)
             if bad.any():
@@ -389,14 +410,11 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
                 raise ValueError(f"transmit power is not finite at t={t + 1}")
             theta_ps = theta_ps + delta.sum(axis=0) / C
 
-            # evaluate stays in this thread: a profiler may clock on it
-            pending = pool.submit(learner.loss, theta_ps, eval_feats,
-                                  eval_labels, cfg.l2_reg)
-            out["test_acc"][t] = learner.evaluate(theta_ps, test)
-            loss = pending.result()
-            if not np.isfinite(loss):
-                raise ValueError(f"train loss is not finite at t={t + 1}")
-            out["train_loss"][t] = loss
+            # evaluate is called once per t through the module attribute: a
+            # profiler may clock iterations on its returns
+            scores = (t, pool.submit(learner.evaluate, theta_ps, test),
+                      pool.submit(learner.loss, theta_ps, eval_feats,
+                                  eval_labels, cfg.l2_reg))
             # per symbol: C*I*M sends of dim/2 symbols each
             out["avg_tx_power"][t] = tx_energy / (diffs.size // 2)
             out["eta"][t] = eta
@@ -405,6 +423,7 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
                 models.append(theta_ps)  # rebound above, never written in place
             if collect_diffs:
                 all_diffs.append(diffs.copy())
+        record_scores(*scores)
 
     checksum = hashlib.sha256(np.ascontiguousarray(theta_ps).tobytes()).hexdigest()
     return RunMetrics(cfg.scenario, np.arange(1, cfg.T + 1), out["train_loss"],

@@ -11,6 +11,9 @@ import numpy as np
 from airfed import bounds, channel, cli, learner, protocol, rng, topology
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+MODULES = {"bounds": bounds, "channel": channel, "cli": cli,
+           "learner": learner, "protocol": protocol, "rng": rng,
+           "topology": topology}
 
 
 def _layers():
@@ -22,14 +25,11 @@ def _layers():
 
 def test_layer_tracer_finds_and_counts_every_wrapped_function():
     layers = _layers()
-    modules = {"bounds": bounds, "channel": channel, "cli": cli,
-               "learner": learner, "protocol": protocol, "rng": rng,
-               "topology": topology}
     cfg = protocol.ScenarioConfig(
         scenario="hotafl", C=2, M=2, K=4, T=2, sigma_z2=1.0, feature_dim=9,
         num_classes=4, train_samples=400, test_samples=100, batch_size=20,
         seed=3)
-    tracer = layers.layer_tracer(modules)
+    tracer = layers.layer_tracer(MODULES)
     try:
         assert tracer.missing == []
         protocol.run_scenario(cfg)                 # K >= M
@@ -52,3 +52,24 @@ def test_layer_tracer_finds_and_counts_every_wrapped_function():
     finally:
         tracer.restore()
     assert channel.draw_noise.__module__ == "airfed.channel"
+
+
+def test_clock_points_hold_on_a_pooled_run(monkeypatch):
+    # perfbench/run.py's _run raises ClockError unless each setup point is
+    # called once and learner.evaluate T times, and times the iterations as
+    # the gaps between evaluate's returns, which the pool runs
+    layers = _layers()
+    monkeypatch.setattr(learner, "_cpu_count", lambda: 2)
+    cfg = protocol.ScenarioConfig(
+        scenario="hotafl", C=2, M=2, K=8, T=4, feature_dim=256,
+        batch_size=400, train_samples=2000, test_samples=500, seed=4)
+    tracer = layers.clock_tracer(MODULES)
+    try:
+        protocol.run_scenario(cfg)
+    finally:
+        tracer.restore()
+    assert tracer.calls["learner.evaluate"] == cfg.T
+    returns = tracer.returns["learner.evaluate"]
+    assert all(a < b for a, b in zip(returns, returns[1:]))
+    for _, _, group in layers.SETUP_POINTS:
+        assert tracer.calls[group] == 1, group

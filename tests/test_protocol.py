@@ -262,6 +262,31 @@ def test_tx_power_is_energy_per_symbol(scenario):
         assert m.avg_tx_power[t] == pytest.approx(expect, rel=1e-12)
 
 
+def test_tx_energy_is_added_in_cluster_order(monkeypatch):
+    # a local step's C aggregations run as pool tasks; the run adds their
+    # energies in order i, then c = 0..C-1, as a loop over them does
+    cfg = _cfg(C=3, I=2, T=3)
+    betas = protocol.build_topology(cfg).beta
+    ota = channel.ota_aggregate
+    energies = {}       # (p_t, c): the energy of each local step, in order
+
+    def recorded(diffs, beta, p_t, *args):
+        update, energy = ota(diffs, beta, p_t, *args)
+        c = next(c for c, row in enumerate(betas) if np.array_equal(beta, row))
+        energies.setdefault((p_t, c), []).append(energy)
+        return update, energy
+
+    monkeypatch.setattr(channel, "ota_aggregate", recorded)
+    m = protocol.run_scenario(cfg)
+    symbols = cfg.C * cfg.I * cfg.M * m.final_model.size // 2
+    for t, p_t in enumerate(m.power):
+        tx = 0.0
+        for i in range(cfg.I):
+            for c in range(cfg.C):
+                tx += energies[p_t, c][i]
+        assert m.avg_tx_power[t] == tx / symbols, f"t={t + 1}"
+
+
 def test_ideal_reports_zero_tx_power():
     m = protocol.run_scenario(_cfg(scenario="ideal_hier", T=3))
     assert not m.avg_tx_power.any()
@@ -475,7 +500,7 @@ def test_outputs_independent_of_worker_count(scenario, shape, monkeypatch):
     pinned = learner._openblas_threads() is not None
     pooled = pinned and shape is _POOL_SHAPE
     caller = threading.get_ident()
-    threads = set()     # the threads of every SGD and train-loss call
+    threads = set()     # the threads of every SGD, scoring and uplink call
 
     def traced(fn):
         def call(*args, **kw):
@@ -483,8 +508,9 @@ def test_outputs_independent_of_worker_count(scenario, shape, monkeypatch):
             return fn(*args, **kw)
         return call
 
-    for name in ("sgd_user_iterations", "loss"):
-        monkeypatch.setattr(learner, name, traced(getattr(learner, name)))
+    for module, name in ((learner, "sgd_user_iterations"), (learner, "loss"),
+                         (learner, "evaluate"), (channel, "ota_aggregate")):
+        monkeypatch.setattr(module, name, traced(getattr(module, name)))
     runs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)     # interleave the workers finely
@@ -542,6 +568,70 @@ def test_stalled_worker_holds_up_one_user(monkeypatch):
     protocol.run_scenario(cfg)
     assert len(done) == n_users
     assert sum(t != stalled[0] for t in done) == n_users - 1
+
+
+def test_each_model_is_scored_once_on_the_pool(monkeypatch):
+    # theta_PS(t) is scored on the pool while t+1 trains: the k-th call of
+    # evaluate and of loss must get the k-th model and fill row k
+    monkeypatch.setattr(learner, "_cpu_count", lambda: 2)
+    caller = threading.get_ident()
+    calls = {"evaluate": [], "loss": []}    # (thread, model, value) of each
+
+    for name in calls:
+        def traced(model, *args, _name=name, _fn=getattr(learner, name)):
+            value = _fn(model, *args)
+            calls[_name].append((threading.get_ident(), model.copy(), value))
+            return value
+        monkeypatch.setattr(learner, name, traced)
+
+    for scenario in ("hotafl", "ideal_hier"):
+        for T in (4, 1):
+            cfg = protocol.ScenarioConfig(scenario=scenario,
+                                          **dict(_POOL_SHAPE, T=T))
+            for made in calls.values():
+                made.clear()
+            m = protocol.run_scenario(cfg, record_models=True)
+            for name, row in (("evaluate", m.test_acc),
+                              ("loss", m.train_loss)):
+                threads, models, values = zip(*calls[name])
+                assert len(models) == T, name
+                assert caller not in threads, name
+                for got, want in zip(models, m.models):
+                    assert np.array_equal(got, want), name
+                assert row.tolist() == list(values), name
+
+
+def test_scores_lag_without_changing_the_first_error(monkeypatch):
+    # t=1's train loss is checked after t=2's local steps but before t=2's
+    # update checks, so a non-finite loss at t=1 is still the error reported
+    cfg = _cfg(T=4)
+    loss, ota = learner.loss, channel.ota_aggregate
+    losses = []
+
+    def inf_first(*args):
+        losses.append(args)
+        return np.inf if len(losses) == 1 else loss(*args)
+
+    def nan_from_t2(diffs, betas, p_t, *args):
+        update, energy = ota(diffs, betas, p_t, *args)
+        if p_t != cfg.power_base:       # t >= 2: power_slope > 0
+            update = np.full_like(update, np.nan)
+        return update, energy
+
+    monkeypatch.setattr(learner, "loss", inf_first)
+    monkeypatch.setattr(channel, "ota_aggregate", nan_from_t2)
+    with pytest.raises(ValueError, match="^train loss is not finite at t=1$"):
+        protocol.run_scenario(cfg)
+
+    # a non-finite update at t=1 ends the run before anything is scored
+    evaluated = []
+    monkeypatch.setattr(learner, "evaluate", lambda *a: evaluated.append(a))
+    monkeypatch.setattr(channel, "ota_aggregate", lambda diffs, *a: (
+        np.full(diffs.shape[1], np.nan), 0.0))
+    with pytest.raises(ValueError,
+                       match="^cluster 0 update is not finite at t=1$"):
+        protocol.run_scenario(cfg)
+    assert evaluated == []
 
 
 def test_run_holds_blas_at_one_thread_and_restores_it(monkeypatch):
