@@ -61,7 +61,7 @@ class BoundParams:
                 or not np.all((self.betas > 0) & np.isfinite(self.betas)):
             raise ValueError("betas must be non-empty, positive and finite")
         self.C, self.M = self.betas.shape
-        protocol.check_numbers(
+        protocol.check_fields(
             self, positive=("L", "mu", "G2", "init_dist", "sigma_h2"),
             nonnegative=("Gamma", "sigma_z2"))
         # the recursion evaluates both schedules at a = 1..T-1; each is

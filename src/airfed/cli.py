@@ -62,22 +62,25 @@ def _read_kv(path):
 def _typed(hint, key, item, path):
     """A (value, line) item as the type of its dataclass annotation.
 
-    Optional is unwrapped (None stays None), np.ndarray means a 2-D float64
-    array, a number or array entry is never a JSON boolean, and an int takes
-    only integral values (int() would truncate).
+    Optional is unwrapped (None stays None), a str or Literal takes only
+    strings (the config checks a Literal's choice), np.ndarray means a 2-D
+    float64 array, a number or array entry is never a JSON boolean, and an
+    int takes only integral values (int() would truncate).
     """
     val, lineno = item
     if typing.get_origin(hint) is typing.Union:
         if val is None:
             return None
         hint = next(a for a in typing.get_args(hint) if a is not type(None))
+    if typing.get_origin(hint) is typing.Literal:
+        hint = str
     try:
         if hint is np.ndarray:
             arr = np.asarray(val, dtype=np.float64)
             entries = np.asarray(val, dtype=object).ravel()
             if arr.ndim == 2 and not any(isinstance(v, bool) for v in entries):
                 return arr
-        elif not (val is None
+        elif not (hint is str and not isinstance(val, str)
                   or hint in (int, float) and isinstance(val, bool)
                   or hint is int and isinstance(val, float)
                   and not val.is_integer()):

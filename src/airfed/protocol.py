@@ -18,15 +18,11 @@ import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from typing import Optional
+from typing import Literal, Optional, get_args, get_origin
 
 import numpy as np
 
 from . import channel, learner, rng, topology
-
-SCENARIOS = ("ideal_hier", "hotafl", "flat_ota")
-DATASETS = ("mnist", "synthetic")
-PARTITIONS = ("iid", "noniid")
 
 MNIST_DIR_ENV = "AIRFED_MNIST_DIR"
 # training samples the per-iteration train loss is evaluated on
@@ -46,15 +42,19 @@ def lr_schedule(t, base, slope) -> float:
     return max(base - slope * t, 0.0)
 
 
-def check_numbers(cfg, positive=(), nonnegative=()):
-    """Range checks of a config dataclass's number fields, by their types.
+def check_fields(cfg, positive=(), nonnegative=()):
+    """Checks of a config dataclass's fields, by their types.
 
-    Every float field must be finite and every int field at least 1, except
-    that the fields named in positive must be > 0 and those in nonnegative
-    >= 0.  None values and init=False fields are skipped.
+    A Literal field must hold one of its choices, every float field must
+    be finite and every int field at least 1, except that the fields named
+    in positive must be > 0 and those in nonnegative >= 0.  None values of
+    the other fields and init=False fields are skipped.
     """
     for f in fields(cfg):
         value = getattr(cfg, f.name)
+        if get_origin(f.type) is Literal and value not in get_args(f.type):
+            raise ValueError(f"{f.name} must be one of {get_args(f.type)}, "
+                             f"got {value!r}")
         if value is None or not f.init:
             continue
         if f.type in (float, Optional[float]) and not math.isfinite(value):
@@ -73,10 +73,10 @@ def check_numbers(cfg, positive=(), nonnegative=()):
 class ScenarioConfig:
     """Full experiment description for one run, checked when built."""
 
-    scenario: str
+    scenario: Literal["ideal_hier", "hotafl", "flat_ota"]
     C: int = 4
     M: int = 5
-    K: int = 0                   # 0 -> default 5*M*C
+    K: Optional[int] = None      # default: 5*M*C
     tau: int = 1
     I: int = 1
     T: int = 200
@@ -88,8 +88,8 @@ class ScenarioConfig:
     flat_power_slope: Optional[float] = None  # default: power_slope
     lr_base: float = 0.05
     lr_slope: float = 2e-5
-    dataset: str = "synthetic"
-    partition: str = "iid"
+    dataset: Literal["mnist", "synthetic"] = "synthetic"
+    partition: Literal["iid", "noniid"] = "iid"
     batch_size: int = 500
     seed: int = 0
     data_seed: Optional[int] = None   # default: seed; pins data/topology
@@ -104,7 +104,7 @@ class ScenarioConfig:
     l2_reg: float = 0.0
 
     def __post_init__(self):
-        if self.K == 0:
+        if self.K is None:
             object.__setattr__(self, "K", 5 * self.M * self.C)
         if self.flat_power_base is None:
             object.__setattr__(self, "flat_power_base", self.power_base)
@@ -117,14 +117,9 @@ class ScenarioConfig:
         return self.seed if self.data_seed is None else self.data_seed
 
     def validate(self):
-        for name, choices in (("scenario", SCENARIOS), ("dataset", DATASETS),
-                              ("partition", PARTITIONS)):
-            if getattr(self, name) not in choices:
-                raise ValueError(f"{name} must be one of {choices}, "
-                                 f"got {getattr(self, name)!r}")
-        check_numbers(self, positive=("sigma_h2", "alpha_tolerance"),
-                      nonnegative=("seed", "data_seed", "sigma_z2",
-                                   "path_loss_exp", "l2_reg"))
+        check_fields(self, positive=("sigma_h2", "alpha_tolerance"),
+                     nonnegative=("seed", "data_seed", "sigma_z2",
+                                  "path_loss_exp", "l2_reg"))
         groups = 5 * self.C * self.M
         if self.partition == "noniid" and groups < self.num_classes:
             raise ValueError(f"{groups} label groups (5*C*M) cannot cover "
@@ -143,6 +138,10 @@ class ScenarioConfig:
 
     def as_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+# the scenarios in the order airfed run and summarize list them
+SCENARIOS = get_args(ScenarioConfig.__annotations__["scenario"])
 
 
 @dataclass

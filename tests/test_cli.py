@@ -255,6 +255,26 @@ def test_bound_label_must_be_a_file_stem(tmp_path, capsys, label):
     assert not os.path.exists(tmp_path / "sub")
 
 
+def test_manifest_string_keys_must_be_strings(tmp_path, capsys):
+    # str() of a JSON boolean or number would name the CSV True.csv or
+    # 12.5.csv: a string key takes only a JSON string
+    first = str(tmp_path / "first")
+    assert cli.main(["bound", "--config", _write(tmp_path, BOUND),
+                     "--out", first]) == 0
+    manifest = os.path.join(first, "manifest.json")
+    man = json.loads(Path(manifest).read_text())
+    out = tmp_path / "o"
+    for label in (True, 12.5):
+        man["config"]["label"] = label
+        Path(manifest).write_text(json.dumps(man))
+        assert cli.main(["bound", "--config", manifest,
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"airfed: error: {manifest}:0: bad value for 'label': "
+            f"{label!r}\n")
+        assert not out.exists()
+
+
 def test_out_naming_a_file_is_one_line_error(tmp_path, capsys):
     taken = _write(tmp_path, "", "taken")
     for command, text in (("run", SMOKE), ("bound", BOUND)):

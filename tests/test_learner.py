@@ -89,9 +89,6 @@ def test_loss_is_the_loss_of_loss_and_gradient():
         got = learner.loss(theta, data.features, data.labels, l2)
         assert got == learner.loss_and_gradient(theta, data.features,
                                                 data.labels, l2)[0]
-    with pytest.raises(ValueError):
-        learner.loss(learner.zero_model(2, 2), np.empty((0, 2)),
-                     np.empty(0, int))
 
 
 def test_loss_uniform_at_zero_model():
@@ -99,12 +96,6 @@ def test_loss_uniform_at_zero_model():
     loss, _ = learner.loss_and_gradient(learner.zero_model(6, 3),
                                         data.features, data.labels)
     assert loss == pytest.approx(np.log(3))
-
-
-def test_loss_rejects_empty_batch():
-    with pytest.raises(ValueError):
-        learner.loss_and_gradient(learner.zero_model(2, 2),
-                                  np.empty((0, 2)), np.empty(0, int))
 
 
 def test_evaluate_bounds_and_perfect_model():
@@ -117,8 +108,6 @@ def test_evaluate_bounds_and_perfect_model():
         _, g = learner.loss_and_gradient(theta, data.features, data.labels)
         theta -= 0.5 * g
     assert learner.evaluate(theta, data) >= 0.95
-    with pytest.raises(ValueError, match="^test set must be non-empty$"):
-        learner.evaluate(theta, data.subset(slice(0, 0)))
 
 
 def test_partition_iid_shapes_and_disjoint():

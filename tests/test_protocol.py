@@ -1,4 +1,5 @@
 import ast
+import ctypes
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from dataclasses import FrozenInstanceError, fields, replace
-from typing import Optional
+from typing import Literal, Optional, get_args, get_origin
 
 from airfed import bounds, channel, learner, protocol, rng, topology
 from oracles import bound_params_for_run
@@ -61,8 +62,8 @@ def test_config_validation_errors():
 
 
 def _number_cases():
-    """One case per number field of both config types: a float at nan, a
-    seed at -1 and any other int at 0 (K at -1: K = 0 picks 5*M*C)."""
+    """One case per number or choice field of both config types: a float
+    at nan, a seed at -1, any other int at 0 and a Literal at 'bogus'."""
     cases = []
     for build, cls in ((_cfg, protocol.ScenarioConfig),
                        (_params, bounds.BoundParams)):
@@ -74,7 +75,10 @@ def _number_cases():
             elif f.name in ("seed", "data_seed"):
                 value, rule = -1, "nonnegative"
             elif f.type in (int, Optional[int]):
-                value, rule = -1 if f.name == "K" else 0, "a positive integer"
+                value, rule = 0, "a positive integer"
+            elif get_origin(f.type) is Literal:
+                value = "bogus"
+                rule = f"one of {get_args(f.type)}, got {value!r}"
             else:
                 continue
             cases.append(pytest.param(build, f.name, value,
@@ -338,13 +342,11 @@ def _mnist_dir(path, seed):
 def _variants(base):
     """{field: config} with, for every ScenarioConfig field, a valid config
     that differs from base in that field only."""
-    choices = {"scenario": protocol.SCENARIOS, "dataset": protocol.DATASETS,
-               "partition": protocol.PARTITIONS}
     out = {}
     for f in fields(protocol.ScenarioConfig):
         value = getattr(base, f.name)
-        if f.name in choices:
-            candidates = [c for c in choices[f.name] if c != value]
+        if get_origin(f.type) is Literal:
+            candidates = [c for c in get_args(f.type) if c != value]
         elif f.type in (int, Optional[int]):
             candidates = [(value or 0) + 1, (value or 0) + 2]
         elif f.type in (float, Optional[float]):
@@ -460,26 +462,84 @@ def test_load_run_data_leaves_no_threads():
     assert threading.active_count() == before
 
 
+def _openblas_core():
+    """The name of the CPU kernel numpy's bundled OpenBLAS runs (its build
+    is DYNAMIC_ARCH, so it picks one at load time, or takes
+    OPENBLAS_CORETYPE), or None where the library is not found."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*scipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+def _pinned(digests, name):
+    """name's digest under the OpenBLAS kernel this process runs, from
+    digests = {kernel: {name: digest}}; skips where the library is not
+    found or no digest is pinned for its kernel."""
+    core = _openblas_core()
+    if core is None:
+        pytest.skip(_NO_BLAS_SETTER)
+    if core not in digests:
+        pytest.skip(f"no digests pinned for OpenBLAS's {core} kernel")
+    return digests[core][name]
+
+
 # The digests are not in the test ids, so a re-pin keeps the test names.
+# The bits are those of the OpenBLAS kernel the products run on: Haswell
+# and Zen (AVX2) give the same bits, SkylakeX (AVX-512) and Sandybridge
+# (AVX) each give others.
 _GOLDEN_CHECKSUMS = {
-    "hotafl_iid":
-        "41a3e69269c878990a63e966ed71573d525838868cf9e4e4db0e0417451b29a5",
-    "flat_iid":
-        "f7ebc0996d7cf4bb5daa83099e8930566d5884a0b7a9523a8345d70d113b91ba",
-    "ideal_noniid_tau3":
-        "056276e17c4a1efbcfc22023bde053f468b24492348ed873c9f464a8ecf9ccd5",
-    "hotafl_iid_I3":
-        "435b664270bc7a396f5b2789de4914840e22d6969a47b0cfa5d2246e2f17b928",
-    "ideal_noniid_tau3_I2":
-        "d978463b8f029a2a33a4b5ec721ba4a59ec308687cd4197bcd94be789b9f42a8",
+    "SkylakeX": {
+        "hotafl_iid":
+            "41a3e69269c878990a63e966ed71573d525838868cf9e4e4db0e0417451b29a5",
+        "flat_iid":
+            "f7ebc0996d7cf4bb5daa83099e8930566d5884a0b7a9523a8345d70d113b91ba",
+        "ideal_noniid_tau3":
+            "056276e17c4a1efbcfc22023bde053f468b24492348ed873c9f464a8ecf9ccd5",
+        "hotafl_iid_I3":
+            "435b664270bc7a396f5b2789de4914840e22d6969a47b0cfa5d2246e2f17b928",
+        "ideal_noniid_tau3_I2":
+            "d978463b8f029a2a33a4b5ec721ba4a59ec308687cd4197bcd94be789b9f42a8",
+    },
+    "Haswell": {
+        "hotafl_iid":
+            "9e5ae25da5aba73b4b2adfa37e6c05f3d6cec85af79034ec92a588e6b83d72ae",
+        "flat_iid":
+            "27e828095a30cc6775f4ff212f42b8ac75274871171872f8b87bfb6746b2c8c9",
+        "ideal_noniid_tau3":
+            "bf2820b0a8740c5b34b7518b4c8ac2589b8a1a182015b29106e30c3669daca33",
+        "hotafl_iid_I3":
+            "365637d5dfa035df97b454e1fefde175b82da2374283bde8fb1dbf509405a35b",
+        "ideal_noniid_tau3_I2":
+            "c6eddc47156f286874dcff15ab30769d40a9313f7bd039964e0d794583d66d0d",
+    },
+    "Sandybridge": {
+        "hotafl_iid":
+            "847e8344e7695fc896d0cb23c878532f22b6b21dea2b84d6641eb77c219ed806",
+        "flat_iid":
+            "2bf3931a6509ab1a650de6a95a4036e0cecffb5d87ff0296534c6ca51598d360",
+        "ideal_noniid_tau3":
+            "13b47e08af20272eb446b0aa8349a84c9f92cb2e3c9d9062d3696c09dfdb89be",
+        "hotafl_iid_I3":
+            "565aabe281c02ffcef71f02c7fdc0e89de2bc2ebcbc3541adab3c7b862aa1e10",
+        "ideal_noniid_tau3_I2":
+            "f82164f0843329becc6e282e580be690dc2ef93cf11e76dab92fd720d602ac32",
+    },
 }
+_GOLDEN_CHECKSUMS["Zen"] = _GOLDEN_CHECKSUMS["Haswell"]
 
 
-@pytest.mark.parametrize("name", sorted(_GOLDEN_CHECKSUMS))
+@pytest.mark.parametrize("name", sorted(_GOLDEN_CHECKSUMS["SkylakeX"]))
 def test_golden_checksums(name):
     # pinned at 0.7.0; a change here changes every output of the scenario
+    digest = _pinned(_GOLDEN_CHECKSUMS, name)
     cfg = protocol.ScenarioConfig(**_DATA_SHAPE, **_DATA_RUNS[name])
-    assert protocol.run_scenario(cfg).final_checksum == _GOLDEN_CHECKSUMS[name]
+    assert protocol.run_scenario(cfg).final_checksum == digest
 
 
 # One gradient of this shape, 400 * 257 * 10 multiply-adds, reaches
@@ -730,25 +790,47 @@ def _paper_shape():
     return {kw.arg: ast.literal_eval(kw.value) for kw in call.keywords}
 
 
-# README's paper-shape checksums (perfbench's PAPER shape, T=3, seed 1).
-# At 784 features the products' bits hold only with BLAS at one thread.
-_PAPER_CHECKSUMS = {
-    "hotafl": (
-        dict(scenario="hotafl", partition="iid"),
-        "487e5520d8ddd32d992e84112b39cd6bdb8a0b30d02bf50c31cb965df3a81577"),
-    "flat": (
-        dict(scenario="flat_ota", partition="iid"),
-        "23f80e56cd7d7ba518d02104ba1035b516755786a1b438dbaa705fac17bc9888"),
-    "ideal_noniid_tau3": (
-        dict(scenario="ideal_hier", partition="noniid", tau=3),
-        "dd1e4a7ba63bff26bae8e44565d0ca4797e3d0aa48b8ea30280e4fcd95497ee0"),
+# README's paper-shape checksums (perfbench's PAPER shape, T=3, seed 1),
+# keyed by kernel as _GOLDEN_CHECKSUMS is.  At 784 features the products'
+# bits hold only with BLAS at one thread.
+_PAPER_RUNS = {
+    "hotafl": dict(scenario="hotafl", partition="iid"),
+    "flat": dict(scenario="flat_ota", partition="iid"),
+    "ideal_noniid_tau3": dict(scenario="ideal_hier", partition="noniid",
+                              tau=3),
 }
+_PAPER_CHECKSUMS = {
+    "SkylakeX": {
+        "hotafl":
+            "487e5520d8ddd32d992e84112b39cd6bdb8a0b30d02bf50c31cb965df3a81577",
+        "flat":
+            "23f80e56cd7d7ba518d02104ba1035b516755786a1b438dbaa705fac17bc9888",
+        "ideal_noniid_tau3":
+            "dd1e4a7ba63bff26bae8e44565d0ca4797e3d0aa48b8ea30280e4fcd95497ee0",
+    },
+    "Haswell": {
+        "hotafl":
+            "a3f2e7d60ab11656ce42e0bad1f03b1d5aa91e410374fb50bfe18fd0285ed154",
+        "flat":
+            "0e54a3a8a2bbd440ce484e89662006526673b0fda14258c543fb760376f5a3ba",
+        "ideal_noniid_tau3":
+            "dd3f10a0fe9d3c6ae5d479f498768e6cd4f5e50d63d9831bfb5100efbe9c668f",
+    },
+    "Sandybridge": {
+        "hotafl":
+            "21eb8542ddf8d47789af56717211e0b8d0f9d8abeab85cc10eb227d2b9e15d8e",
+        "flat":
+            "f34e13364f8e2891b8f3756ed0b637d75f6420775af94d0f9c4744e19e423c81",
+        "ideal_noniid_tau3":
+            "c29bc43096298fba93b576b56ad4f03c60585b7327bd20e471303c5cc17b1998",
+    },
+}
+_PAPER_CHECKSUMS["Zen"] = _PAPER_CHECKSUMS["Haswell"]
 
 
-@pytest.mark.parametrize("name", sorted(_PAPER_CHECKSUMS))
+@pytest.mark.parametrize("name", sorted(_PAPER_RUNS))
 def test_paper_shape_checksums(name):
-    if learner._openblas_threads() is None:
-        pytest.skip(_NO_BLAS_SETTER)
-    run, digest = _PAPER_CHECKSUMS[name]
-    cfg = protocol.ScenarioConfig(**_paper_shape(), **run, T=3, seed=1)
+    digest = _pinned(_PAPER_CHECKSUMS, name)
+    cfg = protocol.ScenarioConfig(**_paper_shape(), **_PAPER_RUNS[name],
+                                  T=3, seed=1)
     assert protocol.run_scenario(cfg).final_checksum == digest
