@@ -13,7 +13,7 @@ the run (the same at zero slopes).  Oracle callers pass the run's t as a.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,14 +24,14 @@ Y_TERMS = ("signal_distortion", "interference", "noise",
            "drift_curvature", "drift_variance", "drift_heterogeneity")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundParams:
-    """Everything the bound recursion needs.
+    """Everything the bound recursion needs, checked when built.
 
-    betas has shape (C, M).  protocol.run_plan maps a run's scenario onto
-    C, M, I, the betas and the power schedule.  Schedules follow
-    eta(a) = max(lr_base - lr_slope*a, 0) and P(a) = power_base +
-    power_slope*a with 1-based a.
+    betas has shape (C, M); a read-only float64 copy is kept, and C and M
+    are read from its shape.  protocol.run_plan maps a run's scenario onto
+    C, M, I, the betas and the power schedule.  Schedules: eta(a) =
+    max(lr_base - lr_slope*a, 0), P(a) = power_base + power_slope*a, a >= 1.
     """
 
     L: float
@@ -52,15 +52,15 @@ class BoundParams:
     power_base: float = 1.0
     power_slope: float = 0.0
     label: str = ""
-    M: int = field(init=False)
-    C: int = field(init=False)
 
     def __post_init__(self):
-        self.betas = np.atleast_2d(np.asarray(self.betas, dtype=np.float64))
-        if self.betas.size == 0 \
-                or not np.all((self.betas > 0) & np.isfinite(self.betas)):
+        betas = np.array(self.betas, dtype=np.float64, ndmin=2)
+        if betas.ndim != 2:
+            raise ValueError(f"betas must be 2-D (C, M), got {betas.shape}")
+        if betas.size == 0 or not np.all((betas > 0) & np.isfinite(betas)):
             raise ValueError("betas must be non-empty, positive and finite")
-        self.C, self.M = self.betas.shape
+        betas.flags.writeable = False
+        object.__setattr__(self, "betas", betas)
         protocol.check_fields(
             self, positive=("L", "mu", "G2", "init_dist", "sigma_h2"),
             nonnegative=("Gamma", "sigma_z2"))
@@ -74,6 +74,14 @@ class BoundParams:
             raise ValueError(f"label must be a plain file stem (letters, "
                              f"digits, '_', '-', '.', no leading '.'), "
                              f"got {self.label!r}")
+
+    @property
+    def C(self) -> int:
+        return self.betas.shape[0]
+
+    @property
+    def M(self) -> int:
+        return self.betas.shape[1]
 
     @property
     def beta_bar(self) -> np.ndarray:

@@ -91,15 +91,15 @@ def _typed(hint, key, item, path):
 
 
 def _from_fields(cls, kv, path):
-    """A cls instance from {key: (value, line)}, keyed by cls's init fields."""
+    """A cls instance from {key: (value, line)}, keyed by cls's fields."""
     hints = typing.get_type_hints(cls)
-    init = {f.name: f for f in fields(cls) if f.init}
+    known = {f.name: f for f in fields(cls)}
     args = {}
     for key, item in kv.items():
-        if key not in init:
+        if key not in known:
             raise ConfigError(f"{path}:{item[1]}: unknown key {key!r}")
         args[key] = _typed(hints[key], key, item, path)
-    missing = [name for name, f in init.items() if name not in args
+    missing = [name for name, f in known.items() if name not in args
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigError(f"{path}: missing required keys {missing}")
@@ -171,9 +171,8 @@ def parse_config(path):
 
 
 def _write_manifest(out_dir, kind, cfg, outputs, start, **runs):
-    """manifest.json: cfg's init fields, outputs, runtime since start and,
-    for a run, its seeds and scenarios."""
-    config = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.init}
+    """manifest.json: cfg, outputs, runtime and a run's seeds and scenarios."""
+    config = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
     payload = {"kind": kind, "tool_version": __version__, "config": config,
                "outputs": outputs,
                "runtime_seconds": round(time.time() - start, 3), **runs}

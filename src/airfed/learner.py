@@ -211,18 +211,19 @@ def _cpu_count():
 
 
 @functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS that numpy's wheels
-    bundle in numpy.libs (scipy-openblas), or None when it is not found.
-    Opening the file numpy already loaded returns that same library."""
+def _openblas():
+    """numpy's bundled OpenBLAS (scipy-openblas, in numpy.libs) when it has
+    the thread-count getter and setter, else None.  Opening the file numpy
+    already loaded returns that same library."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*scipy_openblas*"))):
         try:
             lib = ctypes.CDLL(path)
-            return (lib.scipy_openblas_get_num_threads64_,
-                    lib.scipy_openblas_set_num_threads64_)
-        except (OSError, AttributeError):
+        except OSError:
             continue
+        if hasattr(lib, "scipy_openblas_get_num_threads64_") \
+                and hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return lib
     return None
 
 
@@ -232,17 +233,16 @@ def blas_single_thread():
     it had, also on an exception.  Without that library BLAS is left as it
     is.  At one thread a matrix product's bits do not depend on the core
     count, and concurrent SGD calls do not oversubscribe the CPUs."""
-    api = _openblas_threads()
-    if api is None:
+    lib = _openblas()
+    if lib is None:
         yield
         return
-    get, set_threads = api
-    before = get()
-    set_threads(1)
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
     try:
         yield
     finally:
-        set_threads(before)
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 # One gradient's multiply-adds (batch_size * (feature_dim + 1) *
@@ -263,7 +263,7 @@ def sgd_workers(n_users: int, batch_size: int, feature_dim: int,
     when BLAS can be held at one thread and one gradient reaches
     SGD_POOL_MIN_MACS, else 1 (the calls run on one worker thread)."""
     macs = batch_size * model_dim(feature_dim, num_classes)
-    if _openblas_threads() is None or macs < SGD_POOL_MIN_MACS:
+    if _openblas() is None or macs < SGD_POOL_MIN_MACS:
         return 1
     return min(_cpu_count(), n_users)
 

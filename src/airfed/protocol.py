@@ -45,17 +45,16 @@ def lr_schedule(t, base, slope) -> float:
 def check_fields(cfg, positive=(), nonnegative=()):
     """Checks of a config dataclass's fields, by their types.
 
-    A Literal field must hold one of its choices, every float field must
-    be finite and every int field at least 1, except that the fields named
-    in positive must be > 0 and those in nonnegative >= 0.  None values of
-    the other fields and init=False fields are skipped.
+    A Literal field must hold one of its choices, a float be finite and an
+    int at least 1, except that the fields in positive must be > 0 and those
+    in nonnegative >= 0.  A None passes every check but the Literal one.
     """
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if get_origin(f.type) is Literal and value not in get_args(f.type):
             raise ValueError(f"{f.name} must be one of {get_args(f.type)}, "
                              f"got {value!r}")
-        if value is None or not f.init:
+        if value is None:
             continue
         if f.type in (float, Optional[float]) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite")

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,27 @@ def _params(**kw):
                 power_base=1.0, power_slope=0.01)
     base.update(kw)
     return bounds.BoundParams(**base)
+
+
+def test_params_are_a_checked_value():
+    # the params keep their own read-only betas and cannot be changed
+    # after the check, so a later write cannot reach the bound
+    b = np.full((4, 5), 3.0)
+    p = _params(betas=b)
+    b[0, 0] = -5.0
+    assert p.betas[0, 0] == 3.0 and not np.shares_memory(p.betas, b)
+    with pytest.raises(ValueError, match="read-only"):
+        p.betas[0, 0] = 1.0
+    for name, value in (("lr_base", 5.0), ("T", 0), ("betas", b)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(p, name, value)
+    with pytest.raises(ValueError, match="^T must be a positive integer$"):
+        replace(p, T=0)
+    assert (p.C, p.M) == b.shape
+    # a 1-D betas is one cluster, as before; more dimensions are refused
+    assert _params(betas=np.full(5, 3.0)).betas.shape == (1, 5)
+    with pytest.raises(ValueError, match=r"^betas must be 2-D \(C, M\), "):
+        _params(betas=np.full((1, 4, 5), 3.0))
 
 
 def test_a1_equal_beta_cluster():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -558,11 +559,32 @@ def test_bound_command_and_rerun(tmp_path):
     assert rows[0].split(",")[2] == "hotafl_bound"
     man = json.loads(Path(out1, "manifest.json").read_text())
     assert sorted(man["config"]) == sorted(
-        f.name for f in dataclasses.fields(bounds.BoundParams) if f.init)
+        f.name for f in dataclasses.fields(bounds.BoundParams))
     assert cli.main(["bound", "--config", os.path.join(out1, "manifest.json"),
                      "--out", out2]) == 0
     assert Path(csv_path).read_bytes() == \
         Path(out2, "hotafl_bound.csv").read_bytes()
+
+
+# sha256 of each shipped Figure-4 bound's CSV.  The bound takes no BLAS
+# product, so its bits do not depend on OpenBLAS's kernel.
+_FIG4_BOUND_SHA256 = {
+    "hotafl":
+        "d37783572139d4caca45dc80bf2a2bc5102b060d941b97ef92ef8600ec28b226",
+    "hotafl_I5":
+        "4d7ab582cd1c6bb6138b29ebd7f9ba0e08554529aff067324252c5f43c0fd9f3",
+    "flat":
+        "d36889c3cefcc039f8c55c35cc76bafe3e615517733bd5b152fbd4679d86158f",
+}
+
+
+@pytest.mark.parametrize("name", _FIG4_BOUND_SHA256)
+def test_fig4_bound_csvs_are_pinned(tmp_path, name):
+    cfg = Path(__file__).parent.parent / "configs" / f"bound_fig4_{name}.cfg"
+    assert cli.main(["bound", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+    csv = (tmp_path / f"{name}_bound.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == _FIG4_BOUND_SHA256[name]
 
 
 def _shipped(tmp_path, name, changes, stem="cfg"):
@@ -621,7 +643,7 @@ def test_noiseless_bound_does_not_read_the_power(tmp_path):
 
 def _float_fields(cls):
     return [f.name for f in dataclasses.fields(cls)
-            if f.init and f.type in (float, Optional[float])]
+            if f.type in (float, Optional[float])]
 
 
 @pytest.mark.parametrize("command, name, fields", (

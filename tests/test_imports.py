@@ -105,8 +105,7 @@ def test_every_scenario_option_is_read():
     read = set()
     for path in PACKAGE.glob("*.py"):
         read |= _attribute_reads(ast.parse(path.read_text(encoding="utf-8")))
-    unread = [f.name for f in fields(ScenarioConfig)
-              if f.init and f.name not in read]
+    unread = [f.name for f in fields(ScenarioConfig) if f.name not in read]
     assert unread == []
 
 

@@ -68,8 +68,6 @@ def _number_cases():
     for build, cls in ((_cfg, protocol.ScenarioConfig),
                        (_params, bounds.BoundParams)):
         for f in fields(cls):
-            if not f.init:
-                continue
             if f.type in (float, Optional[float]):
                 value, rule = float("nan"), "finite"
             elif f.name in ("seed", "data_seed"):
@@ -465,16 +463,13 @@ def test_load_run_data_leaves_no_threads():
 def _openblas_core():
     """The name of the CPU kernel numpy's bundled OpenBLAS runs (its build
     is DYNAMIC_ARCH, so it picks one at load time, or takes
-    OPENBLAS_CORETYPE), or None where the library is not found."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("*scipy_openblas*")):
-        try:
-            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
-    return None
+    OPENBLAS_CORETYPE), or None where learner does not find the library."""
+    lib = learner._openblas()
+    if lib is None:
+        return None
+    corename = lib.scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
 
 
 def _pinned(digests, name):
@@ -557,7 +552,7 @@ _NO_BLAS_SETTER = "numpy's bundled OpenBLAS thread setter not found"
     ("hotafl", _DATA_SHAPE)], ids=["hotafl", "ideal_hier", "one_worker"])
 def test_outputs_independent_of_worker_count(scenario, shape, monkeypatch):
     cfg = protocol.ScenarioConfig(scenario=scenario, **shape)
-    pinned = learner._openblas_threads() is not None
+    pinned = learner._openblas() is not None
     pooled = pinned and shape is _POOL_SHAPE
     caller = threading.get_ident()
     threads = set()     # the threads of every SGD, scoring and uplink call
@@ -600,7 +595,7 @@ def test_stalled_worker_holds_up_one_user(monkeypatch):
     # The first user of the one local step stalls until every other user
     # is trained: the other worker must take all C*M - 1 of them.  A fixed
     # split of the users over the two workers never finishes them.
-    if learner._openblas_threads() is None:
+    if learner._openblas() is None:
         pytest.skip(_NO_BLAS_SETTER)
     monkeypatch.setattr(learner, "_cpu_count", lambda: 2)
     cfg = protocol.ScenarioConfig(scenario="ideal_hier",
@@ -695,10 +690,11 @@ def test_scores_lag_without_changing_the_first_error(monkeypatch):
 
 
 def test_run_holds_blas_at_one_thread_and_restores_it(monkeypatch):
-    api = learner._openblas_threads()
-    if api is None:
+    lib = learner._openblas()
+    if lib is None:
         pytest.skip(_NO_BLAS_SETTER)
-    get, set_threads = api
+    get = lib.scipy_openblas_get_num_threads64_
+    set_threads = lib.scipy_openblas_set_num_threads64_
     seen = []
     evaluate = learner.evaluate
 
@@ -720,7 +716,7 @@ def test_run_holds_blas_at_one_thread_and_restores_it(monkeypatch):
             protocol.run_scenario(blowup)
         assert get() == 2
         # without the setter the run leaves BLAS as it is
-        monkeypatch.setattr(learner, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(learner, "_openblas", lambda: None)
         seen.clear()
         protocol.run_scenario(cfg)
         assert seen == [2, 2] and get() == 2
@@ -763,7 +759,7 @@ print(m.final_checksum)
 def test_paper_width_outputs_independent_of_blas_threads(tmp_path):
     # 784 features and batch 500: above OpenBLAS's threading threshold, so
     # without the pin the products' bits depend on the thread count
-    if learner._openblas_threads() is None:
+    if learner._openblas() is None:
         pytest.skip(_NO_BLAS_SETTER)
     src = os.path.dirname(os.path.dirname(protocol.__file__))
     outs = []
