@@ -12,6 +12,7 @@ eta(a - 1) and P(a - 1): the bound reads each schedule one index ahead of
 the run (the same at zero slopes).  Oracle callers pass the run's t as a.
 """
 
+import numbers
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -24,13 +25,14 @@ Y_TERMS = ("signal_distortion", "interference", "noise",
            "drift_curvature", "drift_variance", "drift_heterogeneity")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundParams:
     """Everything the bound recursion needs, checked when built.
 
-    betas has shape (C, M); a read-only float64 copy is kept, and C and M
-    are read from its shape.  protocol.run_plan maps a run's scenario onto
-    C, M, I, the betas and the power schedule.  Schedules: eta(a) =
+    betas holds real numbers, not bools, in shape (C, M); a read-only
+    float64 copy is kept, C and M are its shape, and params compare by
+    identity.  protocol.run_plan maps a run's scenario onto C, M, I, the
+    betas and the power schedule.  Schedules: eta(a) =
     max(lr_base - lr_slope*a, 0), P(a) = power_base + power_slope*a, a >= 1.
     """
 
@@ -54,6 +56,9 @@ class BoundParams:
     label: str = ""
 
     def __post_init__(self):
+        if not all(isinstance(b, numbers.Real) and not isinstance(b, bool)
+                   for b in np.asarray(self.betas, dtype=object).flat):
+            raise ValueError(f"betas must be real numbers, got {self.betas!r}")
         betas = np.array(self.betas, dtype=np.float64, ndmin=2)
         if betas.ndim != 2:
             raise ValueError(f"betas must be 2-D (C, M), got {betas.shape}")

@@ -60,45 +60,31 @@ def _read_kv(path):
 
 
 def _typed(hint, key, item, path):
-    """A (value, line) item as the type of its dataclass annotation.
-
-    Optional is unwrapped (None stays None), a str or Literal takes only
-    strings (the config checks a Literal's choice), np.ndarray means a 2-D
-    float64 array, a number or array entry is never a JSON boolean, and an
-    int takes only integral values (int() would truncate).
-    """
+    """A (value, line) item's value, text read by its field's annotation
+    hint: a number for an int or float field (Optional unwrapped), a bad
+    value for betas, text for any other.  A value that is not text, such as
+    a manifest's JSON number, passes as it is, for the config to check."""
     val, lineno = item
-    if typing.get_origin(hint) is typing.Union:
-        if val is None:
-            return None
-        hint = next(a for a in typing.get_args(hint) if a is not type(None))
-    if typing.get_origin(hint) is typing.Literal:
-        hint = str
+    if typing.get_origin(hint) is typing.Union:     # Optional[X]
+        hint = typing.get_args(hint)[0]
+    if not isinstance(val, str) or hint not in (int, float, np.ndarray):
+        return val
     try:
-        if hint is np.ndarray:
-            arr = np.asarray(val, dtype=np.float64)
-            entries = np.asarray(val, dtype=object).ravel()
-            if arr.ndim == 2 and not any(isinstance(v, bool) for v in entries):
-                return arr
-        elif not (hint is str and not isinstance(val, str)
-                  or hint in (int, float) and isinstance(val, bool)
-                  or hint is int and isinstance(val, float)
-                  and not val.is_integer()):
+        if hint is not np.ndarray:
             return hint(val)
-    except (TypeError, ValueError):
+    except ValueError:
         pass
     raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {val!r}")
 
 
 def _from_fields(cls, kv, path):
     """A cls instance from {key: (value, line)}, keyed by cls's fields."""
-    hints = typing.get_type_hints(cls)
     known = {f.name: f for f in fields(cls)}
     args = {}
     for key, item in kv.items():
         if key not in known:
             raise ConfigError(f"{path}:{item[1]}: unknown key {key!r}")
-        args[key] = _typed(hints[key], key, item, path)
+        args[key] = _typed(known[key].type, key, item, path)
     missing = [name for name, f in known.items() if name not in args
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
@@ -128,14 +114,14 @@ def _bound_from_dict(kv, path):
         missing = [k for k in ("beta", "C", "M") if k not in kv]
         if missing:
             raise ConfigError(f"{path}: missing required keys {missing}")
-        beta = _typed(float, "beta", kv["beta"], path)
-        C = _typed(int, "C", kv["C"], path)
-        M = _typed(int, "M", kv["M"], path)
-        if beta <= 0 or C < 1 or M < 1:
-            raise ConfigError(f"{path}: beta, C and M must be positive")
-        betas = (np.full((C, M), beta), kv["beta"][1])
-        kv = {k: v for k, v in kv.items() if k not in short}
-        kv["betas"] = betas
+        beta, C, M = (_typed(hint, k, kv[k], path) for k, hint in
+                      (("beta", float), ("C", int), ("M", int)))
+        # BoundParams checks beta in every entry; [x] * True would be [x]
+        if not all(type(n) is int and n >= 1 for n in (C, M)):
+            raise ConfigError(f"{path}: C and M must be positive integers, "
+                              f"got {C!r} and {M!r}")
+        kv = {**{k: v for k, v in kv.items() if k not in short},
+              "betas": ([[beta] * M] * C, kv["beta"][1])}
     return _from_fields(bounds.BoundParams, kv, path)
 
 
@@ -248,7 +234,6 @@ def _cmd_run(args):
     os.makedirs(args.out, exist_ok=True)
 
     outputs = []
-    run_csvs = []
     for run_cfg in runs:
         try:
             metrics = protocol.run_scenario(run_cfg)
@@ -258,9 +243,9 @@ def _cmd_run(args):
         name = f"{run_cfg.scenario}_seed{run_cfg.seed}.csv"
         metrics.to_csv(os.path.join(args.out, name))
         outputs.append(name)
-        run_csvs.append(os.path.join(args.out, name))
-    if len(run_csvs) > 1:
-        summarize(run_csvs, os.path.join(args.out, "summary.csv"))
+    if len(outputs) > 1:
+        summarize([os.path.join(args.out, name) for name in outputs],
+                  os.path.join(args.out, "summary.csv"))
         outputs.append("summary.csv")
 
     _write_manifest(args.out, "run", cfg, outputs, start, seeds=seeds,

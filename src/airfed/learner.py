@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Feature matrix plus integer labels in [0, num_classes), one per row,
     held as the producer (make_synthetic, load_mnist, subset) built them.

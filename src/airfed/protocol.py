@@ -13,12 +13,13 @@ why neither the loop order nor the worker count changes the outputs.
 
 import hashlib
 import math
+import numbers
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from typing import Literal, Optional, get_args, get_origin
+from typing import Literal, Optional, Union, get_args, get_origin
 
 import numpy as np
 
@@ -43,20 +44,29 @@ def lr_schedule(t, base, slope) -> float:
 
 
 def check_fields(cfg, positive=(), nonnegative=()):
-    """Checks of a config dataclass's fields, by their types.
-
-    A Literal field must hold one of its choices, a float be finite and an
-    int at least 1, except that the fields in positive must be > 0 and those
-    in nonnegative >= 0.  A None passes every check but the Literal one.
-    """
+    """Checks of a config dataclass's fields by their annotations: an int
+    takes an integer and a float a finite real number (neither a bool), a
+    str a string, a Literal one of its choices and None only an Optional.
+    An int must be at least 1, except that the fields in positive must be
+    > 0 and those in nonnegative >= 0.  Other types are the class's own."""
+    kinds = {int: ("an integer", numbers.Integral),
+             float: ("a real number", numbers.Real), str: ("a string", str)}
     for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if get_origin(f.type) is Literal and value not in get_args(f.type):
-            raise ValueError(f"{f.name} must be one of {get_args(f.type)}, "
-                             f"got {value!r}")
-        if value is None:
+        value, kind = getattr(cfg, f.name), f.type
+        if get_origin(kind) is Union:      # Optional[X] is Union[X, None]
+            if value is None:
+                continue
+            kind = get_args(kind)[0]
+        if get_origin(kind) is Literal:
+            what, ok = f"one of {get_args(kind)}", value in get_args(kind)
+        elif kind in kinds:
+            what, of = kinds[kind]
+            ok = isinstance(value, of) and not isinstance(value, bool)
+        else:
             continue
-        if f.type in (float, Optional[float]) and not math.isfinite(value):
+        if not ok:
+            raise ValueError(f"{f.name} must be {what}, got {value!r}")
+        if kind is float and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite")
         if f.name in positive:
             if value <= 0:
@@ -64,7 +74,7 @@ def check_fields(cfg, positive=(), nonnegative=()):
         elif f.name in nonnegative:
             if value < 0:
                 raise ValueError(f"{f.name} must be nonnegative")
-        elif f.type in (int, Optional[int]) and value < 1:
+        elif kind is int and value < 1:
             raise ValueError(f"{f.name} must be a positive integer")
 
 
@@ -103,12 +113,14 @@ class ScenarioConfig:
     l2_reg: float = 0.0
 
     def __post_init__(self):
-        if self.K is None:
-            object.__setattr__(self, "K", 5 * self.M * self.C)
-        if self.flat_power_base is None:
-            object.__setattr__(self, "flat_power_base", self.power_base)
-        if self.flat_power_slope is None:
-            object.__setattr__(self, "flat_power_slope", self.power_slope)
+        check_fields(self, positive=("sigma_h2", "alpha_tolerance"),
+                     nonnegative=("seed", "data_seed", "sigma_z2",
+                                  "path_loss_exp", "l2_reg"))
+        for name, default in (("K", 5 * self.M * self.C),
+                              ("flat_power_base", self.power_base),
+                              ("flat_power_slope", self.power_slope)):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         self.validate()
 
     @property
@@ -116,9 +128,6 @@ class ScenarioConfig:
         return self.seed if self.data_seed is None else self.data_seed
 
     def validate(self):
-        check_fields(self, positive=("sigma_h2", "alpha_tolerance"),
-                     nonnegative=("seed", "data_seed", "sigma_z2",
-                                  "path_loss_exp", "l2_reg"))
         groups = 5 * self.C * self.M
         if self.partition == "noniid" and groups < self.num_classes:
             raise ValueError(f"{groups} label groups (5*C*M) cannot cover "

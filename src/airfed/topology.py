@@ -22,7 +22,7 @@ IS_DIST_LO, IS_DIST_HI = 0.5, 1.0
 PS_DIST_LO, PS_DIST_HI = 0.5, 3.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemTopology:
     """Immutable cluster/user geometry with derived fading coefficients.
 
@@ -30,7 +30,7 @@ class SystemTopology:
     d_ps holds the C*M distances of the users to the PS, flat index
     c*M + m.  beta (C, M) and ps_beta (C*M,) are the gains d**-p of the
     user-to-IS and user-to-PS links; a gain that is not finite (d**-p
-    overflows at a large path_loss_exp) raises ValueError.
+    overflows at a large path_loss_exp) raises ValueError.  Compared by id.
     """
 
     d_is: np.ndarray

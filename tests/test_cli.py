@@ -187,8 +187,8 @@ def test_parse_bound_rejects_bad_values(tmp_path):
     with pytest.raises(cli.ConfigError, match=r"cfg.txt: betas must"):
         cli.parse_config(_write(tmp_path, BOUND.replace("beta = 3",
                                                         "beta = inf")))
-    with pytest.raises(cli.ConfigError,
-                       match=r"cfg.txt: beta, C and M must be positive$"):
+    with pytest.raises(cli.ConfigError, match=r"cfg.txt: C and M must be "
+                       r"positive integers, got -1 and 5$"):
         cli.parse_config(_write(tmp_path, BOUND.replace("C = 4", "C = -1")))
     # a manifest float is not truncated into an int field
     out = str(tmp_path / "a")
@@ -198,7 +198,9 @@ def test_parse_bound_rejects_bad_values(tmp_path):
     man = json.loads(Path(man_path).read_text())
     man["config"]["N"] = 3925.7
     Path(man_path).write_text(json.dumps(man))
-    with pytest.raises(cli.ConfigError, match=r"manifest.json:0: .*'N'"):
+    with pytest.raises(cli.ConfigError,
+                       match=r"manifest.json: N must be an integer, "
+                       r"got 3925.7$"):
         cli._load_config(man_path, "bound")
     for bad in ([1], {"kind": "bound", "config": [1]}, {"kind": "run"}):
         Path(man_path).write_text(json.dumps(bad))
@@ -271,8 +273,8 @@ def test_manifest_string_keys_must_be_strings(tmp_path, capsys):
         assert cli.main(["bound", "--config", manifest,
                          "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            f"airfed: error: {manifest}:0: bad value for 'label': "
-            f"{label!r}\n")
+            f"airfed: error: {manifest}: label must be a string, "
+            f"got {label!r}\n")
         assert not out.exists()
 
 
@@ -371,20 +373,29 @@ _BOOL_BETAS = [[True] + [3.0] * 4] + [[3.0] * 5] * 3
     ("run", "top", "seeds", [3, 3], ": seeds must not repeat, got [3, 3]"),
     ("run", "top", "scenarios", ["flat", "flat_ota"],
      ": scenarios name 'flat_ota' twice"),
-    ("run", "config", "T", True, ":0: bad value for 'T': True"),
+    ("run", "config", "T", True, ": T must be an integer, got True"),
     ("run", "config", "sigma_z2", False,
-     ":0: bad value for 'sigma_z2': False"),
+     ": sigma_z2 must be a real number, got False"),
     ("bound", "config", "betas", [[]],
      ": betas must be non-empty, positive and finite"),
     ("bound", "config", "betas", _BOOL_BETAS,
-     f":0: bad value for 'betas': {_BOOL_BETAS!r}"),
+     f": betas must be real numbers, got {_BOOL_BETAS!r}"),
+    # a text config refuses T = 4.0, and so does a manifest
+    ("run", "config", "T", 4.0, ": T must be an integer, got 4.0"),
+    # beta, C and M in place of betas, C not an integer
+    ("bound", "shorthand", None, {"beta": 3, "C": 2.5, "M": 5},
+     ": C and M must be positive integers, got 2.5 and 5"),
+    # beta is one gain, not a row to broadcast
+    ("bound", "shorthand", None, {"beta": [3, 3], "C": 1, "M": 2},
+     ": betas must be 2-D (C, M), got (1, 2, 2)"),
     # options retired by 0.2.0, which 0.1.x manifests carry at their default
     ("run", "config", "optimizer", "sgd", ":0: unknown key 'optimizer'"),
     ("run", "config", "eval_train_samples", 2000,
      ":0: unknown key 'eval_train_samples'"),
 ], ids=["empty", "string", "float", "bool", "scenarios-int", "seeds-repeat",
         "scenarios-repeat", "T-bool", "sigma_z2-bool", "betas-empty",
-        "betas-bool", "retired-optimizer", "retired-eval_train_samples"])
+        "betas-bool", "retired-optimizer", "retired-eval_train_samples",
+        "T-float", "shorthand-C-float", "shorthand-beta-list"])
 def test_manifest_rejects_bad_seeds_and_scenarios(tmp_path, capsys, command,
                                                   place, key, val, reason):
     text, only = (SMOKE, ["--scenarios", "ideal"]) if command == "run" \
@@ -394,7 +405,11 @@ def test_manifest_rejects_bad_seeds_and_scenarios(tmp_path, capsys, command,
                      "--out", first, *only]) == 0
     manifest = os.path.join(first, "manifest.json")
     man = json.loads(Path(manifest).read_text())
-    (man if place == "top" else man["config"])[key] = val
+    if place == "shorthand":
+        del man["config"]["betas"]
+        man["config"].update(val)
+    else:
+        (man if place == "top" else man["config"])[key] = val
     Path(manifest).write_text(json.dumps(man))
     out = str(tmp_path / "o")
     assert cli.main([command, "--config", manifest, "--out", out]) == 1
@@ -543,6 +558,29 @@ def test_manifest_rerun_byte_identical(tmp_path):
             a = Path(out1, name).read_bytes()
             b = Path(out2, name).read_bytes()
             assert a == b, name
+
+
+def test_manifest_json_integers_keep_the_bits(tmp_path):
+    # a JSON 1 in a float field reaches the run as the int 1, not 1.0, and
+    # the run writes the same bytes
+    smoke = Path(__file__).parent.parent / "configs" / "synthetic_smoke.cfg"
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["run", "--config", str(smoke), "--out", str(out1)]) == 0
+    manifest = out1 / "manifest.json"
+    man = json.loads(manifest.read_text())
+    whole = [key for key, val in man["config"].items()
+             if type(val) is float and val.is_integer()]
+    assert {"sigma_h2", "sigma_z2", "power_base"} <= set(whole)
+    man["config"].update({key: int(man["config"][key]) for key in whole})
+    manifest.write_text(json.dumps(man))
+    cfg, _ = cli._load_config(str(manifest), "run")
+    assert all(type(getattr(cfg, key)) is int for key in whole)
+    assert cli.main(["run", "--config", str(manifest),
+                     "--out", str(out2)]) == 0
+    csvs = sorted(p.name for p in out1.glob("*.csv"))
+    assert len(csvs) == 4
+    for name in csvs:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_bound_command_and_rerun(tmp_path):

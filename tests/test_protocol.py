@@ -61,9 +61,29 @@ def test_config_validation_errors():
     _cfg(scenario="ideal_hier", feature_dim=8, num_classes=3)
 
 
+def _wrong_types(f):
+    """(value, rule) cases of a value of the wrong type for field f: an int
+    at 2.5 and True, a float at True and '1', a str or Literal at 3, betas
+    at a bool entry and text, and a field that is not Optional at None."""
+    kind = get_args(f.type)[0] if f.type in (Optional[int],
+                                            Optional[float]) else f.type
+    if get_origin(kind) is Literal:
+        rule, values = f"one of {get_args(kind)}", [3]
+    else:
+        rule, values = {
+            int: ("an integer", [2.5, True]),
+            float: ("a real number", [True, "1"]),
+            str: ("a string", [3]),
+            np.ndarray: ("real numbers", [[[True, 3.0]], "3"])}[kind]
+    if kind is f.type:
+        values.append(None)
+    return [(v, f"{rule}, got {v!r}") for v in values]
+
+
 def _number_cases():
     """One case per number or choice field of both config types: a float
-    at nan, a seed at -1, any other int at 0 and a Literal at 'bogus'."""
+    at nan, a seed at -1, any other int at 0 and a Literal at 'bogus'; and
+    the _wrong_types cases of every field."""
     cases = []
     for build, cls in ((_cfg, protocol.ScenarioConfig),
                        (_params, bounds.BoundParams)):
@@ -78,10 +98,15 @@ def _number_cases():
                 value = "bogus"
                 rule = f"one of {get_args(f.type)}, got {value!r}"
             else:
-                continue
-            cases.append(pytest.param(build, f.name, value,
-                                      f"{f.name} must be {rule}",
-                                      id=f"{cls.__name__}-{f.name}"))
+                value = None
+            if value is not None:
+                cases.append(pytest.param(build, f.name, value,
+                                          f"{f.name} must be {rule}",
+                                          id=f"{cls.__name__}-{f.name}"))
+            for value, rule in _wrong_types(f):
+                cases.append(pytest.param(
+                    build, f.name, value, f"{f.name} must be {rule}",
+                    id=f"{cls.__name__}-{f.name}={value!r}"))
     return cases
 
 
@@ -90,6 +115,27 @@ def test_every_number_field_is_range_checked(build, name, value, message):
     with pytest.raises(ValueError) as err:
         build(**{name: value})
     assert str(err.value) == message
+
+
+def test_optional_fields_take_none():
+    cfg = _cfg(K=None, flat_power_base=None, flat_power_slope=None,
+               data_seed=None)
+    assert (cfg.K, cfg.flat_power_base, cfg.data_seed) == (20, 1.0, None)
+
+
+def test_array_holding_values_compare_by_identity():
+    # an array field has no one truth value: the generated __eq__ raised
+    # and hash() failed, so these compare and hash as objects
+    p = _params()
+    topo = protocol.build_topology(_cfg())
+    data = learner.Dataset(np.zeros((2, 3), np.float32),
+                           np.zeros(2, np.int64), 2)
+    for value in (p, topo, data):
+        copy = replace(value)
+        assert value == value and value != copy
+        assert hash(value) == hash(value) and len({value, copy}) == 2
+    # a run config keeps its value equality
+    assert _cfg() == _cfg() and hash(_cfg()) == hash(_cfg())
 
 
 def test_config_checked_when_built_and_frozen():
