@@ -42,7 +42,7 @@ def _read(path, parse=str):
 
 
 def _read_kv(path):
-    """Ordered {key: (raw value, line number)} from a key=value file."""
+    """Ordered {key: (raw value, "path:line")} from a key=value file."""
     out = {}
     for lineno, raw in enumerate(_read(path).split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
@@ -55,16 +55,16 @@ def _read_kv(path):
         key, val = key.strip(), val.strip()
         if key in out:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        out[key] = (val, lineno)
+        out[key] = (val, f"{path}:{lineno}")
     return out
 
 
-def _typed(hint, key, item, path):
-    """A (value, line) item's value, text read by its field's annotation
+def _typed(hint, key, item):
+    """A (value, where) item's value, text read by its field's annotation
     hint: a number for an int or float field (Optional unwrapped), a bad
     value for betas, text for any other.  A value that is not text, such as
     a manifest's JSON number, passes as it is, for the config to check."""
-    val, lineno = item
+    val, where = item
     if typing.get_origin(hint) is typing.Union:     # Optional[X]
         hint = typing.get_args(hint)[0]
     if not isinstance(val, str) or hint not in (int, float, np.ndarray):
@@ -74,17 +74,17 @@ def _typed(hint, key, item, path):
             return hint(val)
     except ValueError:
         pass
-    raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {val!r}")
+    raise ConfigError(f"{where}: bad value for {key!r}: {val!r}")
 
 
 def _from_fields(cls, kv, path):
-    """A cls instance from {key: (value, line)}, keyed by cls's fields."""
+    """A cls instance from {key: (value, where)}, keyed by cls's fields."""
     known = {f.name: f for f in fields(cls)}
     args = {}
     for key, item in kv.items():
         if key not in known:
-            raise ConfigError(f"{path}:{item[1]}: unknown key {key!r}")
-        args[key] = _typed(known[key].type, key, item, path)
+            raise ConfigError(f"{item[1]}: unknown key {key!r}")
+        args[key] = _typed(known[key].type, key, item)
     missing = [name for name, f in known.items() if name not in args
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
@@ -98,9 +98,9 @@ def _from_fields(cls, kv, path):
 def _scenario_from_dict(kv, path):
     """ScenarioConfig with scenario aliases resolved."""
     if "scenario" in kv:
-        name, lineno = kv["scenario"]
+        name, where = kv["scenario"]
         kv = {**kv, "scenario": (SCENARIO_ALIASES.get(str(name), name),
-                                 lineno)}
+                                 where)}
     return _from_fields(protocol.ScenarioConfig, kv, path)
 
 
@@ -109,12 +109,12 @@ def _bound_from_dict(kv, path):
     short = [k for k in ("beta", "C", "M") if k in kv]
     if short:
         if "betas" in kv:
-            raise ConfigError(f"{path}:{kv['betas'][1]}: betas cannot be "
-                              f"combined with {short}")
+            raise ConfigError(f"{kv['betas'][1]}: betas cannot be combined "
+                              f"with {short}")
         missing = [k for k in ("beta", "C", "M") if k not in kv]
         if missing:
             raise ConfigError(f"{path}: missing required keys {missing}")
-        beta, C, M = (_typed(hint, k, kv[k], path) for k, hint in
+        beta, C, M = (_typed(hint, k, kv[k]) for k, hint in
                       (("beta", float), ("C", int), ("M", int)))
         # BoundParams checks beta in every entry; [x] * True would be [x]
         if not all(type(n) is int and n >= 1 for n in (C, M)):
@@ -145,7 +145,7 @@ def _load_config(path, command=None):
         if not (isinstance(man, dict) and man.get("kind") == command
                 and isinstance(man.get("config"), dict)):
             raise ConfigError(f"{path}: not a {command} manifest")
-        kv = {key: (val, 0) for key, val in man["config"].items()}
+        kv = {key: (val, path) for key, val in man["config"].items()}
         kind = command
     from_dict = _scenario_from_dict if kind == "run" else _bound_from_dict
     return from_dict(kv, path), man
@@ -215,22 +215,26 @@ def _cmd_run(args):
     man = man or {}
     seeds = [cfg.seed + k for k in range(args.seeds)] \
         if args.seeds is not None else man.get("seeds", [cfg.seed])
-    if not (isinstance(seeds, list) and seeds
-            and all(type(s) is int and s >= 0 for s in seeds)):
-        raise ConfigError(f"{args.config}: seeds must be a non-empty list "
-                          f"of nonnegative integers, got {seeds!r}")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"{args.config}: seeds must not repeat, "
-                          f"got {seeds!r}")
-    given = args.scenarios is not None
-    scenarios = _parse_scenarios(
-        args.scenarios if given else man.get("scenarios", protocol.SCENARIOS),
-        "" if given else f"{args.config}: ")
+    scenarios = [s.strip() for s in args.scenarios.split(",") if s.strip()] \
+        if args.scenarios is not None \
+        else man.get("scenarios", list(protocol.SCENARIOS))
+    for key, value in (("seeds", seeds), ("scenarios", scenarios)):
+        if not (isinstance(value, list) and value):
+            raise ConfigError(f"{args.config}: {key} must be a non-empty "
+                              f"list, got {value!r}")
+    # the configs judge each seed and name; a name is looked up by its text,
+    # so that an unhashable entry such as [1] reaches their check
+    scenarios = [SCENARIO_ALIASES.get(str(s), s) for s in scenarios]
     try:
-        runs = [replace(cfg, scenario=scen, seed=seed)
-                for seed in seeds for scen in scenarios]
+        runs = [replace(cfg, seed=seed, scenario=s)
+                for seed in seeds for s in scenarios]
     except ValueError as exc:
         raise ConfigError(f"{args.config}: {exc}")
+    keys = [(r.scenario, r.seed) for r in runs]
+    for i, (scenario, seed) in enumerate(keys):
+        if (scenario, seed) in keys[:i]:
+            raise ConfigError(f"{args.config}: the run list names "
+                              f"{scenario} seed {seed} twice")
     os.makedirs(args.out, exist_ok=True)
 
     outputs = []
@@ -272,27 +276,6 @@ def _cmd_bound(args):
 def _cmd_summarize(args):
     summarize(args.csvs, args.out)
     return 0
-
-
-def _parse_scenarios(arg, where=""):
-    """Canonical names from a comma string or a list; where prefixes errors."""
-    if isinstance(arg, str):
-        arg = [s.strip() for s in arg.split(",") if s.strip()]
-    if not isinstance(arg, (list, tuple)):
-        raise ConfigError(f"{where}scenarios must be a list or a comma "
-                          f"string of names, got {arg!r}")
-    out = []
-    for n in arg:
-        if not isinstance(n, str) or n not in SCENARIO_ALIASES:
-            raise ConfigError(f"{where}unknown scenario {n!r} (choose from "
-                              f"{sorted(set(SCENARIO_ALIASES))})")
-        if SCENARIO_ALIASES[n] in out:
-            raise ConfigError(f"{where}scenarios name "
-                              f"{SCENARIO_ALIASES[n]!r} twice")
-        out.append(SCENARIO_ALIASES[n])
-    if not out:
-        raise ConfigError(f"{where}empty scenario list")
-    return out
 
 
 def build_parser():

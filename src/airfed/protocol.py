@@ -12,10 +12,10 @@ why neither the loop order nor the worker count changes the outputs.
 """
 
 import hashlib
-import math
 import numbers
 import os
 import queue
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -45,10 +45,11 @@ def lr_schedule(t, base, slope) -> float:
 
 def check_fields(cfg, positive=(), nonnegative=()):
     """Checks of a config dataclass's fields by their annotations: an int
-    takes an integer and a float a finite real number (neither a bool), a
-    str a string, a Literal one of its choices and None only an Optional.
-    An int must be at least 1, except that the fields in positive must be
-    > 0 and those in nonnegative >= 0.  Other types are the class's own."""
+    takes an integer and a float a real number (no bool, none past a float's
+    range), a str a string, a Literal one of its choices and None only an
+    Optional.  An int must be at least 1, except that the fields in positive
+    must be > 0 and those in nonnegative >= 0.  Other types are the class's
+    own."""
     kinds = {int: ("an integer", numbers.Integral),
              float: ("a real number", numbers.Real), str: ("a string", str)}
     for f in fields(cfg):
@@ -66,7 +67,8 @@ def check_fields(cfg, positive=(), nonnegative=()):
             continue
         if not ok:
             raise ValueError(f"{f.name} must be {what}, got {value!r}")
-        if kind is float and not math.isfinite(value):
+        # not math.isfinite, which overflows on an int past a float
+        if kind in (int, float) and not abs(value) <= sys.float_info.max:
             raise ValueError(f"{f.name} must be finite")
         if f.name in positive:
             if value <= 0:

@@ -356,46 +356,78 @@ def test_run_rejects_nonpositive_seeds(tmp_path, capsys):
             assert not os.path.exists(out)
 
 
-_SEED_LIST = "seeds must be a non-empty list of nonnegative integers, got "
+_LIST = "must be a non-empty list, got "
 _BOOL_BETAS = [[True] + [3.0] * 4] + [[3.0] * 5] * 3
 
 
 # A bad entry at the top level of a manifest or in its config: (command,
 # place, key, value, what stderr says after the manifest path).  Each ends
-# in that one line and leaves no --out.
+# in that one line and leaves no --out.  The run list's seeds and names are
+# judged by the configs built from them.
 @pytest.mark.parametrize("command, place, key, val, reason", [
-    ("run", "top", "seeds", [], f": {_SEED_LIST}[]"),
-    ("run", "top", "seeds", "ab", f": {_SEED_LIST}'ab'"),
-    ("run", "top", "seeds", [1.5], f": {_SEED_LIST}[1.5]"),
-    ("run", "top", "seeds", [True], f": {_SEED_LIST}[True]"),
-    ("run", "top", "scenarios", 5,
-     ": scenarios must be a list or a comma string of names, got 5"),
-    ("run", "top", "seeds", [3, 3], ": seeds must not repeat, got [3, 3]"),
-    ("run", "top", "scenarios", ["flat", "flat_ota"],
-     ": scenarios name 'flat_ota' twice"),
-    ("run", "config", "T", True, ": T must be an integer, got True"),
-    ("run", "config", "sigma_z2", False,
-     ": sigma_z2 must be a real number, got False"),
-    ("bound", "config", "betas", [[]],
-     ": betas must be non-empty, positive and finite"),
-    ("bound", "config", "betas", _BOOL_BETAS,
-     f": betas must be real numbers, got {_BOOL_BETAS!r}"),
+    pytest.param("run", "top", "seeds", [], f": seeds {_LIST}[]", id="empty"),
+    pytest.param("run", "top", "seeds", "ab", f": seeds {_LIST}'ab'",
+                 id="string"),
+    pytest.param("run", "top", "seeds", [1.5],
+                 ": seed must be an integer, got 1.5", id="float"),
+    pytest.param("run", "top", "seeds", [True],
+                 ": seed must be an integer, got True", id="bool"),
+    pytest.param("run", "top", "seeds", [[1]],
+                 ": seed must be an integer, got [1]", id="seeds-list"),
+    pytest.param("run", "top", "seeds", [-1], ": seed must be nonnegative",
+                 id="seeds-negative"),
+    pytest.param("run", "top", "scenarios", 5, f": scenarios {_LIST}5",
+                 id="scenarios-int"),
+    # a manifest's scenarios is a list, as every manifest writes it
+    pytest.param("run", "top", "scenarios", "hotafl",
+                 f": scenarios {_LIST}'hotafl'", id="scenarios-string"),
+    pytest.param("run", "top", "scenarios", [["ideal"]],
+                 f": scenario must be one of {protocol.SCENARIOS}, "
+                 "got ['ideal']",
+                 id="scenarios-list"),
+    pytest.param("run", "top", "seeds", [3, 3],
+                 ": the run list names ideal_hier seed 3 twice",
+                 id="seeds-repeat"),
+    pytest.param("run", "top", "scenarios", ["flat", "flat_ota"],
+                 ": the run list names flat_ota seed 5 twice",
+                 id="scenarios-repeat"),
+    pytest.param("run", "config", "T", True,
+                 ": T must be an integer, got True", id="T-bool"),
+    pytest.param("run", "config", "sigma_z2", False,
+                 ": sigma_z2 must be a real number, got False",
+                 id="sigma_z2-bool"),
+    # an int too large for a float, in a float field and an int field
+    pytest.param("run", "config", "sigma_z2", 10**400,
+                 ": sigma_z2 must be finite", id="sigma_z2-huge"),
+    pytest.param("run", "config", "T", 10**400, ": T must be finite",
+                 id="T-huge"),
+    pytest.param("bound", "config", "betas", [[]],
+                 ": betas must be non-empty, positive and finite",
+                 id="betas-empty"),
+    pytest.param("bound", "config", "betas", _BOOL_BETAS,
+                 f": betas must be real numbers, got {_BOOL_BETAS!r}",
+                 id="betas-bool"),
     # a text config refuses T = 4.0, and so does a manifest
-    ("run", "config", "T", 4.0, ": T must be an integer, got 4.0"),
+    pytest.param("run", "config", "T", 4.0,
+                 ": T must be an integer, got 4.0", id="T-float"),
     # beta, C and M in place of betas, C not an integer
-    ("bound", "shorthand", None, {"beta": 3, "C": 2.5, "M": 5},
-     ": C and M must be positive integers, got 2.5 and 5"),
+    pytest.param("bound", "shorthand", None, {"beta": 3, "C": 2.5, "M": 5},
+                 ": C and M must be positive integers, got 2.5 and 5",
+                 id="shorthand-C-float"),
     # beta is one gain, not a row to broadcast
-    ("bound", "shorthand", None, {"beta": [3, 3], "C": 1, "M": 2},
-     ": betas must be 2-D (C, M), got (1, 2, 2)"),
+    pytest.param("bound", "shorthand", None, {"beta": [3, 3], "C": 1, "M": 2},
+                 ": betas must be 2-D (C, M), got (1, 2, 2)",
+                 id="shorthand-beta-list"),
+    pytest.param("bound", "config", "beta", 3,
+                 ": betas cannot be combined with ['beta']",
+                 id="shorthand-with-betas"),
     # options retired by 0.2.0, which 0.1.x manifests carry at their default
-    ("run", "config", "optimizer", "sgd", ":0: unknown key 'optimizer'"),
-    ("run", "config", "eval_train_samples", 2000,
-     ":0: unknown key 'eval_train_samples'"),
-], ids=["empty", "string", "float", "bool", "scenarios-int", "seeds-repeat",
-        "scenarios-repeat", "T-bool", "sigma_z2-bool", "betas-empty",
-        "betas-bool", "retired-optimizer", "retired-eval_train_samples",
-        "T-float", "shorthand-C-float", "shorthand-beta-list"])
+    pytest.param("run", "config", "optimizer", "sgd",
+                 ": unknown key 'optimizer'", id="retired-optimizer"),
+    pytest.param("run", "config", "eval_train_samples", 2000,
+                 ": unknown key 'eval_train_samples'",
+                 id="retired-eval_train_samples"),
+])
 def test_manifest_rejects_bad_seeds_and_scenarios(tmp_path, capsys, command,
                                                   place, key, val, reason):
     text, only = (SMOKE, ["--scenarios", "ideal"]) if command == "run" \
@@ -499,13 +531,21 @@ def test_repeated_scenario_or_seed_leaves_no_output_dir(tmp_path, capsys):
     cfg = _write(tmp_path, SMOKE)
     out = str(tmp_path / "o")
     for arg, reason in (("ideal,ideal_hier",
-                         "scenarios name 'ideal_hier' twice"),
-                        (",", "empty scenario list"),
-                        ("", "empty scenario list")):
+                         "the run list names ideal_hier seed 5 twice"),
+                        ("hotafl,flat,flat_ota",
+                         "the run list names flat_ota seed 5 twice"),
+                        (",", "scenarios must be a non-empty list, got []"),
+                        ("", "scenarios must be a non-empty list, got []")):
         assert cli.main(["run", "--config", cfg, "--out", out,
                          "--scenarios", arg]) == 1
-        assert capsys.readouterr().err == f"airfed: error: {reason}\n"
+        assert capsys.readouterr().err == f"airfed: error: {cfg}: {reason}\n"
         assert not os.path.exists(out)
+    # names are stripped of spaces
+    assert cli.main(["run", "--config", cfg, "--out", out,
+                     "--scenarios", " ideal , hotafl"]) == 0
+    assert sorted(os.listdir(out)) == [
+        "hotafl_seed5.csv", "ideal_hier_seed5.csv", "manifest.json",
+        "summary.csv"]
 
 
 def test_bad_run_list_or_bound_schedule_leaves_no_output_dir(tmp_path,
@@ -768,10 +808,15 @@ def test_summarize_malformed_csv(tmp_path, capsys):
         assert capsys.readouterr().err == f"airfed: error: {bad}: {reason}\n"
 
 
-def test_unknown_scenario_name_errors(tmp_path):
+def test_unknown_scenario_name_errors(tmp_path, capsys):
     cfg = _write(tmp_path, SMOKE)
-    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+    out = str(tmp_path / "o")
+    assert cli.main(["run", "--config", cfg, "--out", out,
                      "--scenarios", "bogus"]) == 1
+    assert capsys.readouterr().err == (
+        f"airfed: error: {cfg}: scenario must be one of "
+        f"{protocol.SCENARIOS}, got 'bogus'\n")
+    assert not os.path.exists(out)
 
 
 def test_run_non_finite_is_one_line_error(tmp_path, capsys):

@@ -82,8 +82,9 @@ def _wrong_types(f):
 
 def _number_cases():
     """One case per number or choice field of both config types: a float
-    at nan, a seed at -1, any other int at 0 and a Literal at 'bogus'; and
-    the _wrong_types cases of every field."""
+    at nan, a seed at -1, any other int at 0 and a Literal at 'bogus'; every
+    number field at 10**400, an int too large for a float; and the
+    _wrong_types cases of every field."""
     cases = []
     for build, cls in ((_cfg, protocol.ScenarioConfig),
                        (_params, bounds.BoundParams)):
@@ -103,6 +104,10 @@ def _number_cases():
                 cases.append(pytest.param(build, f.name, value,
                                           f"{f.name} must be {rule}",
                                           id=f"{cls.__name__}-{f.name}"))
+            if f.type in (int, float, Optional[int], Optional[float]):
+                cases.append(pytest.param(build, f.name, 10**400,
+                                          f"{f.name} must be finite",
+                                          id=f"{cls.__name__}-{f.name}-huge"))
             for value, rule in _wrong_types(f):
                 cases.append(pytest.param(
                     build, f.name, value, f"{f.name} must be {rule}",
