@@ -157,42 +157,29 @@ def partition_noniid(data: Dataset, users: int, rng):
 # ---------------------------------------------------------------------------
 # user-side SGD
 
-class UserLearnerState:
-    """One user's shard (rows of a shared dataset), batch cursor, and
-    private RNG stream.
+def batches(rows, batch_size: int, rng):
+    """Endless stream of the batches of one user's shard `rows` (row
+    indices into a shared dataset), checking batch_size at this call.  Each
+    epoch draws one rng.permutation of the shard and yields its full
+    batches, so the shard is reshuffled once fewer than batch_size remain."""
+    if batch_size < 1 or batch_size > len(rows):
+        raise ValueError(f"batch_size {batch_size} not in [1, {len(rows)}]")
 
-    Batches are sampled without replacement within an epoch and the shard is
-    reshuffled whenever fewer than batch_size samples remain.
-    """
-
-    def __init__(self, data: Dataset, rows, batch_size: int, rng):
-        if batch_size < 1 or batch_size > len(rows):
-            raise ValueError(f"batch_size {batch_size} not in [1, {len(rows)}]")
-        self.data = data
-        self.rows = rows
-        self.batch_size = batch_size
-        self.rng = rng
-        self._order = self.rng.permutation(len(rows))
-        self._cursor = 0
-
-    def next_batch(self):
-        """Rows of data in the next batch."""
-        if self._cursor + self.batch_size > len(self.rows):
-            self._order = self.rng.permutation(len(self.rows))
-            self._cursor = 0
-        idx = self._order[self._cursor:self._cursor + self.batch_size]
-        self._cursor += self.batch_size
-        return self.rows[idx]
+    def stream():
+        while True:
+            order = rng.permutation(len(rows))
+            for s in range(0, len(rows) - batch_size + 1, batch_size):
+                yield rows[order[s:s + batch_size]]
+    return stream()
 
 
-def sgd_user_iterations(state: UserLearnerState, start, tau: int, eta: float,
-                        l2: float = 0.0):
-    """Run tau SGD steps theta <- theta - eta * grad from `start`, each on a
-    freshly sampled batch."""
+def sgd_user_iterations(data: Dataset, batch_rows, start, tau: int,
+                        eta: float, l2: float = 0.0):
+    """Run tau SGD steps theta <- theta - eta * grad from `start`, each on
+    the batch of data's rows that next(batch_rows) gives."""
     theta = np.array(start, dtype=np.float64, copy=True)
-    data = state.data
     for _ in range(tau):
-        batch = state.next_batch()
+        batch = next(batch_rows)
         _, grad = loss_and_gradient(theta, data.features[batch],
                                     data.labels[batch], l2)
         theta -= eta * grad

@@ -320,8 +320,9 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
     outputs.  A local step's C*M users run on a pool of learner.sgd_workers
     threads (one at small shapes): each worker takes the next user left in
     the step's queue, so a worker on a slowed core holds up the one user
-    it is training, not a fixed share of them, and a user's state is
-    touched by one thread at a time.  The step's C over-the-air
+    it is training, not a fixed share of them, and a user's batch stream
+    (a generator, which raises if two threads resume it at once) is
+    resumed by one thread at a time.  The step's C over-the-air
     aggregations are pool tasks too: task c reads its cluster's diffs and
     writes only theta_is[c], and this thread adds the energies in order
     c = 0..C-1.  Each new theta_PS(t) is scored (test accuracy and train
@@ -337,12 +338,11 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
     shards = partition_for_run(cfg, train)
     C, M, I = cfg.C, cfg.M, cfg.I
 
-    users = []      # (c, m, state) of each user
+    users = []      # (c, m, batch stream) of each user
     for u, rows in enumerate(shards):
         c, m = divmod(u, M)
-        users.append((c, m, learner.UserLearnerState(
-            train, rows, cfg.batch_size,
-            rng.substream(cfg.seed, rng.BATCH, c, m))))
+        users.append((c, m, learner.batches(
+            rows, cfg.batch_size, rng.substream(cfg.seed, rng.BATCH, c, m))))
     workers = learner.sgd_workers(len(users), cfg.batch_size,
                                   cfg.feature_dim, cfg.num_classes)
 
@@ -363,11 +363,11 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
     def train_users(todo, i, eta):
         while True:
             try:
-                c, m, state = todo.get_nowait()
+                c, m, batch_rows = todo.get_nowait()
             except queue.Empty:
                 return
             end = learner.sgd_user_iterations(
-                state, theta_is[c], cfg.tau, eta, l2=cfg.l2_reg)
+                train, batch_rows, theta_is[c], cfg.tau, eta, l2=cfg.l2_reg)
             diffs[c, i, m] = end - theta_is[c]
 
     def aggregate(c, t, i, p_t):

@@ -7,7 +7,7 @@ expanded, unrolled and measured forms here are independent checks on them
 
 import numpy as np
 
-from airfed import bounds, channel, learner, protocol
+from airfed import bounds, learner, protocol
 
 
 def a1_term(beta_1, beta_bar_1, beta_2, beta_bar_2) -> float:
@@ -144,7 +144,7 @@ def decompose_terms(symbols, h, p_t, noise):
     Given the same noise draws, signal + interference + noise equals
     uplink_and_combine(symbols, h, p_t, noise).
     """
-    x = channel._check_shapes(symbols, h, noise)
+    x = np.asarray(symbols, dtype=np.complex128)
     p_t = float(p_t)
     z = np.asarray(noise, dtype=np.complex128)
     K = h.shape[1]

@@ -6,6 +6,7 @@ import pytest
 
 from airfed import channel, learner, rng
 from oracles import coherent_mrc_statistic, decompose_terms
+from test_protocol import _pinned
 
 
 def test_pack_complex_example():
@@ -65,20 +66,16 @@ def test_ota_uplink_identity_channel():
     # M=1, K=1, h=1, no noise: the combined output is the transmitted symbol
     x = np.array([[1 + 2j, 3 - 1j]])
     ch = _const_channel(1, 1, 2)
-    z = channel.draw_noise(1, 2, 0.0, None)
+    z = np.zeros((1, 2), complex)
     assert np.array_equal(channel.uplink_and_combine(x, ch, 1.0, z), x[0])
 
 
 def test_ota_uplink_zero_signal_and_errors():
     ch = _const_channel(2, 3, 4)
-    z = channel.draw_noise(3, 4, 0.0, None)
+    z = np.zeros((3, 4), complex)
     out = channel.uplink_and_combine(np.zeros((2, 4), dtype=complex), ch,
                                      2.0, z)
     assert out.shape == (4,) and not out.any()
-    with pytest.raises(ValueError, match="symbols"):
-        channel.uplink_and_combine(np.zeros((2, 5), dtype=complex), ch, 1.0, z)
-    with pytest.raises(ValueError, match="power"):
-        channel.uplink_and_combine(np.zeros((2, 4), dtype=complex), ch, 0.0, z)
 
 
 def test_noise_variance_oracle():
@@ -112,15 +109,6 @@ def test_mrc_combine_identity_and_constant():
     assert np.allclose(out, 2.0 * M * M * c * c * s)
 
 
-def test_mrc_combine_dimension_mismatch():
-    ch = _const_channel(1, 2, 3)
-    x = np.ones((1, 3), dtype=complex)
-    with pytest.raises(ValueError, match="noise"):
-        channel.uplink_and_combine(x, ch, 1.0, np.ones((3, 3), dtype=complex))
-    with pytest.raises(ValueError, match="noise"):
-        decompose_terms(x, ch, 1.0, np.ones((2, 4), dtype=complex))
-
-
 def _random_setup(M=3, K=5, N=8, seed=0):
     gen = rng.substream(seed, 9)
     betas = gen.uniform(0.5, 8.0, M)
@@ -135,12 +123,6 @@ def test_decompose_single_user_no_interference():
                                     np.zeros((5, 8), dtype=complex))
     assert np.max(np.abs(itf)) == 0.0
     assert np.max(np.abs(noi)) == 0.0
-
-
-def test_decompose_requires_recorded_noise():
-    ch, x = _random_setup()
-    with pytest.raises(ValueError):
-        decompose_terms(x, ch, 1.0, None)
 
 
 def test_fused_uplink_matches_reference_path():
@@ -169,7 +151,7 @@ def test_recover_hand_example_unit_channels(monkeypatch):
     diffs = np.array([[2.0, 0.0], [4.0, 0.0]])
     x = channel.pack_complex(diffs)
     ch = _const_channel(2, 3, 1)
-    z = channel.draw_noise(3, 1, 0.0, None)
+    z = np.zeros((3, 1), complex)
     combined = channel.uplink_and_combine(x, ch, 1.5, z)
     out = channel.recover_cluster_update(combined, 1.5, 2, 1.0, 2.0)
     assert np.allclose(out, [3.0, 0.0])
@@ -308,27 +290,63 @@ def test_ota_aggregate_finite_when_symbols_are_collinear():
 
 
 # sha256 of an aggregation's update bytes then its tx energy as float64,
-# for fixed (M, 7850) diffs at K = 100, p_t = 1.3 and sigma_h2 = 1.2.
-# Pinned on the complex-packing implementation that the real-halves one
-# replaced, so they also show that the two give the same bits.
+# for fixed (M, 7850) diffs at K = 100, p_t = 1.3 and sigma_h2 = 1.2, keyed
+# by OpenBLAS kernel as test_protocol's _GOLDEN_CHECKSUMS is: the BLAS
+# product in draw_mrc_statistic gives each kernel its bits at M > 1.
+# ROADMAP item 22 makes that sum kernel-free, and this table one.
+# The SkylakeX digests were pinned on the complex-packing implementation
+# that the real-halves one replaced, so they also show that the two give
+# the same bits.
 _AGGREGATE_DIGESTS = {
-    (1, 0.0):
-        "da4be55edfe548e7fbadf0f7ce9a5b580d368173489dcb29cf4e9a0281f0264b",
-    (1, 10.0):
-        "eb4e4ea2aa9e1a69234aeee5b6aef7506ed66129b6cfb528989b40776fd25e5c",
-    (5, 0.0):
-        "7f2b8b8f7512c33370401617240d7f4df5f69a6d55b2331ee2e488b355f8f4a1",
-    (5, 10.0):
-        "7893bdd14064aa62c8dbaf8458982a0239fd10dcd70e7d116007e27d6a930dbe",
-    (20, 0.0):
-        "fc21e7aec0c9222bafd33b7575b112bf10933f352cd29c19ec097b7b7bdaa8b4",
-    (20, 10.0):
-        "25e72b9c5c7a1a9df2f06ae04268d2c436c33be0c6305284285de6897b8a2018",
+    "SkylakeX": {
+        (1, 0.0):
+            "da4be55edfe548e7fbadf0f7ce9a5b580d368173489dcb29cf4e9a0281f0264b",
+        (1, 10.0):
+            "eb4e4ea2aa9e1a69234aeee5b6aef7506ed66129b6cfb528989b40776fd25e5c",
+        (5, 0.0):
+            "7f2b8b8f7512c33370401617240d7f4df5f69a6d55b2331ee2e488b355f8f4a1",
+        (5, 10.0):
+            "7893bdd14064aa62c8dbaf8458982a0239fd10dcd70e7d116007e27d6a930dbe",
+        (20, 0.0):
+            "fc21e7aec0c9222bafd33b7575b112bf10933f352cd29c19ec097b7b7bdaa8b4",
+        (20, 10.0):
+            "25e72b9c5c7a1a9df2f06ae04268d2c436c33be0c6305284285de6897b8a2018",
+    },
+    "Haswell": {
+        (1, 0.0):
+            "da4be55edfe548e7fbadf0f7ce9a5b580d368173489dcb29cf4e9a0281f0264b",
+        (1, 10.0):
+            "eb4e4ea2aa9e1a69234aeee5b6aef7506ed66129b6cfb528989b40776fd25e5c",
+        (5, 0.0):
+            "aa5b8a5e0b218b4a3e210ee62bbe7bcbbf732a123292e4ae68c13c22d4ab81da",
+        (5, 10.0):
+            "f2e4d2a40e26e2e342b95c2a5701edb0a3d6a8c16dd500cc3b7ac9f5fea0ff4f",
+        (20, 0.0):
+            "1bbcb65ff9514d03e45ea3d696f822f9d9d645e976e3261a8fc0723a4316a1c6",
+        (20, 10.0):
+            "d1cffa71654947bc8295e6a2397f4538e548ae0ab7393b6443a63d1f6194e284",
+    },
+    "Sandybridge": {
+        (1, 0.0):
+            "da4be55edfe548e7fbadf0f7ce9a5b580d368173489dcb29cf4e9a0281f0264b",
+        (1, 10.0):
+            "eb4e4ea2aa9e1a69234aeee5b6aef7506ed66129b6cfb528989b40776fd25e5c",
+        (5, 0.0):
+            "cd977eeb375318858e2eab8495b4d006bf7765019ba674d8a93bc0d9c72b910d",
+        (5, 10.0):
+            "ba231ed101305fc4c9a2df691ae0d725ba33ed7ff63cce1ab9ed456808614c30",
+        (20, 0.0):
+            "2229d9eb5554f00955897713d07f9b2b22f0e775ad163b545a29f19cc3fb809b",
+        (20, 10.0):
+            "fa732ffcc9f628c3a35817bdc5b4bcf0b639d95be7b4e5145abcd154d36770a1",
+    },
 }
+_AGGREGATE_DIGESTS["Zen"] = _AGGREGATE_DIGESTS["Haswell"]
 
 
-@pytest.mark.parametrize("M, sigma_z2", sorted(_AGGREGATE_DIGESTS))
+@pytest.mark.parametrize("M, sigma_z2", sorted(_AGGREGATE_DIGESTS["SkylakeX"]))
 def test_ota_aggregate_digests(M, sigma_z2):
+    pinned = _pinned(_AGGREGATE_DIGESTS, (M, sigma_z2))
     gen = rng.substream(48, M)
     diffs = gen.standard_normal((M, 7850))
     betas = gen.uniform(0.5, 8.0, M)
@@ -338,4 +356,4 @@ def test_ota_aggregate_digests(M, sigma_z2):
             rng.substream(48, rng.CHANNEL, M), rng.substream(48, rng.NOISE, M))
     digest = hashlib.sha256(update.tobytes()
                             + np.float64(energy).tobytes()).hexdigest()
-    assert digest == _AGGREGATE_DIGESTS[M, sigma_z2]
+    assert digest == pinned

@@ -244,38 +244,6 @@ def test_bound_label_must_be_a_file_stem(tmp_path, capsys, label):
     assert err.startswith(f"airfed: error: {cfg}: label must be a plain "
                           "file stem") and err.count("\n") == 1
     assert not os.path.exists(tmp_path / "sub")
-    # a manifest carrying the same label ends in the same line
-    first = str(tmp_path / "first")
-    assert cli.main(["bound", "--config", _write(tmp_path, BOUND),
-                     "--out", first]) == 0
-    manifest = os.path.join(first, "manifest.json")
-    man = json.loads(Path(manifest).read_text())
-    man["config"]["label"] = label
-    Path(manifest).write_text(json.dumps(man))
-    assert cli.main(["bound", "--config", manifest, "--out", out]) == 1
-    assert capsys.readouterr().err.startswith(
-        f"airfed: error: {manifest}: label must be a plain file stem")
-    assert not os.path.exists(tmp_path / "sub")
-
-
-def test_manifest_string_keys_must_be_strings(tmp_path, capsys):
-    # str() of a JSON boolean or number would name the CSV True.csv or
-    # 12.5.csv: a string key takes only a JSON string
-    first = str(tmp_path / "first")
-    assert cli.main(["bound", "--config", _write(tmp_path, BOUND),
-                     "--out", first]) == 0
-    manifest = os.path.join(first, "manifest.json")
-    man = json.loads(Path(manifest).read_text())
-    out = tmp_path / "o"
-    for label in (True, 12.5):
-        man["config"]["label"] = label
-        Path(manifest).write_text(json.dumps(man))
-        assert cli.main(["bound", "--config", manifest,
-                         "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            f"airfed: error: {manifest}: label must be a string, "
-            f"got {label!r}\n")
-        assert not out.exists()
 
 
 def test_out_naming_a_file_is_one_line_error(tmp_path, capsys):
@@ -427,6 +395,16 @@ _BOOL_BETAS = [[True] + [3.0] * 4] + [[3.0] * 5] * 3
     pytest.param("run", "config", "eval_train_samples", 2000,
                  ": unknown key 'eval_train_samples'",
                  id="retired-eval_train_samples"),
+    # the label names the output CSV: a manifest's label is a plain file
+    # stem, and a JSON string, since str() of a boolean or number would
+    # name the CSV True.csv or 12.5.csv
+    pytest.param("bound", "config", "label", "../escaped",
+                 ": label must be a plain file stem (letters, digits, '_', "
+                 "'-', '.', no leading '.'), got '../escaped'", id="label"),
+    pytest.param("bound", "config", "label", True,
+                 ": label must be a string, got True", id="label-bool"),
+    pytest.param("bound", "config", "label", 12.5,
+                 ": label must be a string, got 12.5", id="label-float"),
 ])
 def test_manifest_rejects_bad_seeds_and_scenarios(tmp_path, capsys, command,
                                                   place, key, val, reason):
@@ -535,7 +513,9 @@ def test_repeated_scenario_or_seed_leaves_no_output_dir(tmp_path, capsys):
                         ("hotafl,flat,flat_ota",
                          "the run list names flat_ota seed 5 twice"),
                         (",", "scenarios must be a non-empty list, got []"),
-                        ("", "scenarios must be a non-empty list, got []")):
+                        ("", "scenarios must be a non-empty list, got []"),
+                        ("bogus", "scenario must be one of "
+                         f"{protocol.SCENARIOS}, got 'bogus'")):
         assert cli.main(["run", "--config", cfg, "--out", out,
                          "--scenarios", arg]) == 1
         assert capsys.readouterr().err == f"airfed: error: {cfg}: {reason}\n"
@@ -806,17 +786,6 @@ def test_summarize_malformed_csv(tmp_path, capsys):
         assert cli.main(["summarize", bad,
                          "--out", str(tmp_path / "s.csv")]) == 1
         assert capsys.readouterr().err == f"airfed: error: {bad}: {reason}\n"
-
-
-def test_unknown_scenario_name_errors(tmp_path, capsys):
-    cfg = _write(tmp_path, SMOKE)
-    out = str(tmp_path / "o")
-    assert cli.main(["run", "--config", cfg, "--out", out,
-                     "--scenarios", "bogus"]) == 1
-    assert capsys.readouterr().err == (
-        f"airfed: error: {cfg}: scenario must be one of "
-        f"{protocol.SCENARIOS}, got 'bogus'\n")
-    assert not os.path.exists(out)
 
 
 def test_run_non_finite_is_one_line_error(tmp_path, capsys):

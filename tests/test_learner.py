@@ -61,9 +61,8 @@ def test_float32_products_match_float64(tmp_path):
         assert np.linalg.norm(g - g64) <= _GRAD_RTOL * np.linalg.norm(g64)
         assert abs(lo - lo64) <= _LOSS_RTOL * abs(lo64)
 
-    state = learner.UserLearnerState(data, np.arange(len(data)), 8,
-                                     rng.substream(5, 6))
-    end = learner.sgd_user_iterations(state, theta, 2, 0.1)
+    batch_rows = learner.batches(np.arange(len(data)), 8, rng.substream(5, 6))
+    end = learner.sgd_user_iterations(data, batch_rows, theta, 2, 0.1)
     assert end.dtype == np.float64
 
     cfg = protocol.ScenarioConfig(
@@ -170,27 +169,26 @@ def test_partition_noniid_rejects_missing_class():
 
 
 def test_user_state_epoch_reshuffle():
-    data = _data(n=10)
     rows = np.arange(10)
-    state = learner.UserLearnerState(data, rows, 4, rng.substream(3, 3))
-    seen = np.concatenate([state.next_batch() for _ in range(2)])
+    batch_rows = learner.batches(rows, 4, rng.substream(3, 3))
+    seen = np.concatenate([next(batch_rows) for _ in range(2)])
     assert np.unique(seen).size == 8  # within one epoch, no repeats
-    state.next_batch()               # triggers reshuffle (only 2 left)
-    with pytest.raises(ValueError):
-        learner.UserLearnerState(data, rows, 11, rng.substream(3, 3))
+    next(batch_rows)                 # triggers reshuffle (only 2 left)
+    with pytest.raises(ValueError):  # at the call, before any next()
+        learner.batches(rows, 11, rng.substream(3, 3))
 
 
 def test_sgd_matches_manual_steps():
     data = _data(n=40)
     rows = np.arange(40)
     theta0 = learner.zero_model(6, 3)
-    state = learner.UserLearnerState(data, rows, 8, rng.substream(5, 6))
-    end = learner.sgd_user_iterations(state, theta0, 3, 0.1)
+    batch_rows = learner.batches(rows, 8, rng.substream(5, 6))
+    end = learner.sgd_user_iterations(data, batch_rows, theta0, 3, 0.1)
 
-    state2 = learner.UserLearnerState(data, rows, 8, rng.substream(5, 6))
+    batch_rows2 = learner.batches(rows, 8, rng.substream(5, 6))
     theta = theta0.copy()
     for _ in range(3):
-        idx = state2.next_batch()
+        idx = next(batch_rows2)
         _, g = learner.loss_and_gradient(theta, data.features[idx],
                                          data.labels[idx])
         theta -= 0.1 * g
@@ -202,8 +200,9 @@ def test_sgd_on_rows_matches_copied_shard():
     # included: batch k is shard row order[k], which is data row rows[order[k]]
     data = _data(n=60)
     rows = np.sort(rng.substream(2, 2).permutation(60)[:20])
-    state = learner.UserLearnerState(data, rows, 8, rng.substream(5, 6))
-    end = learner.sgd_user_iterations(state, learner.zero_model(6, 3), 5, 0.1)
+    batch_rows = learner.batches(rows, 8, rng.substream(5, 6))
+    end = learner.sgd_user_iterations(data, batch_rows,
+                                      learner.zero_model(6, 3), 5, 0.1)
 
     shard = data.subset(rows)
     gen = rng.substream(5, 6)

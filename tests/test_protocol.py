@@ -185,12 +185,12 @@ def test_ideal_matches_centralized_sgd():
 
     train, _ = protocol.load_run_data(cfg)
     rows = protocol.partition_for_run(cfg, train)[0]
-    state = learner.UserLearnerState(
-        train, rows, cfg.batch_size, rng.substream(cfg.seed, rng.BATCH, 0, 0))
+    batch_rows = learner.batches(
+        rows, cfg.batch_size, rng.substream(cfg.seed, rng.BATCH, 0, 0))
     theta = learner.zero_model(cfg.feature_dim, cfg.num_classes)
     for t in range(cfg.T):
         eta = protocol.lr_schedule(t, cfg.lr_base, cfg.lr_slope)
-        theta = learner.sgd_user_iterations(state, theta, 1, eta)
+        theta = learner.sgd_user_iterations(train, batch_rows, theta, 1, eta)
         assert np.array_equal(theta, m.models[t])
 
 
