@@ -1,3 +1,3 @@
 """Simulator and analytical toolkit for hierarchical over-the-air federated learning."""
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

@@ -11,12 +11,13 @@ The combined output of a symbol depends on its (M, K) channel only through
 S = sum_k conj(a_k) c_k and R = sum_k |a_k|^2, with a_k = sum_m h[m, k] and
 c_k = sum_m h[m, k] x_m.  The pairs (a_k, c_k) are i.i.d. complex Gaussian
 over k, so ota_aggregate draws (S, R) from their 2x2 Wishart law
-(draw_mrc_statistic) for every M and K, and never draws the channel.  A run
-computes on the (M, 2, N) real view diffs.reshape(M, 2, -1) of the halves
-and builds no complex array; only the full-tensor reference chain
-pack_complex -> draw_channels_from_betas -> draw_noise ->
-uplink_and_combine -> recover_cluster_update, which that draw is tested
-against, is complex.
+(draw_mrc_statistic) for every M and K, and never draws the channel.  Its
+sums over users run in user order with einsum and call no BLAS, so its bits
+do not depend on the OpenBLAS kernel.  A run computes on the (M, 2, N) real
+view diffs.reshape(M, 2, -1) of the halves and builds no complex array;
+only the full-tensor reference chain pack_complex ->
+draw_channels_from_betas -> draw_noise -> uplink_and_combine ->
+recover_cluster_update, which that draw is tested against, is complex.
 
 A built ScenarioConfig guarantees sigma_h2 > 0, sigma_z2 >= 0, an even
 model length and p_t > 0 (linear in t, checked at its first and last t),
@@ -92,9 +93,9 @@ def draw_mrc_statistic(betas, K, x, sigma_h2, rng):
     """
     b = sigma_h2 * betas
     s_aa = b.sum()
-    # sums the users in order, without BLAS: b @ x would change the bits
+    # both sums take the users in order, without BLAS: kernel-free bits
     s_ac = np.einsum("m,mkn->kn", b, x)
-    s_cc = b @ (x[:, 0] ** 2 + x[:, 1] ** 2)
+    s_cc = np.einsum("m,mn->n", b, x[:, 0] ** 2 + x[:, 1] ** 2)
     l2 = np.maximum(s_cc - (s_ac[0] ** 2 + s_ac[1] ** 2) / s_aa, 0.0)
     N = x.shape[2]
     g = rng.standard_gamma(K, size=N)

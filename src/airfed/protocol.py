@@ -314,23 +314,23 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
     build its users, then loop t -> i -> c.  The run only reads the data.
 
     Entry u of partition_for_run's list is user m of cluster c for
-    (c, m) = divmod(u, M).  User (c, m) draws its batches from substream
-    (seed, BATCH, c, m) and aggregation (t, i, c) its channel and noise
-    from (seed, CHANNEL | NOISE, t, i, c), so no loop order changes the
-    outputs.  A local step's C*M users run on a pool of learner.sgd_workers
-    threads (one at small shapes): each worker takes the next user left in
-    the step's queue, so a worker on a slowed core holds up the one user
-    it is training, not a fixed share of them, and a user's batch stream
-    (a generator, which raises if two threads resume it at once) is
-    resumed by one thread at a time.  The step's C over-the-air
-    aggregations are pool tasks too: task c reads its cluster's diffs and
-    writes only theta_is[c], and this thread adds the energies in order
-    c = 0..C-1.  Each new theta_PS(t) is scored (test accuracy and train
-    loss) on the pool ahead of t+1's users; t's row and its loss check
-    are taken after t+1's local steps and before t+1's update checks, so
-    the first error is the one a serial loop meets first.  theta_PS is
-    rebound, never written in place, so a pending score reads a stable
-    array.  BLAS is held at one thread for the whole loop
+    (c, m) = divmod(u, M).  User u draws its batches from substream
+    (seed, BATCH, 0, u), so the scenarios of one seed share batches, and
+    aggregation (t, i, c) its channel and noise from (seed, CHANNEL |
+    NOISE, t, i, c): no loop order changes the outputs.  A local step's
+    C*M users run on a pool of learner.sgd_workers threads (one at small
+    shapes): each worker takes the next user left in the step's queue, so
+    a worker on a slowed core holds up the one user it is training, not a
+    fixed share of them, and a user's batch stream (a generator, which
+    raises if two threads resume it at once) is resumed by one thread at
+    a time.  The step's C over-the-air aggregations are pool tasks too:
+    task c reads its cluster's diffs and writes only theta_is[c], and this
+    thread adds the energies in order c = 0..C-1.  Each new theta_PS(t) is
+    scored (test accuracy and train loss) on the pool ahead of t+1's users;
+    t's row and its loss check are taken after t+1's local steps and before
+    t+1's update checks, so the first error is the one a serial loop meets
+    first.  theta_PS is rebound, never written in place, so a pending score
+    reads a stable array.  BLAS is held at one thread for the whole loop
     (learner.blas_single_thread).
     """
     cfg, betas = run_plan(cfg)      # betas None: exact means
@@ -338,11 +338,9 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
     shards = partition_for_run(cfg, train)
     C, M, I = cfg.C, cfg.M, cfg.I
 
-    users = []      # (c, m, batch stream) of each user
-    for u, rows in enumerate(shards):
-        c, m = divmod(u, M)
-        users.append((c, m, learner.batches(
-            rows, cfg.batch_size, rng.substream(cfg.seed, rng.BATCH, c, m))))
+    users = [(*divmod(u, M), learner.batches(      # (c, m, batch stream)
+        rows, cfg.batch_size, rng.substream(cfg.seed, rng.BATCH, 0, u)))
+        for u, rows in enumerate(shards)]
     workers = learner.sgd_workers(len(users), cfg.batch_size,
                                   cfg.feature_dim, cfg.num_classes)
 

@@ -1,12 +1,15 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from airfed import channel, learner, rng
+from airfed import channel, rng
 from oracles import coherent_mrc_statistic, decompose_terms
-from test_protocol import _pinned
 
 
 def test_pack_complex_example():
@@ -290,70 +293,93 @@ def test_ota_aggregate_finite_when_symbols_are_collinear():
 
 
 # sha256 of an aggregation's update bytes then its tx energy as float64,
-# for fixed (M, 7850) diffs at K = 100, p_t = 1.3 and sigma_h2 = 1.2, keyed
-# by OpenBLAS kernel as test_protocol's _GOLDEN_CHECKSUMS is: the BLAS
-# product in draw_mrc_statistic gives each kernel its bits at M > 1.
-# ROADMAP item 22 makes that sum kernel-free, and this table one.
-# The SkylakeX digests were pinned on the complex-packing implementation
-# that the real-halves one replaced, so they also show that the two give
-# the same bits.
+# for fixed (M, 7850) diffs at K = 100, p_t = 1.3 and sigma_h2 = 1.2.
+# ota_aggregate calls no BLAS, so these are the bits on every OpenBLAS
+# kernel.
 _AGGREGATE_DIGESTS = {
-    "SkylakeX": {
-        (1, 0.0):
-            "da4be55edfe548e7fbadf0f7ce9a5b580d368173489dcb29cf4e9a0281f0264b",
-        (1, 10.0):
-            "eb4e4ea2aa9e1a69234aeee5b6aef7506ed66129b6cfb528989b40776fd25e5c",
-        (5, 0.0):
-            "7f2b8b8f7512c33370401617240d7f4df5f69a6d55b2331ee2e488b355f8f4a1",
-        (5, 10.0):
-            "7893bdd14064aa62c8dbaf8458982a0239fd10dcd70e7d116007e27d6a930dbe",
-        (20, 0.0):
-            "fc21e7aec0c9222bafd33b7575b112bf10933f352cd29c19ec097b7b7bdaa8b4",
-        (20, 10.0):
-            "25e72b9c5c7a1a9df2f06ae04268d2c436c33be0c6305284285de6897b8a2018",
-    },
-    "Haswell": {
-        (1, 0.0):
-            "da4be55edfe548e7fbadf0f7ce9a5b580d368173489dcb29cf4e9a0281f0264b",
-        (1, 10.0):
-            "eb4e4ea2aa9e1a69234aeee5b6aef7506ed66129b6cfb528989b40776fd25e5c",
-        (5, 0.0):
-            "aa5b8a5e0b218b4a3e210ee62bbe7bcbbf732a123292e4ae68c13c22d4ab81da",
-        (5, 10.0):
-            "f2e4d2a40e26e2e342b95c2a5701edb0a3d6a8c16dd500cc3b7ac9f5fea0ff4f",
-        (20, 0.0):
-            "1bbcb65ff9514d03e45ea3d696f822f9d9d645e976e3261a8fc0723a4316a1c6",
-        (20, 10.0):
-            "d1cffa71654947bc8295e6a2397f4538e548ae0ab7393b6443a63d1f6194e284",
-    },
-    "Sandybridge": {
-        (1, 0.0):
-            "da4be55edfe548e7fbadf0f7ce9a5b580d368173489dcb29cf4e9a0281f0264b",
-        (1, 10.0):
-            "eb4e4ea2aa9e1a69234aeee5b6aef7506ed66129b6cfb528989b40776fd25e5c",
-        (5, 0.0):
-            "cd977eeb375318858e2eab8495b4d006bf7765019ba674d8a93bc0d9c72b910d",
-        (5, 10.0):
-            "ba231ed101305fc4c9a2df691ae0d725ba33ed7ff63cce1ab9ed456808614c30",
-        (20, 0.0):
-            "2229d9eb5554f00955897713d07f9b2b22f0e775ad163b545a29f19cc3fb809b",
-        (20, 10.0):
-            "fa732ffcc9f628c3a35817bdc5b4bcf0b639d95be7b4e5145abcd154d36770a1",
-    },
+    (1, 0.0):
+        "da4be55edfe548e7fbadf0f7ce9a5b580d368173489dcb29cf4e9a0281f0264b",
+    (1, 10.0):
+        "eb4e4ea2aa9e1a69234aeee5b6aef7506ed66129b6cfb528989b40776fd25e5c",
+    (5, 0.0):
+        "cd977eeb375318858e2eab8495b4d006bf7765019ba674d8a93bc0d9c72b910d",
+    (5, 10.0):
+        "ba231ed101305fc4c9a2df691ae0d725ba33ed7ff63cce1ab9ed456808614c30",
+    (20, 0.0):
+        "2229d9eb5554f00955897713d07f9b2b22f0e775ad163b545a29f19cc3fb809b",
+    (20, 10.0):
+        "fa732ffcc9f628c3a35817bdc5b4bcf0b639d95be7b4e5145abcd154d36770a1",
 }
-_AGGREGATE_DIGESTS["Zen"] = _AGGREGATE_DIGESTS["Haswell"]
 
 
-@pytest.mark.parametrize("M, sigma_z2", sorted(_AGGREGATE_DIGESTS["SkylakeX"]))
-def test_ota_aggregate_digests(M, sigma_z2):
-    pinned = _pinned(_AGGREGATE_DIGESTS, (M, sigma_z2))
+def _aggregate_digest(M, sigma_z2):
     gen = rng.substream(48, M)
     diffs = gen.standard_normal((M, 7850))
     betas = gen.uniform(0.5, 8.0, M)
-    with learner.blas_single_thread():
-        update, energy = channel.ota_aggregate(
-            diffs, betas, 1.3, 100, 1.2, sigma_z2,
-            rng.substream(48, rng.CHANNEL, M), rng.substream(48, rng.NOISE, M))
-    digest = hashlib.sha256(update.tobytes()
-                            + np.float64(energy).tobytes()).hexdigest()
-    assert digest == pinned
+    update, energy = channel.ota_aggregate(
+        diffs, betas, 1.3, 100, 1.2, sigma_z2,
+        rng.substream(48, rng.CHANNEL, M), rng.substream(48, rng.NOISE, M))
+    return hashlib.sha256(update.tobytes()
+                          + np.float64(energy).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("M, sigma_z2", sorted(_AGGREGATE_DIGESTS))
+def test_ota_aggregate_digests(M, sigma_z2):
+    assert _aggregate_digest(M, sigma_z2) == _AGGREGATE_DIGESTS[M, sigma_z2]
+
+
+# The CPU flags each x86 kernel of numpy's OpenBLAS needs.  Forcing a
+# kernel whose instructions the CPU lacks can crash the library.
+_KERNEL_FLAGS = {
+    "SkylakeX": {"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx512vl"},
+    "Haswell": {"avx2", "fma"},
+    "Sandybridge": {"avx"},
+}
+
+# prints [the kernel OpenBLAS runs, or None where the library is not
+# found, then the digest of each sorted _AGGREGATE_DIGESTS key]
+_DIGESTS_RUN = """
+import ctypes, json
+from airfed import learner
+from test_channel import _AGGREGATE_DIGESTS, _aggregate_digest
+lib = learner._openblas()
+core = None
+if lib is not None:
+    lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+    core = lib.scipy_openblas_get_corename64_().decode()
+print(json.dumps([core] + [_aggregate_digest(*key)
+                           for key in sorted(_AGGREGATE_DIGESTS)]))
+"""
+
+
+def _cpu_flags():
+    """The flags of /proc/cpuinfo's first processor; none without it."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as f:
+            return next((set(line.split(":", 1)[1].split()) for line in f
+                         if line.startswith("flags")), set())
+    except OSError:
+        return set()
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNEL_FLAGS))
+def test_ota_aggregate_digests_on_every_kernel(kernel):
+    # one table for all kernels: each run in a process whose OpenBLAS is
+    # forced to that kernel with OPENBLAS_CORETYPE
+    missing = sorted(_KERNEL_FLAGS[kernel] - _cpu_flags())
+    if missing:
+        pytest.skip(f"/proc/cpuinfo lacks {' '.join(missing)}, which "
+                    f"OpenBLAS's {kernel} kernel needs")
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(channel.__file__))
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, here, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", _DIGESTS_RUN], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=300)
+    core, *digests = json.loads(done.stdout)
+    if core is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    assert core == kernel
+    assert dict(zip(sorted(_AGGREGATE_DIGESTS), digests)) == _AGGREGATE_DIGESTS

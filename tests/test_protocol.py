@@ -542,39 +542,39 @@ def _pinned(digests, name):
 _GOLDEN_CHECKSUMS = {
     "SkylakeX": {
         "hotafl_iid":
-            "41a3e69269c878990a63e966ed71573d525838868cf9e4e4db0e0417451b29a5",
+            "da13732de2f03a266a6cdce6b3cb210b79a290e22fcb86a3369292a5aa34f048",
         "flat_iid":
             "f7ebc0996d7cf4bb5daa83099e8930566d5884a0b7a9523a8345d70d113b91ba",
         "ideal_noniid_tau3":
-            "056276e17c4a1efbcfc22023bde053f468b24492348ed873c9f464a8ecf9ccd5",
+            "1d4f96c58cc9367325810e62f96f85d4c4334682e75cb1b0b9e6ea2ec7af1455",
         "hotafl_iid_I3":
-            "435b664270bc7a396f5b2789de4914840e22d6969a47b0cfa5d2246e2f17b928",
+            "81f524a7493963d84e2d68165a42f5d174b6ef125bf9ea9865800518948b17fe",
         "ideal_noniid_tau3_I2":
-            "d978463b8f029a2a33a4b5ec721ba4a59ec308687cd4197bcd94be789b9f42a8",
+            "9e7f9079ddfd5b6cba4e9a6f8659b5057a299f737d122ae118facb53e0b9c4ff",
     },
     "Haswell": {
         "hotafl_iid":
-            "9e5ae25da5aba73b4b2adfa37e6c05f3d6cec85af79034ec92a588e6b83d72ae",
+            "02824426495bce499499cb5816b1bafb6021e8311f37c35db8b1cfe4dd4ade79",
         "flat_iid":
             "27e828095a30cc6775f4ff212f42b8ac75274871171872f8b87bfb6746b2c8c9",
         "ideal_noniid_tau3":
-            "bf2820b0a8740c5b34b7518b4c8ac2589b8a1a182015b29106e30c3669daca33",
+            "223b2df9359cba45a6844ee160834174dd24325edbbd4dbd22a159080b67883d",
         "hotafl_iid_I3":
-            "365637d5dfa035df97b454e1fefde175b82da2374283bde8fb1dbf509405a35b",
+            "85a3f9da3e8e87d9ec7a9a6997d43d6fad2bfe7363c36fbc0b10fab290c24dec",
         "ideal_noniid_tau3_I2":
-            "c6eddc47156f286874dcff15ab30769d40a9313f7bd039964e0d794583d66d0d",
+            "09f126cd0c6e86114e83f4a66885e4bc9ee24c133e5c8087b4083da05730d9f2",
     },
     "Sandybridge": {
         "hotafl_iid":
-            "847e8344e7695fc896d0cb23c878532f22b6b21dea2b84d6641eb77c219ed806",
+            "47650c22a9b7351b34377272dba0c06683741e295b781834d0a81e68522d82b4",
         "flat_iid":
             "2bf3931a6509ab1a650de6a95a4036e0cecffb5d87ff0296534c6ca51598d360",
         "ideal_noniid_tau3":
-            "13b47e08af20272eb446b0aa8349a84c9f92cb2e3c9d9062d3696c09dfdb89be",
+            "be559b49b515c0c509af34781fc55d6bbf5e746f5b0e0e9dc2bf4db0c31d851f",
         "hotafl_iid_I3":
-            "565aabe281c02ffcef71f02c7fdc0e89de2bc2ebcbc3541adab3c7b862aa1e10",
+            "d735c51628d469c5c70277337a747cda8a569a5c3e535c0d6b946f4710c7e421",
         "ideal_noniid_tau3_I2":
-            "f82164f0843329becc6e282e580be690dc2ef93cf11e76dab92fd720d602ac32",
+            "8823f6967d1fe076b8067c6379d76e1e969036a32405bef36e75e4c134550119",
     },
 }
 _GOLDEN_CHECKSUMS["Zen"] = _GOLDEN_CHECKSUMS["Haswell"]
@@ -582,7 +582,7 @@ _GOLDEN_CHECKSUMS["Zen"] = _GOLDEN_CHECKSUMS["Haswell"]
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_CHECKSUMS["SkylakeX"]))
 def test_golden_checksums(name):
-    # pinned at 0.7.0; a change here changes every output of the scenario
+    # pinned at 0.8.0; a change here changes every output of the scenario
     digest = _pinned(_GOLDEN_CHECKSUMS, name)
     cfg = protocol.ScenarioConfig(**_DATA_SHAPE, **_DATA_RUNS[name])
     assert protocol.run_scenario(cfg).final_checksum == digest
@@ -849,27 +849,27 @@ _PAPER_RUNS = {
 _PAPER_CHECKSUMS = {
     "SkylakeX": {
         "hotafl":
-            "487e5520d8ddd32d992e84112b39cd6bdb8a0b30d02bf50c31cb965df3a81577",
+            "c6c2b57263602810eda0661d4ad0390827ed07862c4cd41d649cc38bca0fd480",
         "flat":
-            "23f80e56cd7d7ba518d02104ba1035b516755786a1b438dbaa705fac17bc9888",
+            "cdc3e38df2e797d6008dc6e31e61948636f9ced5649e11b33a79337de43081e1",
         "ideal_noniid_tau3":
-            "dd1e4a7ba63bff26bae8e44565d0ca4797e3d0aa48b8ea30280e4fcd95497ee0",
+            "c0a86980278a8097ac29df4af1e82c30ea87965195480ae461b86236bac14d40",
     },
     "Haswell": {
         "hotafl":
-            "a3f2e7d60ab11656ce42e0bad1f03b1d5aa91e410374fb50bfe18fd0285ed154",
+            "89b820b2531cb8482fc998e84505612ef66ca26b814cb8748fc935515f4c6be4",
         "flat":
-            "0e54a3a8a2bbd440ce484e89662006526673b0fda14258c543fb760376f5a3ba",
+            "98a2ce9b96f086f5ef27fec1e6ebb6400603748fa04af8e397eeb0b374bff268",
         "ideal_noniid_tau3":
-            "dd3f10a0fe9d3c6ae5d479f498768e6cd4f5e50d63d9831bfb5100efbe9c668f",
+            "6a08a8dd0aab7b48bc94e3a1baf338b48a8eb44860824f10785c3d94b8891a8c",
     },
     "Sandybridge": {
         "hotafl":
-            "21eb8542ddf8d47789af56717211e0b8d0f9d8abeab85cc10eb227d2b9e15d8e",
+            "91285185ddb3aa12ba43442b455cfba3293b26b4c7bfa74eb0b4fb75abdd5f98",
         "flat":
             "f34e13364f8e2891b8f3756ed0b637d75f6420775af94d0f9c4744e19e423c81",
         "ideal_noniid_tau3":
-            "c29bc43096298fba93b576b56ad4f03c60585b7327bd20e471303c5cc17b1998",
+            "b607b85e2f57a590f50959d6354d2331c412c42753f790880c5e2656fc0f6562",
     },
 }
 _PAPER_CHECKSUMS["Zen"] = _PAPER_CHECKSUMS["Haswell"]
