@@ -10,6 +10,7 @@ distance and schedules are evaluated at a = 1..T-1.  The step from dist(a)
 to dist(a + 1) is the run's 0-based iteration a - 1, which runs at
 eta(a - 1) and P(a - 1): the bound reads each schedule one index ahead of
 the run (the same at zero slopes).  Oracle callers pass the run's t as a.
+The module reads and writes no files.
 """
 
 import numbers
@@ -29,11 +30,13 @@ Y_TERMS = ("signal_distortion", "interference", "noise",
 class BoundParams:
     """Everything the bound recursion needs, checked when built.
 
-    betas holds real numbers, not bools, in shape (C, M); a read-only
-    float64 copy is kept, C and M are its shape, and params compare by
-    identity.  protocol.run_plan maps a run's scenario onto C, M, I, the
-    betas and the power schedule.  Schedules: eta(a) =
-    max(lr_base - lr_slope*a, 0), P(a) = power_base + power_slope*a, a >= 1.
+    betas holds real numbers, not bools, in shape (C, M), a 1-D array
+    being one cluster.  A read-only float64 copy is kept, so a later write
+    to the caller's array cannot reach the bound; C and M are its shape,
+    and params compare by identity.  protocol.run_plan maps a run's
+    scenario onto C, M, I, the betas and the power schedule.  Schedules:
+    eta(a) = max(lr_base - lr_slope*a, 0), P(a) = power_base +
+    power_slope*a, a >= 1.
     """
 
     L: float
@@ -68,7 +71,7 @@ class BoundParams:
         object.__setattr__(self, "betas", betas)
         protocol.check_fields(
             self, positive=("L", "mu", "G2", "init_dist", "sigma_h2"),
-            nonnegative=("Gamma", "sigma_z2"))
+            nonnegative=("Gamma", "sigma_z2", "lr_base"))
         # the recursion evaluates both schedules at a = 1..T-1; each is
         # monotone in a, so its two ends bound every value it takes
         for a in ((1, self.T - 1) if self.T > 1 else ()):

@@ -11,13 +11,16 @@ The combined output of a symbol depends on its (M, K) channel only through
 S = sum_k conj(a_k) c_k and R = sum_k |a_k|^2, with a_k = sum_m h[m, k] and
 c_k = sum_m h[m, k] x_m.  The pairs (a_k, c_k) are i.i.d. complex Gaussian
 over k, so ota_aggregate draws (S, R) from their 2x2 Wishart law
-(draw_mrc_statistic) for every M and K, and never draws the channel.  Its
-sums over users run in user order with einsum and call no BLAS, so its bits
-do not depend on the OpenBLAS kernel.  A run computes on the (M, 2, N) real
-view diffs.reshape(M, 2, -1) of the halves and builds no complex array;
-only the full-tensor reference chain pack_complex ->
-draw_channels_from_betas -> draw_noise -> uplink_and_combine ->
-recover_cluster_update, which that draw is tested against, is complex.
+(draw_mrc_statistic) for every M and K, never draws the channel, and
+costs the same at every K.  Its sums over users run in user order with
+einsum and call no BLAS, so its bits do not depend on the OpenBLAS kernel
+(a numpy build whose einsum loops fuse the multiply and the add could still
+give other bits on some CPUs).  A run computes on the (M, 2, N) real view
+diffs.reshape(M, 2, -1) of the halves and builds no complex array; only the
+full-tensor reference chain pack_complex -> draw_channels_from_betas ->
+draw_noise -> uplink_and_combine -> recover_cluster_update is complex.  No
+run calls that chain: the tests check the draw against it in distribution,
+and acceptance criterion 2 checks the lemma variances against it.
 
 A built ScenarioConfig guarantees sigma_h2 > 0, sigma_z2 >= 0, an even
 model length and p_t > 0 (linear in t, checked at its first and last t),
@@ -114,6 +117,12 @@ def ota_aggregate(diffs, betas, p_t, K, sigma_h2, sigma_z2, fading_rng,
     from draw_mrc_statistic, which is called through the module's globals,
     so a test or a profiler can swap it.  The noise is drawn at every
     sigma_z2, and sigma_z2 = 0 scales it by zero.
+
+    The estimate is biased towards the users with the larger gains and
+    shrunk by 1/M: with user differences d_m and beta_bar = sum_m beta_m,
+    E[update] = (1/M) sum_m (beta_m / beta_bar) d_m, because the combined
+    output has mean p_t sigma_h2 sum_m beta_m x_m and recovery divides by
+    p_t M sigma_h2 beta_bar.  At equal gains that is 1/M of the ideal mean.
     """
     M = diffs.shape[0]
     x = diffs.reshape(M, 2, -1)

@@ -5,6 +5,11 @@ vector of length (feature_dim + 1) * num_classes (weights then a bias row,
 laid out as an augmented-input weight matrix).  The flat vector is what
 travels over the air, so its length must be even: its first half holds
 the symbols' real parts, its second half their imaginary parts.
+
+The values this module takes were checked where they entered: a batch
+and a test set are never empty, because batches checks 1 <= batch_size
+<= len(rows) when a run builds its users, test_samples is at least 1 and
+load_mnist refuses a file with no images.
 """
 
 import ctypes
@@ -26,7 +31,8 @@ import numpy as np
 class Dataset:
     """Feature matrix plus integer labels in [0, num_classes), one per row,
     held as the producer (make_synthetic, load_mnist, subset) built them.
-    Frozen: runs on one data key share one train and one test Dataset."""
+    Frozen: runs on one data key share one train and one test Dataset.
+    Compared by identity, as an array has no one truth value."""
 
     features: np.ndarray  # (n, d) float32
     labels: np.ndarray    # (n,) int64
@@ -52,7 +58,8 @@ def zero_model(feature_dim: int, num_classes: int) -> np.ndarray:
 
 
 def _logits(model, features):
-    """(n, num_classes) float64 scores of the flat model, read as the
+    """(n, num_classes) float64 scores of the flat model, for loss,
+    loss_and_gradient and evaluate alike.  The model is read as the
     augmented (feature_dim + 1, num_classes) weight matrix whose last row is
     the bias, so its length fixes num_classes.  The product runs in the
     features' dtype, to which the weights are cast here; the bias is added
@@ -176,7 +183,8 @@ def batches(rows, batch_size: int, rng):
 def sgd_user_iterations(data: Dataset, batch_rows, start, tau: int,
                         eta: float, l2: float = 0.0):
     """Run tau SGD steps theta <- theta - eta * grad from `start`, each on
-    the batch of data's rows that next(batch_rows) gives."""
+    the batch of data's rows that next(batch_rows) gives, gathered from data
+    at the step, so no per-user copy of the data exists."""
     theta = np.array(start, dtype=np.float64, copy=True)
     for _ in range(tau):
         batch = next(batch_rows)

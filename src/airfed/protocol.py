@@ -82,7 +82,12 @@ def check_fields(cfg, positive=(), nonnegative=()):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full experiment description for one run, checked when built."""
+    """Full experiment description for one run, checked when built.
+
+    Compared by value.  A derived default (K, flat_power_*) is None until
+    __post_init__ fills it in, and dataclasses.replace copies it as it was
+    filled rather than deriving it again.
+    """
 
     scenario: Literal["ideal_hier", "hotafl", "flat_ota"]
     C: int = 4
@@ -117,7 +122,7 @@ class ScenarioConfig:
     def __post_init__(self):
         check_fields(self, positive=("sigma_h2", "alpha_tolerance"),
                      nonnegative=("seed", "data_seed", "sigma_z2",
-                                  "path_loss_exp", "l2_reg"))
+                                  "path_loss_exp", "l2_reg", "lr_base"))
         for name, default in (("K", 5 * self.M * self.C),
                               ("flat_power_base", self.power_base),
                               ("flat_power_slope", self.power_slope)):
@@ -162,7 +167,7 @@ class RunMetrics:
     t: np.ndarray               # 1..T
     train_loss: np.ndarray
     test_acc: np.ndarray
-    avg_tx_power: np.ndarray
+    avg_tx_power: np.ndarray    # transmit energy per symbol sent
     eta: np.ndarray
     power: np.ndarray
     final_model: np.ndarray
@@ -210,7 +215,9 @@ def load_run_data(cfg: ScenarioConfig):
     one key share one dataset and the MNIST files of a directory are read
     once per process while it stays the key.  A new key drops the kept
     pair before it builds: one process holds at most one dataset, the
-    last data key's."""
+    last data key's, and an airfed run sweep draws its data once per data
+    seed.  train_samples and test_samples size the synthetic data only;
+    MNIST is the whole IDX train and test sets."""
     if cfg.dataset == "mnist":
         key = (_read_mnist, os.environ.get(MNIST_DIR_ENV), cfg.feature_dim,
                cfg.num_classes)
@@ -272,6 +279,8 @@ def partition_for_run(cfg: ScenarioConfig, train):
 
 
 def build_topology(cfg: ScenarioConfig) -> topology.SystemTopology:
+    """The placement of the config's data seed.  run_plan calls it through
+    the module, so a test can patch in a hand-built topology."""
     gen = rng.substream(cfg.effective_data_seed, rng.TOPOLOGY)
     return topology.place_users(cfg.C, cfg.M, cfg.path_loss_exp,
                                 cfg.target_alpha, cfg.alpha_tolerance, gen)
@@ -285,6 +294,8 @@ def run_plan(cfg: ScenarioConfig):
     build_topology(cfg).  flat_ota is the one-cluster case: the same C*M
     shards as one cluster of C*M users with the user-to-PS gains as its
     one row of betas, I=1 and the flat_power_* schedule as its power.
+    That replace keeps cfg's K and flat_power_*, which it does not derive
+    again.
     """
     if cfg.scenario == "ideal_hier":
         return cfg, None
@@ -319,11 +330,12 @@ def run_scenario(cfg: ScenarioConfig, record_models=False,
     aggregation (t, i, c) its channel and noise from (seed, CHANNEL |
     NOISE, t, i, c): no loop order changes the outputs.  A local step's
     C*M users run on a pool of learner.sgd_workers threads (one at small
-    shapes): each worker takes the next user left in the step's queue, so
-    a worker on a slowed core holds up the one user it is training, not a
-    fixed share of them, and a user's batch stream (a generator, which
-    raises if two threads resume it at once) is resumed by one thread at
-    a time.  The step's C over-the-air aggregations are pool tasks too:
+    shapes) that lives for this call and is joined before it returns.  Each
+    worker takes the next user left in the step's queue, so a worker on a
+    slowed core holds up the one user it is training, not a fixed share of
+    them, and a user's batch stream (a generator, which raises if two
+    threads resume it at once) is resumed by one thread at a time.  The
+    step's C over-the-air aggregations are pool tasks too:
     task c reads its cluster's diffs and writes only theta_is[c], and this
     thread adds the energies in order c = 0..C-1.  Each new theta_PS(t) is
     scored (test accuracy and train loss) on the pool ahead of t+1's users;

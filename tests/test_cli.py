@@ -530,7 +530,8 @@ def test_bad_run_list_or_bound_schedule_leaves_no_output_dir(tmp_path,
                                                              capsys):
     # each error depends on more than one key: a scenario the run list
     # adds, an iteration the bound recursion reaches, or a non-i.i.d. split
-    # into fewer label groups than classes
+    # into fewer label groups than classes; or it is a negative lr_base,
+    # whose every eta(t) would clamp to 0, a run that never trains
     here = os.path.join(os.path.dirname(__file__), "..", "configs")
     text = Path(here, "bound_fig4_hotafl.cfg").read_text()
     cases = [
@@ -544,7 +545,11 @@ def test_bad_run_list_or_bound_schedule_leaves_no_output_dir(tmp_path,
          "eta=1.99998 outside [0, 1.0] where the contraction factor is "
          "valid"),
         (["run"], "scenario = hotafl\nC = 1\nM = 1\npartition = noniid\n",
-         "5 label groups (5*C*M) cannot cover 10 classes")]
+         "5 label groups (5*C*M) cannot cover 10 classes"),
+        (["run"], "scenario = hotafl\nlr_base = -0.05\n",
+         "lr_base must be nonnegative"),
+        (["bound"], text.replace("lr_base = 0.05", "lr_base = -0.05"),
+         "lr_base must be nonnegative")]
     for args, cfg_text, reason in cases:
         cfg = _write(tmp_path, cfg_text)
         out = str(tmp_path / "o")

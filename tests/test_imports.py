@@ -2,10 +2,12 @@
 module, every top-level name a package module defines is referenced from the
 package or perfbench (code that only tests use belongs in tests/), every
 top-level name in tests/ other than a test is referenced from tests/,
-every ScenarioConfig option is read somewhere in the package, and one
-function in the package opens files for writing."""
+every ScenarioConfig option is read somewhere in the package, one
+function in the package opens files for writing, and every code name and
+path the README gives exists."""
 
 import ast
+import importlib
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -137,3 +139,38 @@ def test_one_function_writes_files():
                      for path in sorted(PACKAGE.glob("*.py"))
                      for name in _writers(ast.parse(path.read_text("utf-8"))))
     assert writers == [("protocol.py", "write_text")]
+
+
+# module.name in the README's code spans: an attribute of airfed.module,
+# except the methods of a numpy Generator argument that the text names rng
+_MODULE_NAME = re.compile(
+    r"\b(protocol|learner|channel|bounds|topology|rng|cli)\.([A-Za-z_]\w*)")
+_GENERATOR_METHODS = {"rng.permutation", "rng.spawn"}
+_TEST_NAME = re.compile(r"\b(tests/\w+\.py)::(\w+)")
+_PATH = re.compile(r"\b(?:configs|tests)/[\w.-]*")
+
+
+def _readme_code():
+    """The README's fenced blocks and inline code spans."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```.*?```", text, flags=re.S)
+    inline = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text,
+                                              flags=re.S))
+    return blocks + inline
+
+
+def test_readme_code_references_resolve():
+    code = _readme_code()
+    assert code
+    missing = []
+    for span in code:
+        for module, name in _MODULE_NAME.findall(span):
+            if f"{module}.{name}" not in _GENERATOR_METHODS and not hasattr(
+                    importlib.import_module(f"airfed.{module}"), name):
+                missing.append(f"{module}.{name}")
+        for path, name in _TEST_NAME.findall(span):
+            tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+            if name not in _definitions(tree):
+                missing.append(f"{path}::{name}")
+        missing += [p for p in _PATH.findall(span) if not (ROOT / p).exists()]
+    assert missing == []

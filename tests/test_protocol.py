@@ -80,11 +80,16 @@ def _wrong_types(f):
     return [(v, f"{rule}, got {v!r}") for v in values]
 
 
+# the float fields of both config types whose sign is checked
+_POSITIVE = {"sigma_h2", "alpha_tolerance", "L", "mu", "G2", "init_dist"}
+_NONNEGATIVE = {"sigma_z2", "path_loss_exp", "l2_reg", "lr_base", "Gamma"}
+
+
 def _number_cases():
     """One case per number or choice field of both config types: a float
     at nan, a seed at -1, any other int at 0 and a Literal at 'bogus'; every
-    number field at 10**400, an int too large for a float; and the
-    _wrong_types cases of every field."""
+    sign-checked float at -1; every number field at 10**400, an int too
+    large for a float; and the _wrong_types cases of every field."""
     cases = []
     for build, cls in ((_cfg, protocol.ScenarioConfig),
                        (_params, bounds.BoundParams)):
@@ -104,6 +109,11 @@ def _number_cases():
                 cases.append(pytest.param(build, f.name, value,
                                           f"{f.name} must be {rule}",
                                           id=f"{cls.__name__}-{f.name}"))
+            if f.name in _POSITIVE | _NONNEGATIVE:
+                rule = "positive" if f.name in _POSITIVE else "nonnegative"
+                cases.append(pytest.param(
+                    build, f.name, -1.0, f"{f.name} must be {rule}",
+                    id=f"{cls.__name__}-{f.name}-negative"))
             if f.type in (int, float, Optional[int], Optional[float]):
                 cases.append(pytest.param(build, f.name, 10**400,
                                           f"{f.name} must be finite",
