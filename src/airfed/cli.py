@@ -169,6 +169,11 @@ def _write_manifest(out_dir, kind, cfg, outputs, start, **runs):
 
 def summarize(csv_paths, out_path):
     """Per-scenario final-accuracy stats plus the scenario-ordering flag."""
+    real = [os.path.realpath(path) for path in csv_paths]
+    for i, path in enumerate(csv_paths):
+        if real[i] in real[:i]:
+            raise ConfigError(f"{path}: names the same file as "
+                              f"{csv_paths[real.index(real[i])]}")
     finals = {}
     for path in csv_paths:
         header, *rows = _read(path).split("\n")

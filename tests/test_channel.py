@@ -1,8 +1,3 @@
-import hashlib
-import json
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -290,96 +285,3 @@ def test_ota_aggregate_finite_when_symbols_are_collinear():
                 diffs, betas, 1.3, 4, 1.2, 10.0, rng.substream(44, 1),
                 rng.substream(44, 2))
             assert np.isfinite(update).all()
-
-
-# sha256 of an aggregation's update bytes then its tx energy as float64,
-# for fixed (M, 7850) diffs at K = 100, p_t = 1.3 and sigma_h2 = 1.2.
-# ota_aggregate calls no BLAS, so these are the bits on every OpenBLAS
-# kernel.
-_AGGREGATE_DIGESTS = {
-    (1, 0.0):
-        "da4be55edfe548e7fbadf0f7ce9a5b580d368173489dcb29cf4e9a0281f0264b",
-    (1, 10.0):
-        "eb4e4ea2aa9e1a69234aeee5b6aef7506ed66129b6cfb528989b40776fd25e5c",
-    (5, 0.0):
-        "cd977eeb375318858e2eab8495b4d006bf7765019ba674d8a93bc0d9c72b910d",
-    (5, 10.0):
-        "ba231ed101305fc4c9a2df691ae0d725ba33ed7ff63cce1ab9ed456808614c30",
-    (20, 0.0):
-        "2229d9eb5554f00955897713d07f9b2b22f0e775ad163b545a29f19cc3fb809b",
-    (20, 10.0):
-        "fa732ffcc9f628c3a35817bdc5b4bcf0b639d95be7b4e5145abcd154d36770a1",
-}
-
-
-def _aggregate_digest(M, sigma_z2):
-    gen = rng.substream(48, M)
-    diffs = gen.standard_normal((M, 7850))
-    betas = gen.uniform(0.5, 8.0, M)
-    update, energy = channel.ota_aggregate(
-        diffs, betas, 1.3, 100, 1.2, sigma_z2,
-        rng.substream(48, rng.CHANNEL, M), rng.substream(48, rng.NOISE, M))
-    return hashlib.sha256(update.tobytes()
-                          + np.float64(energy).tobytes()).hexdigest()
-
-
-@pytest.mark.parametrize("M, sigma_z2", sorted(_AGGREGATE_DIGESTS))
-def test_ota_aggregate_digests(M, sigma_z2):
-    assert _aggregate_digest(M, sigma_z2) == _AGGREGATE_DIGESTS[M, sigma_z2]
-
-
-# The CPU flags each x86 kernel of numpy's OpenBLAS needs.  Forcing a
-# kernel whose instructions the CPU lacks can crash the library.
-_KERNEL_FLAGS = {
-    "SkylakeX": {"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx512vl"},
-    "Haswell": {"avx2", "fma"},
-    "Sandybridge": {"avx"},
-}
-
-# prints [the kernel OpenBLAS runs, or None where the library is not
-# found, then the digest of each sorted _AGGREGATE_DIGESTS key]
-_DIGESTS_RUN = """
-import ctypes, json
-from airfed import learner
-from test_channel import _AGGREGATE_DIGESTS, _aggregate_digest
-lib = learner._openblas()
-core = None
-if lib is not None:
-    lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
-    core = lib.scipy_openblas_get_corename64_().decode()
-print(json.dumps([core] + [_aggregate_digest(*key)
-                           for key in sorted(_AGGREGATE_DIGESTS)]))
-"""
-
-
-def _cpu_flags():
-    """The flags of /proc/cpuinfo's first processor; none without it."""
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as f:
-            return next((set(line.split(":", 1)[1].split()) for line in f
-                         if line.startswith("flags")), set())
-    except OSError:
-        return set()
-
-
-@pytest.mark.parametrize("kernel", sorted(_KERNEL_FLAGS))
-def test_ota_aggregate_digests_on_every_kernel(kernel):
-    # one table for all kernels: each run in a process whose OpenBLAS is
-    # forced to that kernel with OPENBLAS_CORETYPE
-    missing = sorted(_KERNEL_FLAGS[kernel] - _cpu_flags())
-    if missing:
-        pytest.skip(f"/proc/cpuinfo lacks {' '.join(missing)}, which "
-                    f"OpenBLAS's {kernel} kernel needs")
-    here = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.dirname(os.path.dirname(channel.__file__))
-    env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, (src, here, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", _DIGESTS_RUN], env=env,
-                          capture_output=True, text=True, check=True,
-                          timeout=300)
-    core, *digests = json.loads(done.stdout)
-    if core is None:
-        pytest.skip("numpy's bundled OpenBLAS not found")
-    assert core == kernel
-    assert dict(zip(sorted(_AGGREGATE_DIGESTS), digests)) == _AGGREGATE_DIGESTS

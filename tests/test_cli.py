@@ -741,7 +741,7 @@ def _fake_run_csv(path, scenario, acc):
         fh.write(f"2,{scenario},0.5,{acc},0.0,0.05,1\n")
 
 
-def test_summarize_identity_and_mean(tmp_path):
+def test_summarize_identity_and_mean(tmp_path, capsys):
     a = str(tmp_path / "a.csv")
     b = str(tmp_path / "b.csv")
     _fake_run_csv(a, "hotafl", 0.8)
@@ -754,6 +754,13 @@ def test_summarize_identity_and_mean(tmp_path):
     line = Path(out).read_text().splitlines()[1].split(",")
     assert float(line[2]) == pytest.approx(0.85)
     assert line[3] == "0.8" and line[4] == "0.9"
+    # a file named twice, under any spelling, would count its run twice
+    again = os.path.join(tmp_path, ".", "a.csv")
+    twice = str(tmp_path / "twice.csv")
+    assert cli.main(["summarize", a, b, again, "--out", twice]) == 1
+    assert capsys.readouterr().err == (
+        f"airfed: error: {again}: names the same file as {a}\n")
+    assert not os.path.exists(twice)
 
 
 def test_summarize_ordering_flag(tmp_path):

@@ -1,5 +1,7 @@
 import ast
 import ctypes
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -533,22 +535,10 @@ def _openblas_core():
     return corename().decode()
 
 
-def _pinned(digests, name):
-    """name's digest under the OpenBLAS kernel this process runs, from
-    digests = {kernel: {name: digest}}; skips where the library is not
-    found or no digest is pinned for its kernel."""
-    core = _openblas_core()
-    if core is None:
-        pytest.skip(_NO_BLAS_SETTER)
-    if core not in digests:
-        pytest.skip(f"no digests pinned for OpenBLAS's {core} kernel")
-    return digests[core][name]
-
-
-# The digests are not in the test ids, so a re-pin keeps the test names.
-# The bits are those of the OpenBLAS kernel the products run on: Haswell
-# and Zen (AVX2) give the same bits, SkylakeX (AVX-512) and Sandybridge
-# (AVX) each give others.
+# Pinned at 0.8.0: a change here changes every output of the scenario.
+# The bits are those of the OpenBLAS kernel the products run on, so each
+# run table holds one entry per kernel of _KERNEL_FLAGS: SkylakeX
+# (AVX-512), Haswell (AVX2) and Sandybridge (AVX) each give their own.
 _GOLDEN_CHECKSUMS = {
     "SkylakeX": {
         "hotafl_iid":
@@ -587,15 +577,6 @@ _GOLDEN_CHECKSUMS = {
             "8823f6967d1fe076b8067c6379d76e1e969036a32405bef36e75e4c134550119",
     },
 }
-_GOLDEN_CHECKSUMS["Zen"] = _GOLDEN_CHECKSUMS["Haswell"]
-
-
-@pytest.mark.parametrize("name", sorted(_GOLDEN_CHECKSUMS["SkylakeX"]))
-def test_golden_checksums(name):
-    # pinned at 0.8.0; a change here changes every output of the scenario
-    digest = _pinned(_GOLDEN_CHECKSUMS, name)
-    cfg = protocol.ScenarioConfig(**_DATA_SHAPE, **_DATA_RUNS[name])
-    assert protocol.run_scenario(cfg).final_checksum == digest
 
 
 # One gradient of this shape, 400 * 257 * 10 multiply-adds, reaches
@@ -817,22 +798,31 @@ print(m.final_checksum)
 """
 
 
+def _run_python(script, *args, **env):
+    """The stdout of script, run with args by this Python in a process whose
+    environment is this one's plus env, with the airfed source and tests/
+    on PYTHONPATH."""
+    path = (os.path.dirname(os.path.dirname(protocol.__file__)),
+            os.path.dirname(os.path.abspath(__file__)),
+            os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=300).stdout
+
+
 def test_paper_width_outputs_independent_of_blas_threads(tmp_path):
     # 784 features and batch 500: above OpenBLAS's threading threshold, so
     # without the pin the products' bits depend on the thread count
     if learner._openblas() is None:
         pytest.skip(_NO_BLAS_SETTER)
-    src = os.path.dirname(os.path.dirname(protocol.__file__))
     outs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, (src, os.environ.get("PYTHONPATH")))))
         csv = tmp_path / f"{threads}.csv"
-        done = subprocess.run([sys.executable, "-c", _BLAS_RUN, str(csv)],
-                              env=env, capture_output=True, text=True,
-                              check=True, timeout=300)
-        outs.append((done.stdout, csv.read_bytes()))
+        outs.append((_run_python(_BLAS_RUN, str(csv),
+                                 OPENBLAS_NUM_THREADS=threads),
+                     csv.read_bytes()))
     assert outs[0] == outs[1]
 
 
@@ -882,12 +872,112 @@ _PAPER_CHECKSUMS = {
             "b607b85e2f57a590f50959d6354d2331c412c42753f790880c5e2656fc0f6562",
     },
 }
-_PAPER_CHECKSUMS["Zen"] = _PAPER_CHECKSUMS["Haswell"]
 
 
-@pytest.mark.parametrize("name", sorted(_PAPER_RUNS))
-def test_paper_shape_checksums(name):
-    digest = _pinned(_PAPER_CHECKSUMS, name)
-    cfg = protocol.ScenarioConfig(**_paper_shape(), **_PAPER_RUNS[name],
-                                  T=3, seed=1)
-    assert protocol.run_scenario(cfg).final_checksum == digest
+# sha256 of an aggregation's update bytes then its tx energy as float64,
+# for fixed (M, 7850) diffs at K = 100, p_t = 1.3 and sigma_h2 = 1.2.
+# ota_aggregate calls no BLAS, so these are the bits on every OpenBLAS
+# kernel.
+_AGGREGATE_DIGESTS = {
+    (1, 0.0):
+        "da4be55edfe548e7fbadf0f7ce9a5b580d368173489dcb29cf4e9a0281f0264b",
+    (1, 10.0):
+        "eb4e4ea2aa9e1a69234aeee5b6aef7506ed66129b6cfb528989b40776fd25e5c",
+    (5, 0.0):
+        "cd977eeb375318858e2eab8495b4d006bf7765019ba674d8a93bc0d9c72b910d",
+    (5, 10.0):
+        "ba231ed101305fc4c9a2df691ae0d725ba33ed7ff63cce1ab9ed456808614c30",
+    (20, 0.0):
+        "2229d9eb5554f00955897713d07f9b2b22f0e775ad163b545a29f19cc3fb809b",
+    (20, 10.0):
+        "fa732ffcc9f628c3a35817bdc5b4bcf0b639d95be7b4e5145abcd154d36770a1",
+}
+
+
+def _aggregate_digest(M, sigma_z2):
+    gen = rng.substream(48, M)
+    diffs = gen.standard_normal((M, 7850))
+    betas = gen.uniform(0.5, 8.0, M)
+    update, energy = channel.ota_aggregate(
+        diffs, betas, 1.3, 100, 1.2, sigma_z2,
+        rng.substream(48, rng.CHANNEL, M), rng.substream(48, rng.NOISE, M))
+    return hashlib.sha256(update.tobytes()
+                          + np.float64(energy).tobytes()).hexdigest()
+
+
+# The CPU flags each x86 kernel of numpy's OpenBLAS needs.  Forcing a
+# kernel whose instructions the CPU lacks can crash the library.
+_KERNEL_FLAGS = {
+    "SkylakeX": {"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx512vl"},
+    "Haswell": {"avx2", "fma"},
+    "Sandybridge": {"avx"},
+}
+
+
+def _cpu_flags():
+    """The flags of /proc/cpuinfo's first processor; none without it."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as f:
+            return next((set(line.split(":", 1)[1].split()) for line in f
+                         if line.startswith("flags")), set())
+    except OSError:
+        return set()
+
+
+def _named(table, digests):
+    return {f"{table} {key}": digest for key, digest in digests.items()}
+
+
+def _pins():
+    """{name: digest} of every golden run, paper-shape run and aggregation,
+    computed in this process."""
+    def checksum(**kw):
+        return protocol.run_scenario(
+            protocol.ScenarioConfig(**kw)).final_checksum
+    paper = dict(_paper_shape(), T=3, seed=1)
+    return {**_named("golden", {name: checksum(**_DATA_SHAPE, **run)
+                                for name, run in _DATA_RUNS.items()}),
+            **_named("paper", {name: checksum(**paper, **run)
+                               for name, run in _PAPER_RUNS.items()}),
+            **_named("aggregate", {key: _aggregate_digest(*key)
+                                   for key in _AGGREGATE_DIGESTS})}
+
+
+# prints [the kernel OpenBLAS runs, or None, then _pins()]
+_PINS_RUN = """
+import json
+from test_protocol import _openblas_core, _pins
+print(json.dumps([_openblas_core(), _pins()]))
+"""
+
+
+@pytest.mark.parametrize("kernel", [None, *sorted(_KERNEL_FLAGS)],
+                         ids=lambda kernel: kernel or "unforced")
+def test_pinned_digests(kernel):
+    # every pin on the kernel OpenBLAS picks in this process, then in one
+    # process per other kernel, forced with OPENBLAS_CORETYPE
+    assert (_GOLDEN_CHECKSUMS.keys() == _PAPER_CHECKSUMS.keys()
+            == _KERNEL_FLAGS.keys())
+    core = _openblas_core()
+    if kernel is None:
+        pins = _pins()
+    else:
+        if core is None:
+            pytest.skip(f"{_NO_BLAS_SETTER}, so no kernel can be forced")
+        if kernel == core:
+            pytest.skip(f"this process runs {kernel}; the unforced case "
+                        f"checks it")
+        missing = sorted(_KERNEL_FLAGS[kernel] - _cpu_flags())
+        if missing:
+            pytest.skip(f"/proc/cpuinfo lacks {' '.join(missing)}, which "
+                        f"OpenBLAS's {kernel} kernel needs")
+        core, pins = json.loads(_run_python(_PINS_RUN,
+                                            OPENBLAS_CORETYPE=kernel))
+        assert core == kernel
+    expected = _named("aggregate", _AGGREGATE_DIGESTS)
+    if core not in _GOLDEN_CHECKSUMS:
+        assert {name: pins[name] for name in expected} == expected
+        pytest.skip(_NO_BLAS_SETTER if core is None else
+                    f"no run digests pinned for OpenBLAS's {core} kernel")
+    assert pins == {**expected, **_named("golden", _GOLDEN_CHECKSUMS[core]),
+                    **_named("paper", _PAPER_CHECKSUMS[core])}
