@@ -5,6 +5,7 @@ import pytest
 
 from airfed import channel, rng
 from oracles import coherent_mrc_statistic, decompose_terms
+from test_protocol import _AGGREGATE_DIGESTS, _aggregate_digest
 
 
 def test_pack_complex_example():
@@ -285,3 +286,10 @@ def test_ota_aggregate_finite_when_symbols_are_collinear():
                 diffs, betas, 1.3, 4, 1.2, 10.0, rng.substream(44, 1),
                 rng.substream(44, 2))
             assert np.isfinite(update).all()
+
+
+@pytest.mark.parametrize("M, sigma_z2", sorted(_AGGREGATE_DIGESTS))
+def test_ota_aggregate_digests(M, sigma_z2):
+    # in this process, on every CPU; tests/test_protocol.py's
+    # test_pinned_digests checks the table under each forced kernel
+    assert _aggregate_digest(M, sigma_z2) == _AGGREGATE_DIGESTS[M, sigma_z2]

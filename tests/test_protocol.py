@@ -798,8 +798,8 @@ print(m.final_checksum)
 """
 
 
-def _run_python(script, *args, **env):
-    """The stdout of script, run with args by this Python in a process whose
+def _run_python(*argv, **env):
+    """The stdout of this Python run with argv in a process whose
     environment is this one's plus env, with the airfed source and tests/
     on PYTHONPATH."""
     path = (os.path.dirname(os.path.dirname(protocol.__file__)),
@@ -807,7 +807,7 @@ def _run_python(script, *args, **env):
             os.environ.get("PYTHONPATH"))
     env = dict(os.environ, **env,
                PYTHONPATH=os.pathsep.join(filter(None, path)))
-    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+    return subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True, check=True,
                           timeout=300).stdout
 
@@ -820,7 +820,7 @@ def test_paper_width_outputs_independent_of_blas_threads(tmp_path):
     outs = []
     for threads in ("1", "2"):
         csv = tmp_path / f"{threads}.csv"
-        outs.append((_run_python(_BLAS_RUN, str(csv),
+        outs.append((_run_python("-c", _BLAS_RUN, str(csv),
                                  OPENBLAS_NUM_THREADS=threads),
                      csv.read_bytes()))
     assert outs[0] == outs[1]
@@ -928,56 +928,73 @@ def _named(table, digests):
     return {f"{table} {key}": digest for key, digest in digests.items()}
 
 
+def _golden_checksum(name):
+    cfg = protocol.ScenarioConfig(**_DATA_SHAPE, **_DATA_RUNS[name])
+    return protocol.run_scenario(cfg).final_checksum
+
+
+def _paper_checksum(name):
+    cfg = protocol.ScenarioConfig(**_paper_shape(), **_PAPER_RUNS[name],
+                                  T=3, seed=1)
+    return protocol.run_scenario(cfg).final_checksum
+
+
 def _pins():
     """{name: digest} of every golden run, paper-shape run and aggregation,
     computed in this process."""
-    def checksum(**kw):
-        return protocol.run_scenario(
-            protocol.ScenarioConfig(**kw)).final_checksum
-    paper = dict(_paper_shape(), T=3, seed=1)
-    return {**_named("golden", {name: checksum(**_DATA_SHAPE, **run)
-                                for name, run in _DATA_RUNS.items()}),
-            **_named("paper", {name: checksum(**paper, **run)
-                               for name, run in _PAPER_RUNS.items()}),
+    return {**_named("golden", {name: _golden_checksum(name)
+                                for name in _DATA_RUNS}),
+            **_named("paper", {name: _paper_checksum(name)
+                               for name in _PAPER_RUNS}),
             **_named("aggregate", {key: _aggregate_digest(*key)
                                    for key in _AGGREGATE_DIGESTS})}
 
 
-# prints [the kernel OpenBLAS runs, or None, then _pins()]
-_PINS_RUN = """
-import json
-from test_protocol import _openblas_core, _pins
-print(json.dumps([_openblas_core(), _pins()]))
-"""
+def _run_pin(table, name):
+    """name's digest in the run table for the kernel OpenBLAS runs in this
+    process; skips, naming the reason, where the table has none."""
+    core = _openblas_core()
+    if core not in table:
+        pytest.skip(_NO_BLAS_SETTER if core is None else
+                    f"no run digests pinned for OpenBLAS's {core} kernel; "
+                    f"test_pinned_digests checks the kernels it can run")
+    return table[core][name]
 
 
-@pytest.mark.parametrize("kernel", [None, *sorted(_KERNEL_FLAGS)],
-                         ids=lambda kernel: kernel or "unforced")
+# One pin per test, on the kernel OpenBLAS picks in this process; the
+# aggregations are checked so in tests/test_channel.py.
+@pytest.mark.parametrize("name", sorted(_DATA_RUNS))
+def test_golden_checksums(name):
+    digest = _run_pin(_GOLDEN_CHECKSUMS, name)
+    assert _golden_checksum(name) == digest
+
+
+@pytest.mark.parametrize("name", sorted(_PAPER_RUNS))
+def test_paper_shape_checksums(name):
+    digest = _run_pin(_PAPER_CHECKSUMS, name)
+    assert _paper_checksum(name) == digest
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNEL_FLAGS))
 def test_pinned_digests(kernel):
-    # every pin on the kernel OpenBLAS picks in this process, then in one
-    # process per other kernel, forced with OPENBLAS_CORETYPE
+    # every pin in one process per kernel, forced with OPENBLAS_CORETYPE,
+    # the kernel OpenBLAS picks itself included
     assert (_GOLDEN_CHECKSUMS.keys() == _PAPER_CHECKSUMS.keys()
             == _KERNEL_FLAGS.keys())
-    core = _openblas_core()
-    if kernel is None:
-        pins = _pins()
-    else:
-        if core is None:
-            pytest.skip(f"{_NO_BLAS_SETTER}, so no kernel can be forced")
-        if kernel == core:
-            pytest.skip(f"this process runs {kernel}; the unforced case "
-                        f"checks it")
-        missing = sorted(_KERNEL_FLAGS[kernel] - _cpu_flags())
-        if missing:
-            pytest.skip(f"/proc/cpuinfo lacks {' '.join(missing)}, which "
-                        f"OpenBLAS's {kernel} kernel needs")
-        core, pins = json.loads(_run_python(_PINS_RUN,
-                                            OPENBLAS_CORETYPE=kernel))
-        assert core == kernel
-    expected = _named("aggregate", _AGGREGATE_DIGESTS)
-    if core not in _GOLDEN_CHECKSUMS:
-        assert {name: pins[name] for name in expected} == expected
-        pytest.skip(_NO_BLAS_SETTER if core is None else
-                    f"no run digests pinned for OpenBLAS's {core} kernel")
-    assert pins == {**expected, **_named("golden", _GOLDEN_CHECKSUMS[core]),
-                    **_named("paper", _PAPER_CHECKSUMS[core])}
+    if learner._openblas() is None:
+        pytest.skip(f"{_NO_BLAS_SETTER}, so no kernel can be forced")
+    missing = sorted(_KERNEL_FLAGS[kernel] - _cpu_flags())
+    if missing:
+        pytest.skip(f"/proc/cpuinfo lacks {' '.join(missing)}, which "
+                    f"OpenBLAS's {kernel} kernel needs")
+    core, pins = json.loads(_run_python(__file__, OPENBLAS_CORETYPE=kernel))
+    assert core == kernel
+    assert pins == {**_named("aggregate", _AGGREGATE_DIGESTS),
+                    **_named("golden", _GOLDEN_CHECKSUMS[kernel]),
+                    **_named("paper", _PAPER_CHECKSUMS[kernel])}
+
+
+if __name__ == "__main__":
+    # one forced process of test_pinned_digests: the kernel OpenBLAS runs,
+    # or None, then every pin
+    print(json.dumps([_openblas_core(), _pins()]))
