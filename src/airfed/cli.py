@@ -174,6 +174,11 @@ def summarize(csv_paths, out_path):
         if real[i] in real[:i]:
             raise ConfigError(f"{path}: names the same file as "
                               f"{csv_paths[real.index(real[i])]}")
+    # writing the summary over an input would destroy the run it reads
+    out_real = os.path.realpath(out_path)
+    if out_real in real:
+        raise ConfigError(f"--out {out_path} names the same file as the "
+                          f"input {csv_paths[real.index(out_real)]}")
     finals = {}
     for path in csv_paths:
         header, *rows = _read(path).split("\n")
@@ -246,7 +251,7 @@ def _cmd_run(args):
     for run_cfg in runs:
         try:
             metrics = protocol.run_scenario(run_cfg)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"{args.config}: {run_cfg.scenario} seed "
                               f"{run_cfg.seed}: {exc}")
         name = f"{run_cfg.scenario}_seed{run_cfg.seed}.csv"

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
@@ -12,6 +14,8 @@ import pytest
 
 from airfed import bounds, cli, learner, protocol
 from test_learner import _write_idx
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 SMOKE = """\
 scenario = hotafl
@@ -55,6 +59,56 @@ def _write(tmp_path, text, name="cfg.txt"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+_EITHER = object()      # the _airfed error of a call that may succeed or fail
+
+
+def _airfed(*argv, error=None, status=1, out_made=False):
+    """Run `airfed argv` (Paths as text) and check the CLI's contract.
+
+    error None: exit 0, no stderr, and a run or bound --out holds what it
+    held plus exactly the manifest's outputs and manifest.json; returns
+    the manifest.  Otherwise exit status and one line, "airfed: error: "
+    and error (an re.Pattern where the OS supplies the words); status 2 is
+    argparse's, after its usage and naming the subcommand.  A failure
+    writes no manifest.json and leaves --out as it was, unless out_made:
+    the error may come after --out is made.  _EITHER takes either outcome.
+    """
+    argv = [str(arg) for arg in argv]
+    out = argv[argv.index("--out") + 1]
+    existed, manifest = os.path.exists(out), Path(out, "manifest.json")
+    listed = set(os.listdir(out)) if os.path.isdir(out) else set()
+    had_manifest = manifest.exists()
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:       # argparse's usage error
+            code = exc.code
+    err = stderr.getvalue()
+    if error is _EITHER:
+        error = None if code == 0 else re.compile(".*")
+    if error is None:
+        assert (code, err) == (0, "") and os.path.exists(out), argv
+        if argv[0] == "summarize":
+            return None
+        man = json.loads(manifest.read_text())
+        assert set(os.listdir(out)) == listed | {*man["outputs"],
+                                                 manifest.name}
+        return man
+    what = error.pattern if isinstance(error, re.Pattern) else re.escape(error)
+    name = "airfed" if status == 1 else \
+        rf"usage: airfed {argv[0]} .*\n(?: .*\n)*airfed {argv[0]}"
+    assert code == status, (argv, err)
+    assert re.fullmatch(rf"{name}: error: {what}\n", err), err
+    assert manifest.exists() == had_manifest
+    assert out_made or os.path.exists(out) == existed
+
+
+def _os_error(path):
+    """An OSError's line on path, whose words the OS supplies."""
+    return re.compile(rf"\[Errno \d+\] .+: {re.escape(repr(path))}")
 
 
 def test_parse_minimal_scenario_config(tmp_path):
@@ -104,8 +158,7 @@ def test_parse_rejects_malformed_and_duplicate_lines(tmp_path):
 
 
 def test_parse_reference_config():
-    here = os.path.join(os.path.dirname(__file__), "..", "configs")
-    cfg = cli.parse_config(os.path.join(here, "mnist_iid_hotafl.cfg"))
+    cfg = cli.parse_config(str(CONFIGS / "mnist_iid_hotafl.cfg"))
     assert (cfg.C, cfg.M, cfg.K, cfg.T) == (4, 5, 100, 200)
     assert cfg.batch_size == 500
     assert cfg.sigma_h2 == 1.0 and cfg.sigma_z2 == 10.0
@@ -117,8 +170,7 @@ def test_parse_reference_config():
 
 
 def test_parse_bound_config():
-    here = os.path.join(os.path.dirname(__file__), "..", "configs")
-    p = cli.parse_config(os.path.join(here, "bound_fig4_hotafl.cfg"))
+    p = cli.parse_config(str(CONFIGS / "bound_fig4_hotafl.cfg"))
     assert isinstance(p, bounds.BoundParams)
     assert (p.C, p.M, p.K, p.T, p.N) == (4, 5, 100, 200, 3925)
     assert np.all(p.betas == 3.0)
@@ -126,7 +178,7 @@ def test_parse_bound_config():
 
 
 @pytest.mark.parametrize(
-    "path", sorted((Path(__file__).parent.parent / "configs").glob("*.cfg")),
+    "path", sorted(CONFIGS.glob("*.cfg")),
     ids=lambda path: path.stem)
 def test_committed_config_parses(path):
     # the bound parameter sets are the bound_* files, the rest run configs
@@ -144,8 +196,8 @@ def test_byte_order_mark_is_dropped(tmp_path):
     marked.write_bytes(bom + SMOKE.encode())
     assert cli.parse_config(str(marked)) == cli.parse_config(plain)
     out = str(tmp_path / "o")
-    assert cli.main(["run", "--config", str(marked), "--out", out]) == 0
-    committed = Path(__file__).parent.parent / "configs/bound_fig4_hotafl.cfg"
+    _airfed("run", "--config", marked, "--out", out)
+    committed = CONFIGS / "bound_fig4_hotafl.cfg"
     marked = tmp_path / "bomb.cfg"
     marked.write_bytes(bom + committed.read_bytes())
     assert np.array_equal(
@@ -192,10 +244,8 @@ def test_parse_bound_rejects_bad_values(tmp_path):
         cli.parse_config(_write(tmp_path, BOUND.replace("C = 4", "C = -1")))
     # a manifest float is not truncated into an int field
     out = str(tmp_path / "a")
-    assert cli.main(["bound", "--config", _write(tmp_path, BOUND),
-                     "--out", out]) == 0
+    man = _airfed("bound", "--config", _write(tmp_path, BOUND), "--out", out)
     man_path = os.path.join(out, "manifest.json")
-    man = json.loads(Path(man_path).read_text())
     man["config"]["N"] = 3925.7
     Path(man_path).write_text(json.dumps(man))
     with pytest.raises(cli.ConfigError,
@@ -232,56 +282,45 @@ def test_parse_rejects_out_of_range_value(tmp_path, kind, key, val):
         cli.parse_config(_write(tmp_path, text))
 
 
+_STEM = ("label must be a plain file stem (letters, digits, '_', '-', '.', "
+         "no leading '.'), got ")
+
+
 @pytest.mark.parametrize("label", ("../escaped", "a,b", ".hidden", "a/b"))
-def test_bound_label_must_be_a_file_stem(tmp_path, capsys, label):
+def test_bound_label_must_be_a_file_stem(tmp_path, label):
     # the label names the output CSV and fills its last column, so it
     # cannot leave --out or add a column
-    out = str(tmp_path / "sub" / "o")
-    text = BOUND.replace("label = b", f"label = {label}")
-    cfg = _write(tmp_path, text)
-    assert cli.main(["bound", "--config", cfg, "--out", out]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"airfed: error: {cfg}: label must be a plain "
-                          "file stem") and err.count("\n") == 1
+    cfg = _write(tmp_path, BOUND.replace("label = b", f"label = {label}"))
+    _airfed("bound", "--config", cfg, "--out", tmp_path / "sub" / "o",
+            error=f"{cfg}: {_STEM}{label!r}")
     assert not os.path.exists(tmp_path / "sub")
 
 
-def test_out_naming_a_file_is_one_line_error(tmp_path, capsys):
+def test_out_naming_a_file_is_one_line_error(tmp_path):
     taken = _write(tmp_path, "", "taken")
     for command, text in (("run", SMOKE), ("bound", BOUND)):
-        assert cli.main([command, "--config", _write(tmp_path, text),
-                         "--out", taken]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("airfed: error: ") and err.count("\n") == 1
+        _airfed(command, "--config", _write(tmp_path, text), "--out", taken,
+                error=_os_error(taken))
 
 
 def test_run_command_three_scenarios(tmp_path):
-    cfg = _write(tmp_path, SMOKE)
     out = str(tmp_path / "out")
-    assert cli.main(["run", "--config", cfg, "--out", out]) == 0
-    csvs = sorted(f for f in os.listdir(out) if f.endswith(".csv"))
+    man = _airfed("run", "--config", _write(tmp_path, SMOKE), "--out", out)
+    csvs = sorted(man["outputs"])
     assert csvs == ["flat_ota_seed5.csv", "hotafl_seed5.csv",
                     "ideal_hier_seed5.csv", "summary.csv"]
-    cols = []
     for name in csvs[:3]:
-        with open(os.path.join(out, name)) as fh:
-            rows = [l.split(",")[0] for l in fh.read().splitlines()[1:]]
-        cols.append(rows)
-    assert cols[0] == cols[1] == cols[2] == ["1", "2", "3", "4"]
-    man = json.loads(Path(out, "manifest.json").read_text())
+        rows = Path(out, name).read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["1", "2", "3", "4"]
     assert man["kind"] == "run" and man["tool_version"]
     assert man["seeds"] == [5]
 
 
 def test_run_seeds_and_scenarios_cardinality(tmp_path):
-    cfg = _write(tmp_path, SMOKE)
-    out = str(tmp_path / "out")
-    assert cli.main(["run", "--config", cfg, "--out", out,
-                     "--seeds", "2", "--scenarios", "ideal,hotafl,flat"]) == 0
-    csvs = [f for f in os.listdir(out) if f.endswith(".csv")
-            and f != "summary.csv"]
-    assert len(csvs) == 6
-    assert os.path.exists(os.path.join(out, "summary.csv"))
+    man = _airfed("run", "--config", _write(tmp_path, SMOKE), "--out",
+                  tmp_path / "out", "--seeds", "2", "--scenarios",
+                  "ideal,hotafl,flat")
+    assert len(man["outputs"]) == 7 and man["outputs"][-1] == "summary.csv"
 
 
 @pytest.mark.parametrize("pin, seeds, draws", [
@@ -302,26 +341,20 @@ def test_run_draws_each_data_key_once(tmp_path, monkeypatch, pin, seeds,
     monkeypatch.setattr(learner, "make_synthetic", counted)
     protocol._RUN_DATA.clear()
     cfg = _write(tmp_path, SMOKE + pin)
-    out = str(tmp_path / "out")
-    assert cli.main(["run", "--config", cfg, "--out", out, *seeds]) == 0
+    _airfed("run", "--config", cfg, "--out", tmp_path / "out", *seeds)
     assert len(calls) == draws
 
 
-def test_run_rejects_nonpositive_seeds(tmp_path, capsys):
+def test_run_rejects_nonpositive_seeds(tmp_path):
     cfg = _write(tmp_path, SMOKE)
     first = str(tmp_path / "first")
-    assert cli.main(["run", "--config", cfg, "--out", first,
-                     "--scenarios", "ideal"]) == 0
+    _airfed("run", "--config", cfg, "--out", first, "--scenarios", "ideal")
     manifest = os.path.join(first, "manifest.json")
     for config in (cfg, manifest):
         for n in ("0", "-1"):
-            out = str(tmp_path / f"out{n}")
-            assert cli.main(["run", "--config", config, "--out", out,
-                             "--seeds", n, "--scenarios", "ideal"]) == 1
-            err = capsys.readouterr().err
-            assert err == f"airfed: error: --seeds must be at least 1, " \
-                          f"got {n}\n"
-            assert not os.path.exists(out)
+            _airfed("run", "--config", config, "--out", tmp_path / f"out{n}",
+                    "--seeds", n, "--scenarios", "ideal",
+                    error=f"--seeds must be at least 1, got {n}")
 
 
 _LIST = "must be a non-empty list, got "
@@ -399,44 +432,38 @@ _BOOL_BETAS = [[True] + [3.0] * 4] + [[3.0] * 5] * 3
     # stem, and a JSON string, since str() of a boolean or number would
     # name the CSV True.csv or 12.5.csv
     pytest.param("bound", "config", "label", "../escaped",
-                 ": label must be a plain file stem (letters, digits, '_', "
-                 "'-', '.', no leading '.'), got '../escaped'", id="label"),
+                 f": {_STEM}'../escaped'", id="label"),
     pytest.param("bound", "config", "label", True,
                  ": label must be a string, got True", id="label-bool"),
     pytest.param("bound", "config", "label", 12.5,
                  ": label must be a string, got 12.5", id="label-float"),
 ])
-def test_manifest_rejects_bad_seeds_and_scenarios(tmp_path, capsys, command,
-                                                  place, key, val, reason):
+def test_manifest_rejects_bad_seeds_and_scenarios(tmp_path, command, place,
+                                                  key, val, reason):
     text, only = (SMOKE, ["--scenarios", "ideal"]) if command == "run" \
         else (BOUND, [])
     first = str(tmp_path / "first")
-    assert cli.main([command, "--config", _write(tmp_path, text),
-                     "--out", first, *only]) == 0
+    man = _airfed(command, "--config", _write(tmp_path, text), "--out", first,
+                  *only)
     manifest = os.path.join(first, "manifest.json")
-    man = json.loads(Path(manifest).read_text())
     if place == "shorthand":
         del man["config"]["betas"]
         man["config"].update(val)
     else:
         (man if place == "top" else man["config"])[key] = val
     Path(manifest).write_text(json.dumps(man))
-    out = str(tmp_path / "o")
-    assert cli.main([command, "--config", manifest, "--out", out]) == 1
-    assert capsys.readouterr().err == f"airfed: error: {manifest}{reason}\n"
-    assert not os.path.exists(out)
+    _airfed(command, "--config", manifest, "--out", tmp_path / "o",
+            error=f"{manifest}{reason}")
 
 
-def test_allocation_failure_is_one_line_error(tmp_path, capsys):
+def test_allocation_failure_is_one_line_error(tmp_path):
     # 10**15 samples ask for petabytes, more than the address space holds,
     # so the allocation fails at once whatever the overcommit setting
     cfg = _write(tmp_path, SMOKE.replace("train_samples = 300",
                                          "train_samples = 1000000000000000"))
-    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
-                     "--scenarios", "ideal"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("airfed: error: Unable to allocate ")
-    assert err.count("\n") == 1
+    _airfed("run", "--config", cfg, "--out", tmp_path / "o",
+            "--scenarios", "ideal", out_made=True,
+            error=re.compile("Unable to allocate .*"))
 
 
 @pytest.mark.parametrize("feature_dim, num_classes, test_side, reason", [
@@ -448,9 +475,8 @@ def test_allocation_failure_is_one_line_error(tmp_path, capsys):
     (16, 10, 3, "test set under {} has feature_dim 9, the config has "
                 "feature_dim = 16"),
 ], ids=["match", "feature_dim", "num_classes", "test-feature_dim"])
-def test_mnist_shape_must_match_config(tmp_path, capsys, monkeypatch,
-                                       feature_dim, num_classes, test_side,
-                                       reason):
+def test_mnist_shape_must_match_config(tmp_path, monkeypatch, feature_dim,
+                                       num_classes, test_side, reason):
     # 4x4 train images and test_side x test_side test images, labels 0..9
     for prefix, n, side in (("train", 20, 4), ("t10k", 10, test_side)):
         _write_idx(tmp_path / f"{prefix}-images-idx3-ubyte", 0x803,
@@ -463,49 +489,41 @@ def test_mnist_shape_must_match_config(tmp_path, capsys, monkeypatch,
                            f"feature_dim = {feature_dim}\n"
                            f"num_classes = {num_classes}\n")
     out = tmp_path / "o"
-    status = cli.main(["run", "--config", cfg, "--out", str(out),
-                       "--scenarios", "ideal,hotafl,flat"])
-    if reason is not None:
-        assert status == 1
-        assert capsys.readouterr().err == f"airfed: error: {cfg}: " \
-            f"ideal_hier seed 0: MNIST {reason.format(tmp_path)}\n"
-        return
-    # matching shapes: every scenario writes one row of finite numbers
-    assert status == 0
-    for scenario in protocol.SCENARIOS:
-        rows = (out / f"{scenario}_seed0.csv").read_text().splitlines()[1:]
-        assert len(rows) == 1
-        values = rows[0].split(",")
-        assert values[1] == scenario
-        assert np.isfinite([float(v) for v in values[2:]]).all()
+    _airfed("run", "--config", cfg, "--out", out, "--scenarios",
+            "ideal,hotafl,flat", out_made=True, error=reason and
+            f"{cfg}: ideal_hier seed 0: MNIST {reason.format(tmp_path)}")
+    if reason is None:      # every scenario writes one row of finite numbers
+        for scenario in protocol.SCENARIOS:
+            rows = (out / f"{scenario}_seed0.csv").read_text().splitlines()
+            assert len(rows) == 2
+            values = rows[1].split(",")
+            assert values[1] == scenario
+            assert np.isfinite([float(v) for v in values[2:]]).all()
 
 
-def test_failed_config_leaves_no_output_dir(tmp_path, capsys):
+def test_failed_config_leaves_no_output_dir(tmp_path):
+    # a missing file, a directory, a bad value, text that is not UTF-8 and
+    # a manifest that is not JSON: the error names the file
     bad = _write(tmp_path, "scenario = hotafl\nC = two\n", "bad.cfg")
-    # text that is not UTF-8 and a manifest that is not JSON: the error
-    # names the file
-    named = {str(tmp_path / "latin1.cfg"): (
-                 b"scenario = hotafl\n\xff\n", "'utf-8' codec can't decode "
-                 "byte 0xff in position 18: invalid start byte"),
-             str(tmp_path / "cut.json"): (
-                 b'{"kind": "run", ', "Expecting property name enclosed "
-                 "in double quotes: line 1 column 17 (char 16)")}
-    for path, (text, _) in named.items():
-        Path(path).write_bytes(text)
+    missing, cut = str(tmp_path / "missing.cfg"), str(tmp_path / "cut.json")
+    latin1 = str(tmp_path / "latin1.cfg")
+    Path(latin1).write_bytes(b"scenario = hotafl\n\xff\n")
+    Path(cut).write_bytes(b'{"kind": "run", ')
     for command in ("run", "bound"):
-        # a missing file, a directory, a bad value
-        for config in (str(tmp_path / "missing.cfg"), str(tmp_path), bad,
-                       *named):
-            out = str(tmp_path / "o")
-            assert cli.main([command, "--config", config, "--out", out]) == 1
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1
-            if config in named:
-                assert err == f"airfed: error: {config}: {named[config][1]}\n"
-            assert not os.path.exists(out)
+        for config, error in (
+                (missing, _os_error(missing)),
+                (str(tmp_path), _os_error(str(tmp_path))),
+                (bad, f"{bad}:2: bad value for 'C': 'two'" if command == "run"
+                 else f"{bad}: not a bound config"),
+                (latin1, f"{latin1}: 'utf-8' codec can't decode byte 0xff in "
+                 "position 18: invalid start byte"),
+                (cut, f"{cut}: Expecting property name enclosed in double "
+                 "quotes: line 1 column 17 (char 16)")):
+            _airfed(command, "--config", config, "--out", tmp_path / "o",
+                    error=error)
 
 
-def test_repeated_scenario_or_seed_leaves_no_output_dir(tmp_path, capsys):
+def test_repeated_scenario_or_seed_leaves_no_output_dir(tmp_path):
     cfg = _write(tmp_path, SMOKE)
     out = str(tmp_path / "o")
     for arg, reason in (("ideal,ideal_hier",
@@ -514,26 +532,21 @@ def test_repeated_scenario_or_seed_leaves_no_output_dir(tmp_path, capsys):
                          "the run list names flat_ota seed 5 twice"),
                         (",", "scenarios must be a non-empty list, got []"),
                         ("", "scenarios must be a non-empty list, got []")):
-        assert cli.main(["run", "--config", cfg, "--out", out,
-                         "--scenarios", arg]) == 1
-        assert capsys.readouterr().err == f"airfed: error: {cfg}: {reason}\n"
-        assert not os.path.exists(out)
+        _airfed("run", "--config", cfg, "--out", out, "--scenarios", arg,
+                error=f"{cfg}: {reason}")
     # names are stripped of spaces
-    assert cli.main(["run", "--config", cfg, "--out", out,
-                     "--scenarios", " ideal , hotafl"]) == 0
-    assert sorted(os.listdir(out)) == [
-        "hotafl_seed5.csv", "ideal_hier_seed5.csv", "manifest.json",
-        "summary.csv"]
+    man = _airfed("run", "--config", cfg, "--out", out, "--scenarios",
+                  " ideal , hotafl")
+    assert sorted(man["outputs"]) == [
+        "hotafl_seed5.csv", "ideal_hier_seed5.csv", "summary.csv"]
 
 
-def test_bad_run_list_or_bound_schedule_leaves_no_output_dir(tmp_path,
-                                                             capsys):
+def test_bad_run_list_or_bound_schedule_leaves_no_output_dir(tmp_path):
     # each error depends on more than one key: a scenario the run list
     # adds, an iteration the bound recursion reaches, or a non-i.i.d. split
     # into fewer label groups than classes; or it is a negative lr_base,
     # whose every eta(t) would clamp to 0, a run that never trains
-    here = os.path.join(os.path.dirname(__file__), "..", "configs")
-    text = Path(here, "bound_fig4_hotafl.cfg").read_text()
+    text = (CONFIGS / "bound_fig4_hotafl.cfg").read_text()
     cases = [
         (["run", "--scenarios", "ideal,hotafl"],
          "scenario = ideal\nfeature_dim = 8\nnum_classes = 3\n",
@@ -552,45 +565,37 @@ def test_bad_run_list_or_bound_schedule_leaves_no_output_dir(tmp_path,
          "lr_base must be nonnegative")]
     for args, cfg_text, reason in cases:
         cfg = _write(tmp_path, cfg_text)
-        out = str(tmp_path / "o")
-        assert cli.main([*args, "--config", cfg, "--out", out]) == 1
-        assert capsys.readouterr().err == f"airfed: error: {cfg}: {reason}\n"
-        assert not os.path.exists(out)
+        _airfed(*args, "--config", cfg, "--out", tmp_path / "o",
+                error=f"{cfg}: {reason}")
 
 
 def test_manifest_top_level_keys(tmp_path):
     common = {"kind", "tool_version", "config", "outputs", "runtime_seconds"}
     for command, text, extra in (("run", SMOKE, {"seeds", "scenarios"}),
                                  ("bound", BOUND, set())):
-        out = str(tmp_path / command)
-        assert cli.main([command, "--config", _write(tmp_path, text),
-                         "--out", out]) == 0
-        man = json.loads(Path(out, "manifest.json").read_text())
+        man = _airfed(command, "--config", _write(tmp_path, text),
+                      "--out", tmp_path / command)
         assert set(man) == common | extra
 
 
 def test_manifest_rerun_byte_identical(tmp_path):
     cfg = _write(tmp_path, SMOKE)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    assert cli.main(["run", "--config", cfg, "--out", out1,
-                     "--scenarios", "hotafl,flat"]) == 0
-    manifest = os.path.join(out1, "manifest.json")
-    assert cli.main(["run", "--config", manifest, "--out", out2]) == 0
-    for name in os.listdir(out1):
-        if name.endswith(".csv"):
-            a = Path(out1, name).read_bytes()
-            b = Path(out2, name).read_bytes()
-            assert a == b, name
+    man = _airfed("run", "--config", cfg, "--out", out1,
+                  "--scenarios", "hotafl,flat")
+    _airfed("run", "--config", os.path.join(out1, "manifest.json"),
+            "--out", out2)
+    for name in man["outputs"]:
+        assert Path(out1, name).read_bytes() == Path(out2, name).read_bytes()
 
 
 def test_manifest_json_integers_keep_the_bits(tmp_path):
     # a JSON 1 in a float field reaches the run as the int 1, not 1.0, and
     # the run writes the same bytes
-    smoke = Path(__file__).parent.parent / "configs" / "synthetic_smoke.cfg"
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["run", "--config", str(smoke), "--out", str(out1)]) == 0
+    man = _airfed("run", "--config", CONFIGS / "synthetic_smoke.cfg",
+                  "--out", out1)
     manifest = out1 / "manifest.json"
-    man = json.loads(manifest.read_text())
     whole = [key for key, val in man["config"].items()
              if type(val) is float and val.is_integer()]
     assert {"sigma_h2", "sigma_z2", "power_base"} <= set(whole)
@@ -598,31 +603,25 @@ def test_manifest_json_integers_keep_the_bits(tmp_path):
     manifest.write_text(json.dumps(man))
     cfg, _ = cli._load_config(str(manifest), "run")
     assert all(type(getattr(cfg, key)) is int for key in whole)
-    assert cli.main(["run", "--config", str(manifest),
-                     "--out", str(out2)]) == 0
-    csvs = sorted(p.name for p in out1.glob("*.csv"))
-    assert len(csvs) == 4
-    for name in csvs:
+    _airfed("run", "--config", manifest, "--out", out2)
+    assert len(man["outputs"]) == 4
+    for name in man["outputs"]:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_bound_command_and_rerun(tmp_path):
-    here = os.path.join(os.path.dirname(__file__), "..", "configs")
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    cfgp = os.path.join(here, "bound_fig4_hotafl.cfg")
-    assert cli.main(["bound", "--config", cfgp, "--out", out1]) == 0
+    man = _airfed("bound", "--config", CONFIGS / "bound_fig4_hotafl.cfg",
+                  "--out", out1)
     csv_path = os.path.join(out1, "hotafl_bound.csv")
-    with open(csv_path) as fh:
-        header = fh.readline().strip()
-        rows = fh.read().splitlines()
+    header, *rows = Path(csv_path).read_text().splitlines()
     assert header == "t,bound_value,config_label"
     assert len(rows) == 200
     assert rows[0].split(",")[2] == "hotafl_bound"
-    man = json.loads(Path(out1, "manifest.json").read_text())
     assert sorted(man["config"]) == sorted(
         f.name for f in dataclasses.fields(bounds.BoundParams))
-    assert cli.main(["bound", "--config", os.path.join(out1, "manifest.json"),
-                     "--out", out2]) == 0
+    _airfed("bound", "--config", os.path.join(out1, "manifest.json"),
+            "--out", out2)
     assert Path(csv_path).read_bytes() == \
         Path(out2, "hotafl_bound.csv").read_bytes()
 
@@ -641,9 +640,8 @@ _FIG4_BOUND_SHA256 = {
 
 @pytest.mark.parametrize("name", _FIG4_BOUND_SHA256)
 def test_fig4_bound_csvs_are_pinned(tmp_path, name):
-    cfg = Path(__file__).parent.parent / "configs" / f"bound_fig4_{name}.cfg"
-    assert cli.main(["bound", "--config", str(cfg),
-                     "--out", str(tmp_path)]) == 0
+    _airfed("bound", "--config", CONFIGS / f"bound_fig4_{name}.cfg",
+            "--out", tmp_path)
     csv = (tmp_path / f"{name}_bound.csv").read_bytes()
     assert hashlib.sha256(csv).hexdigest() == _FIG4_BOUND_SHA256[name]
 
@@ -651,7 +649,7 @@ def test_fig4_bound_csvs_are_pinned(tmp_path, name):
 def _shipped(tmp_path, name, changes, stem="cfg"):
     """configs/<name> written under tmp_path with each key of changes set
     to its value (appended when the file lacks the key): its path."""
-    text = (Path(__file__).parent.parent / "configs" / name).read_text()
+    text = (CONFIGS / name).read_text()
     for key, val in changes.items():
         text, found = re.subn(rf"^{key} = .*$", f"{key} = {val}", text,
                               flags=re.M)
@@ -665,15 +663,12 @@ def _shipped(tmp_path, name, changes, stem="cfg"):
     ({"init_dist": "1e308", "L": "1e10"}, 1),     # (L/2) * dist overflows
     ({"power_base": "1e-200", "power_slope": "0"}, 2)),  # P(a)^2 underflows
     ids=("noise", "init_dist", "power"))
-def test_bound_non_finite_is_one_line_error(tmp_path, capsys, changes, t):
+def test_bound_non_finite_is_one_line_error(tmp_path, changes, t):
     # ends before --out is made, with no numpy warning (tier-1 turns a
     # RuntimeWarning into an error)
     cfg = _shipped(tmp_path, "bound_fig4_hotafl.cfg", changes)
-    out = str(tmp_path / "o")
-    assert cli.main(["bound", "--config", cfg, "--out", out]) == 1
-    assert capsys.readouterr().err == \
-        f"airfed: error: {cfg}: bound is not finite at t={t}\n"
-    assert not os.path.exists(out)
+    _airfed("bound", "--config", cfg, "--out", tmp_path / "o",
+            error=f"{cfg}: bound is not finite at t={t}")
 
 
 def test_bound_power_overflow_drops_the_noise(tmp_path):
@@ -681,8 +676,7 @@ def test_bound_power_overflow_drops_the_noise(tmp_path):
     # sigma_z2 = 0 one, bit for bit
     loud = _shipped(tmp_path, "bound_fig4_hotafl.cfg", {"power_base": "1e200"},
                     "loud")
-    assert cli.main(["bound", "--config", loud,
-                     "--out", str(tmp_path / "o")]) == 0
+    _airfed("bound", "--config", loud, "--out", tmp_path / "o")
     quiet = _shipped(tmp_path, "bound_fig4_hotafl.cfg", {"sigma_z2": "0"},
                      "quiet")
     assert np.array_equal(bounds.bound_trajectory(cli.parse_config(loud)),
@@ -696,9 +690,8 @@ def test_noiseless_bound_does_not_read_the_power(tmp_path):
         cfg = _shipped(tmp_path, "bound_fig4_hotafl.cfg",
                        {"sigma_z2": "0", "power_base": power,
                         "power_slope": "0"}, stem)
-        out = tmp_path / stem
-        assert cli.main(["bound", "--config", cfg, "--out", str(out)]) == 0
-        csvs.append((out / "hotafl_bound.csv").read_bytes())
+        _airfed("bound", "--config", cfg, "--out", tmp_path / stem)
+        csvs.append((tmp_path / stem / "hotafl_bound.csv").read_bytes())
     assert csvs[0] == csvs[1]
 
 
@@ -711,27 +704,19 @@ def _float_fields(cls):
     ("run", "synthetic_smoke.cfg", _float_fields(protocol.ScenarioConfig)),
     ("bound", "bound_fig4_hotafl.cfg", _float_fields(bounds.BoundParams))),
     ids=("run", "bound"))
-def test_extreme_values_end_cleanly(tmp_path, capsys, command, name, fields):
+def test_extreme_values_end_cleanly(tmp_path, command, name, fields):
     # every float field at +-1e300 and 1e-300 (the run at T = 3, all three
     # scenarios): the command succeeds or ends in one error line, and no
-    # warning is raised in any thread
-    bad = []
+    # warning is raised in any thread; a run may stop after --out is made
     for field in fields:
         for val in ("1e300", "1e-300", "-1e300"):
             changes = {field: val, **({"T": "3"} if command == "run" else {})}
             cfg = _shipped(tmp_path, name, changes)
-            out = str(tmp_path / f"{field}{val}")
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    code = cli.main([command, "--config", cfg, "--out", out])
-            except Exception as exc:    # a warning or a traceback
-                code = repr(exc)
-            err = capsys.readouterr().err
-            if not (code == 0 and err == "" or code == 1
-                    and re.fullmatch(r"airfed: error: [^\n]*\n", err)):
-                bad.append((field, val, code, err))
-    assert not bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _airfed(command, "--config", cfg, "--out",
+                        tmp_path / f"{field}{val}", error=_EITHER,
+                        out_made=command == "run")
 
 
 def _fake_run_csv(path, scenario, acc):
@@ -741,41 +726,41 @@ def _fake_run_csv(path, scenario, acc):
         fh.write(f"2,{scenario},0.5,{acc},0.0,0.05,1\n")
 
 
-def test_summarize_identity_and_mean(tmp_path, capsys):
-    a = str(tmp_path / "a.csv")
-    b = str(tmp_path / "b.csv")
+def test_summarize_identity_and_mean(tmp_path):
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     _fake_run_csv(a, "hotafl", 0.8)
     _fake_run_csv(b, "hotafl", 0.9)
     out = str(tmp_path / "s.csv")
-    assert cli.main(["summarize", a, "--out", out]) == 0
+    _airfed("summarize", a, "--out", out)
     line = Path(out).read_text().splitlines()[1].split(",")
     assert line[:3] == ["hotafl", "1", "0.8"]
-    assert cli.main(["summarize", a, b, "--out", out]) == 0
+    _airfed("summarize", a, b, "--out", out)
     line = Path(out).read_text().splitlines()[1].split(",")
     assert float(line[2]) == pytest.approx(0.85)
     assert line[3] == "0.8" and line[4] == "0.9"
     # a file named twice, under any spelling, would count its run twice
     again = os.path.join(tmp_path, ".", "a.csv")
-    twice = str(tmp_path / "twice.csv")
-    assert cli.main(["summarize", a, b, again, "--out", twice]) == 1
-    assert capsys.readouterr().err == (
-        f"airfed: error: {again}: names the same file as {a}\n")
-    assert not os.path.exists(twice)
+    _airfed("summarize", a, b, again, "--out", tmp_path / "twice.csv",
+            error=f"{again}: names the same file as {a}")
+    # and a summary written over an input would replace the run it reads
+    run = Path(a).read_bytes()
+    _airfed("summarize", a, b, "--out", again,
+            error=f"--out {again} names the same file as the input {a}")
+    assert Path(a).read_bytes() == run
 
 
 def test_summarize_ordering_flag(tmp_path):
-    hot = str(tmp_path / "h.csv")
-    flat = str(tmp_path / "f.csv")
+    hot, flat = str(tmp_path / "h.csv"), str(tmp_path / "f.csv")
     _fake_run_csv(hot, "hotafl", 0.7)
     _fake_run_csv(flat, "flat_ota", 0.9)   # flat beats hotafl -> flag false
     out = str(tmp_path / "s.csv")
-    assert cli.main(["summarize", hot, flat, "--out", out]) == 0
+    _airfed("summarize", hot, flat, "--out", out)
     rows = Path(out).read_text().splitlines()[1:]
     assert all(r.endswith(",false") for r in rows)
     assert rows[0].startswith("hotafl,") and rows[1].startswith("flat_ota,")
 
 
-def test_summarize_malformed_csv(tmp_path, capsys):
+def test_summarize_malformed_csv(tmp_path):
     bad = str(tmp_path / "bad.csv")
     for text, reason in (
             ("nope\n1,2\n", "missing scenario/test_acc columns"),
@@ -793,23 +778,18 @@ def test_summarize_malformed_csv(tmp_path, capsys):
              "decode byte 0xff in position 28: invalid start byte")):
         Path(bad).write_bytes(text if isinstance(text, bytes)
                               else text.encode())
-        assert cli.main(["summarize", bad,
-                         "--out", str(tmp_path / "s.csv")]) == 1
-        assert capsys.readouterr().err == f"airfed: error: {bad}: {reason}\n"
+        _airfed("summarize", bad, "--out", tmp_path / "s.csv",
+                error=f"{bad}: {reason}")
 
 
-def test_unknown_scenario_name_errors(tmp_path, capsys):
+def test_unknown_scenario_name_errors(tmp_path):
     cfg = _write(tmp_path, SMOKE)
-    out = str(tmp_path / "o")
-    assert cli.main(["run", "--config", cfg, "--out", out,
-                     "--scenarios", "bogus"]) == 1
-    assert capsys.readouterr().err == (
-        f"airfed: error: {cfg}: scenario must be one of "
-        f"{protocol.SCENARIOS}, got 'bogus'\n")
-    assert not os.path.exists(out)
+    _airfed("run", "--config", cfg, "--out", tmp_path / "o", "--scenarios",
+            "bogus", error=f"{cfg}: scenario must be one of "
+            f"{protocol.SCENARIOS}, got 'bogus'")
 
 
-def test_run_non_finite_is_one_line_error(tmp_path, capsys):
+def test_run_non_finite_is_one_line_error(tmp_path):
     # P_t = 1e-6 against sigma_z2 = 100: the recovered update swamps the
     # model and the loss overflows; 1e-310 overflows the update itself;
     # 1e200 overflows the transmit energy p_t^2 * sum |x|^2
@@ -819,41 +799,57 @@ def test_run_non_finite_is_one_line_error(tmp_path, capsys):
         cfg = _write(tmp_path, SMOKE.replace("sigma_z2 = 1\n",
                                              "sigma_z2 = 100\n")
                      + f"power_base = {power}\npower_slope = 0\n")
-        assert cli.main(["run", "--config", cfg, "--out",
-                         str(tmp_path / "o"), "--scenarios", "hotafl"]) == 1
-        assert capsys.readouterr().err == \
-            f"airfed: error: {cfg}: hotafl seed 5: {msg}\n"
+        _airfed("run", "--config", cfg, "--out", tmp_path / "o",
+                "--scenarios", "hotafl", out_made=True,
+                error=f"{cfg}: hotafl seed 5: {msg}")
 
 
 @pytest.mark.parametrize("scenario", ("hotafl", "flat"))
-def test_run_path_loss_overflow_is_one_line_error(tmp_path, capsys, scenario):
+def test_run_path_loss_overflow_is_one_line_error(tmp_path, scenario):
     # a user within 0.70 of its server has a gain d**-2000 above the
     # largest float: the run names path_loss_exp, not the update
     cfg = _shipped(tmp_path, "synthetic_smoke.cfg",
                    {"T": "3", "path_loss_exp": "2000"})
-    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
-                     "--scenarios", scenario]) == 1
-    assert capsys.readouterr().err == (
-        f"airfed: error: {cfg}: {cli.SCENARIO_ALIASES[scenario]} seed 7: "
-        "path_loss_exp = 2000 gives a path-loss gain d**-p that is not "
-        "finite\n")
+    _airfed("run", "--config", cfg, "--out", tmp_path / "o", "--scenarios",
+            scenario, out_made=True,
+            error=f"{cfg}: {cli.SCENARIO_ALIASES[scenario]} seed 7: "
+            "path_loss_exp = 2000 gives a path-loss gain d**-p that is not "
+            "finite")
 
 
-def test_run_error_names_config_and_run(tmp_path, capsys):
+def test_run_error_names_config_and_run(tmp_path, monkeypatch):
     # 600 rows over C*M = 6 users leave 100-row shards, fewer than a batch;
     # 19 rows cannot fill the 5*C*M = 20 label groups of a non-iid split;
+    # an OSError too, such as MNIST without its directory or its files;
     # --out is made before the first run and keeps what was written
-    for text, reason in (
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    mnist = SMOKE.replace("dataset = synthetic", "dataset = mnist")
+    monkeypatch.delenv(protocol.MNIST_DIR_ENV, raising=False)
+    for text, data_dir, reason in (
             (SMOKE.replace("M = 2", "M = 3")
              .replace("train_samples = 300", "train_samples = 600")
-             .replace("batch_size = 20", "batch_size = 200"),
+             .replace("batch_size = 20", "batch_size = 200"), None,
              "batch_size 200 not in [1, 100]"),
             (SMOKE.replace("train_samples = 300", "train_samples = 19")
-             + "partition = noniid\n", "fewer samples than groups")):
+             + "partition = noniid\n", None, "fewer samples than groups"),
+            (mnist, None, f"dataset=mnist needs the {protocol.MNIST_DIR_ENV} "
+             "environment variable pointing at the IDX files"),
+            (mnist, empty, f"no MNIST train IDX files under {empty}")):
+        if data_dir:
+            monkeypatch.setenv(protocol.MNIST_DIR_ENV, str(data_dir))
         cfg = _write(tmp_path, text.replace("seed = 5", "seed = 7"))
         out = str(tmp_path / "o")
-        assert cli.main(["run", "--config", cfg, "--out", out,
-                         "--scenarios", "hotafl"]) == 1
-        assert capsys.readouterr().err == \
-            f"airfed: error: {cfg}: hotafl seed 7: {reason}\n"
+        _airfed("run", "--config", cfg, "--out", out, "--scenarios", "hotafl",
+                out_made=True, error=f"{cfg}: hotafl seed 7: {reason}")
         assert os.listdir(out) == []
+
+
+def test_usage_error_exits_2(tmp_path):
+    # argparse's own errors: a missing option or a value of the wrong type
+    out = tmp_path / "o"
+    _airfed("run", "--out", out, status=2,
+            error="the following arguments are required: --config")
+    _airfed("run", "--config", _write(tmp_path, SMOKE), "--out", out,
+            "--seeds", "abc", status=2,
+            error="argument --seeds: invalid int value: 'abc'")

@@ -172,6 +172,13 @@ def test_default_antennas_and_flat_power():
     assert cfg.flat_power_base == cfg.power_base
     cfg2 = _cfg(flat_power_base=1.5)
     assert cfg2.flat_power_base == 1.5
+    # replace copies a derived default as it was filled, not derived again
+    base = protocol.ScenarioConfig(scenario="hotafl")
+    assert replace(base, C=8).K == 100
+    assert protocol.ScenarioConfig(scenario="hotafl", C=8).K == 200
+    louder = replace(base, power_base=2.0, power_slope=0.5)
+    assert (louder.flat_power_base, louder.flat_power_slope) == \
+        (base.power_base, base.power_slope) == (1.0, 0.01)
 
 
 def test_run_deterministic_bitwise():
