@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from airfed import bounds, learner, protocol, rng
-from oracles import (a1_term, distance_bound_closed_form,
-                     measure_gradient_bound, measure_problem_constants)
+from oracles import (a1_term, measure_gradient_bound,
+                     measure_problem_constants)
 from test_acceptance import _config
 
 
@@ -154,18 +154,6 @@ def test_bound_trajectory_base_case_and_full_contraction():
     traj = bounds.distance_bound_trajectory(p0)
     assert traj[1] == pytest.approx(bounds.drift_y(p0, 1))
     assert traj[2] == pytest.approx(bounds.drift_y(p0, 2))
-
-
-def test_recursion_matches_closed_form():
-    gen = rng.substream(11, 0)
-    for _ in range(3):
-        p = _params(T=40, betas=gen.uniform(0.5, 6, (2, 3)),
-                    lr_base=gen.uniform(0.01, 0.05), lr_slope=1e-4,
-                    G2=gen.uniform(0.5, 2))
-        traj = bounds.distance_bound_trajectory(p)
-        for t in (1, 2, 7, 40):
-            cf = distance_bound_closed_form(p, t)
-            assert traj[t - 1] == pytest.approx(cf, rel=1e-12)
 
 
 def test_bound_gap_grows_as_alpha_falls():

@@ -119,16 +119,12 @@ def test_parse_minimal_scenario_config(tmp_path):
 
 
 def test_parse_rejects_bad_tau(tmp_path):
-    with pytest.raises(cli.ConfigError, match="tau"):
-        cli.parse_config(_write(tmp_path, "scenario = hotafl\ntau = 0\n"))
-    # each error names its key
-    for line in ("seed = -1", "data_seed = -3", "path_loss_exp = -2",
-                 "sigma_z2 = nan", "power_base = nan", "lr_base = nan",
-                 "lr_slope = nan", "l2_reg = nan", "sigma_h2 = inf",
-                 "alpha_tolerance = nan"):
-        key = line.split(" ")[0]
-        with pytest.raises(cli.ConfigError, match=rf"cfg.txt: {key} must"):
-            cli.parse_config(_write(tmp_path, f"scenario = hotafl\n{line}\n"))
+    # the config judges the value (test_protocol.py pins each such rule);
+    # the file layer prefixes the config's error with the file
+    path = _write(tmp_path, "scenario = hotafl\ntau = 0\n")
+    with pytest.raises(cli.ConfigError, match=rf"^{re.escape(path)}: tau must "
+                       "be a positive integer$"):
+        cli.parse_config(path)
 
 
 def test_parse_rejects_unknown_key_with_line(tmp_path):
@@ -144,6 +140,11 @@ def test_parse_field_types_follow_scenario_config(tmp_path):
     assert cfg.sigma_z2 == 2.0 and type(cfg.sigma_z2) is float
     path = _write(tmp_path, "scenario = hotafl\ndata_seed = 3.5\n")
     with pytest.raises(cli.ConfigError, match=r"cfg.txt:2.*data_seed"):
+        cli.parse_config(path)
+    # nan is a float, which the config refuses
+    path = _write(tmp_path, "scenario = hotafl\nsigma_z2 = nan\n")
+    with pytest.raises(cli.ConfigError,
+                       match=rf"^{re.escape(path)}: sigma_z2 must be finite$"):
         cli.parse_config(path)
 
 
@@ -228,14 +229,10 @@ def test_parse_bound_rejects_bad_values(tmp_path):
     with pytest.raises(cli.ConfigError, match=r"cfg.txt:6: bad value.*'N'"):
         cli.parse_config(_write(tmp_path, BOUND.replace("N = 3925",
                                                         "N = 3925.7")))
-    # non-finite floats are rejected, naming the key
-    for old, new in (("G2 = 1", "G2 = nan"), ("init_dist = 1000",
-                                               "init_dist = inf"),
-                     ("sigma_z2 = 10", "sigma_z2 = inf"),
-                     ("lr_base = 0.05", "lr_base = nan")):
-        key = new.split(" ")[0]
-        with pytest.raises(cli.ConfigError, match=rf"cfg.txt: {key} must"):
-            cli.parse_config(_write(tmp_path, BOUND.replace(old, new)))
+    path = _write(tmp_path, BOUND.replace("G2 = 1", "G2 = nan"))
+    with pytest.raises(cli.ConfigError,
+                       match=rf"^{re.escape(path)}: G2 must be finite$"):
+        cli.parse_config(path)
     with pytest.raises(cli.ConfigError, match=r"cfg.txt: betas must"):
         cli.parse_config(_write(tmp_path, BOUND.replace("beta = 3",
                                                         "beta = inf")))
@@ -256,30 +253,6 @@ def test_parse_bound_rejects_bad_values(tmp_path):
         Path(man_path).write_text(json.dumps(bad))
         with pytest.raises(cli.ConfigError, match="not a bound manifest"):
             cli._load_config(man_path, "bound")
-
-
-# (kind, key, value) for the config checks no other test reaches
-_CONFIG_CHECKS = [
-    ("run", "sigma_h2", "0"), ("run", "sigma_z2", "-1"),
-    ("run", "dataset", "cifar"), ("run", "partition", "dirichlet"),
-    ("run", "target_alpha", "0"), ("run", "target_alpha", "1"),
-    ("run", "alpha_tolerance", "0"), ("run", "l2_reg", "-0.1"),
-    ("bound", "L", "0"), ("bound", "mu", "0"), ("bound", "G2", "0"),
-    ("bound", "init_dist", "0"), ("bound", "sigma_h2", "0"),
-    ("bound", "Gamma", "-1"), ("bound", "sigma_z2", "-1"),
-    ("bound", "N", "0"), ("bound", "tau", "0"), ("bound", "I", "0"),
-    ("bound", "T", "0"), ("bound", "K", "0")]
-
-
-@pytest.mark.parametrize("kind,key,val", _CONFIG_CHECKS,
-                         ids=[f"{k}-{key}={v}" for k, key, v in _CONFIG_CHECKS])
-def test_parse_rejects_out_of_range_value(tmp_path, kind, key, val):
-    if kind == "run":
-        text = f"scenario = hotafl\n{key} = {val}\n"
-    else:
-        text = re.sub(rf"^{key} = .*$", f"{key} = {val}", BOUND, flags=re.M)
-    with pytest.raises(cli.ConfigError, match=rf"cfg.txt: {key} must"):
-        cli.parse_config(_write(tmp_path, text))
 
 
 _STEM = ("label must be a plain file stem (letters, digits, '_', '-', '.', "

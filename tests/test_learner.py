@@ -168,7 +168,7 @@ def test_partition_noniid_rejects_missing_class():
         learner.partition_noniid(data, 4, rng.substream(0, 0))
 
 
-def test_user_state_epoch_reshuffle():
+def test_batches_reshuffle_each_epoch():
     rows = np.arange(10)
     batch_rows = learner.batches(rows, 4, rng.substream(3, 3))
     seen = np.concatenate([next(batch_rows) for _ in range(2)])

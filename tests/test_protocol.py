@@ -48,12 +48,12 @@ def test_lr_schedule_examples():
 
 
 def test_config_validation_errors():
-    with pytest.raises(ValueError, match="tau"):
-        _cfg(tau=0)
-    with pytest.raises(ValueError, match="scenario"):
-        _cfg(scenario="bogus")
     with pytest.raises(ValueError):
         _cfg(power_base=-1.0)
+    for alpha in (0.0, 1.0):
+        with pytest.raises(ValueError,
+                           match=r"^target_alpha must be in \(0, 1\)$"):
+            _cfg(target_alpha=alpha)
     with pytest.raises(ValueError, match="even"):
         _cfg(feature_dim=8, num_classes=3)  # dim 27, odd
     with pytest.raises(ValueError, match=r"^5 label groups \(5\*C\*M\) "
@@ -90,8 +90,9 @@ _NONNEGATIVE = {"sigma_z2", "path_loss_exp", "l2_reg", "lr_base", "Gamma"}
 def _number_cases():
     """One case per number or choice field of both config types: a float
     at nan, a seed at -1, any other int at 0 and a Literal at 'bogus'; every
-    sign-checked float at -1; every number field at 10**400, an int too
-    large for a float; and the _wrong_types cases of every field."""
+    sign-checked float at -1 and every positive one at 0; every number
+    field at 10**400, an int too large for a float; and the _wrong_types
+    cases of every field."""
     cases = []
     for build, cls in ((_cfg, protocol.ScenarioConfig),
                        (_params, bounds.BoundParams)):
@@ -116,6 +117,10 @@ def _number_cases():
                 cases.append(pytest.param(
                     build, f.name, -1.0, f"{f.name} must be {rule}",
                     id=f"{cls.__name__}-{f.name}-negative"))
+            if f.name in _POSITIVE:
+                cases.append(pytest.param(
+                    build, f.name, 0.0, f"{f.name} must be positive",
+                    id=f"{cls.__name__}-{f.name}-zero"))
             if f.type in (int, float, Optional[int], Optional[float]):
                 cases.append(pytest.param(build, f.name, 10**400,
                                           f"{f.name} must be finite",
@@ -156,10 +161,8 @@ def test_array_holding_values_compare_by_identity():
 
 
 def test_config_checked_when_built_and_frozen():
-    with pytest.raises(ValueError, match="tau must"):
-        protocol.ScenarioConfig(scenario="hotafl", tau=0)
     cfg = _cfg()
-    # every copy is checked too, such as run_scenario's flat remap
+    # every copy is checked, such as run_scenario's flat remap
     with pytest.raises(ValueError, match="tau must"):
         replace(cfg, tau=0)
     with pytest.raises(FrozenInstanceError):
@@ -179,14 +182,6 @@ def test_default_antennas_and_flat_power():
     louder = replace(base, power_base=2.0, power_slope=0.5)
     assert (louder.flat_power_base, louder.flat_power_slope) == \
         (base.power_base, base.power_slope) == (1.0, 0.01)
-
-
-def test_run_deterministic_bitwise():
-    a = protocol.run_scenario(_cfg())
-    b = protocol.run_scenario(_cfg())
-    assert a.final_checksum == b.final_checksum
-    assert np.array_equal(a.train_loss, b.train_loss)
-    assert np.array_equal(a.test_acc, b.test_acc)
 
 
 def test_zero_lr_freezes_model():
